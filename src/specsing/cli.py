@@ -336,7 +336,6 @@ def build_parser():
     p = _Parser(prog="specsing",
                 description="Spectral singularities of the complex barrier "
                             "potential and resonating-waveguide designs.")
-    p.add_argument("--quiet", action="store_true", help="suppress stderr notes")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transfer", help="transfer matrix for one (z, alpha, k)")

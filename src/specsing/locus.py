@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .barrier import BarrierSpec, m22_residual
@@ -32,12 +31,17 @@ __all__ = [
     "R_of",
     "G_of",
     "F_of",
+    "brentq",
     "solve_sigma",
     "trace_curve",
 ]
 
 #: certification threshold on the barrier residual
 RESIDUAL_TOL = 1e-9
+#: bracketing grid of solve_sigma: y in [1e-6, 1e6], 400 points per decade
+_Y_GRID = np.geomspace(1e-6, 1e6, 4801)
+#: brentq tolerances (absolute, relative) and iteration cap
+_XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
 
 @dataclass(frozen=True)
@@ -129,21 +133,100 @@ def F_of(branch, rho, y):
     return kernels.f_scalar(branch.n, branch.eps, rho, y)
 
 
-def _certify(branch, rho, y, residual_tol):
+def brentq(f, a, b):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``Zeros/brentq.c`` in the same operation order, so it
+    returns the same double as ``scipy.optimize.brentq(f, a, b,
+    xtol=1e-300, rtol=1e-14)``.  Raises ValueError if f(a) and f(b) have
+    the same sign or f gives NaN, RuntimeError after 100 iterations.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets +-inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after {_MAXITER} iterations, "
+                       f"value is {xcur!r}")
+
+
+def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
+    """Sorted roots of f, bracketed by its values fv on the ascending grid xs.
+
+    Each sign change of fv is polished by ``polish(f, lo, hi)``, the
+    caller's binding of ``brentq`` (so each layer's polish can be profiled
+    under its own name); exact zeros of fv are roots as they stand.  Roots
+    are kept as image(x), and one within rel_tol (relative) of a root
+    already kept is a duplicate.
+    """
+    sgn = np.sign(fv)
+    roots = []
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        r = image(polish(f, xs[i], xs[i + 1]))
+        if roots and abs(r - roots[-1]) <= rel_tol * abs(r):
+            continue
+        roots.append(r)
+    for x in xs[fv == 0.0]:
+        r = image(x)
+        if not any(abs(r - q) <= rel_tol * abs(r) for q in roots):
+            roots.append(r)
+    return sorted(roots)
+
+
+def _certify(branch, rho, y):
     """Realize (k=1, alpha=G, z=rho+i sigma) and check the barrier residual."""
     sigma = (1.0 - rho) * y
     alpha_k = G_of(branch, rho, y)
     if alpha_k <= 0:
         return None
     res = m22_residual(BarrierSpec(alpha=alpha_k, z=complex(rho, sigma)), 1.0)
-    if res >= residual_tol:
+    if res >= RESIDUAL_TOL:
         return None
     return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,
                       branch=branch, residual=res)
 
 
-def solve_sigma(branch, rho, y_min=1e-6, y_max=1e6, points_per_decade=400,
-                residual_tol=RESIDUAL_TOL):
+def solve_sigma(branch, rho):
     """All certified sigma > 0 singularity points above rho, sorted by sigma.
 
     Roots of F are bracketed on a geometric y grid and polished by Brent's
@@ -153,31 +236,15 @@ def solve_sigma(branch, rho, y_min=1e-6, y_max=1e6, points_per_decade=400,
     """
     if not rho < 1:
         raise ValueError(f"rho must be < 1, got {rho}")
-    ndec = math.log10(y_max / y_min)
-    ys = np.geomspace(y_min, y_max, int(round(points_per_decade * ndec)) + 1)
-    fv = kernels.f_grid(branch.n, branch.eps, rho, ys)
-    sgn = np.sign(fv)
-    roots = []
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        y = brentq(lambda yy: kernels.f_scalar(branch.n, branch.eps, rho, yy),
-                   ys[i], ys[i + 1], xtol=1e-300, rtol=1e-14)
-        if roots and abs(y - roots[-1]) <= 1e-6 * abs(y):
-            continue
-        roots.append(y)
-    for i in np.nonzero(fv == 0.0)[0]:
-        y = ys[i]
-        if not any(abs(y - r) <= 1e-6 * abs(y) for r in roots):
-            roots.append(y)
-    points = []
-    for y in sorted(roots):
-        pt = _certify(branch, rho, y, residual_tol)
-        if pt is not None:
-            points.append(pt)
+    n, eps = branch.n, branch.eps
+    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
+                        _Y_GRID, kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
+    points = [pt for pt in (_certify(branch, rho, y) for y in roots) if pt is not None]
     points.sort(key=lambda p: p.sigma)
     return points
 
 
-def trace_curve(branch, rho_min, rho_max, samples, **solve_kwargs):
+def trace_curve(branch, rho_min, rho_max, samples):
     """Sample the curve over [rho_min, rho_max], densified toward rho = 1.
 
     The rho grid is uniform in log(1 - rho).  Output is ordered by
@@ -190,5 +257,5 @@ def trace_curve(branch, rho_min, rho_max, samples, **solve_kwargs):
     us = np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)
     points = []
     for u in us:
-        points.extend(solve_sigma(branch, 1.0 - math.exp(u), **solve_kwargs))
+        points.extend(solve_sigma(branch, 1.0 - math.exp(u)))
     return points

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .barrier import BarrierSpec, m22_residual, transfer_matrix
 from .constants import HBAR_C_EV_NM
-from .locus import BranchLabel, G_of
+from .locus import RESIDUAL_TOL, BranchLabel, G_of, _grid_roots, brentq
 
 __all__ = [
     "GainMedium",
@@ -31,12 +30,10 @@ __all__ = [
     "permittivity",
     "k_of",
     "rho_sigma_of",
-    "physical_curve",
     "find_singularities",
     "gain_scan",
 ]
 
-RESIDUAL_TOL = 1e-9
 DEFAULT_GRID_POINTS = 20000
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
 
@@ -63,12 +60,11 @@ class GainMedium:
 
 @dataclass(frozen=True)
 class WaveguideGeometry:
-    """Half-height beta (nm), transverse mode index m, optional half-width
-    gamma (nm, metadata only: TE fields do not depend on it)."""
+    """Half-height beta (nm) and transverse mode index m; TE fields do not
+    depend on the width."""
 
     beta: float
     m: int = 1
-    gamma: float | None = None
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -115,26 +111,18 @@ def k_of(geom, omega):
 
 
 def rho_sigma_of(medium, geom, omega):
-    """Locus-plane coordinates (rho, sigma) of the drive frequency omega."""
+    """Locus-plane coordinates (rho, sigma) of the drive frequency omega, a
+    float or an array of them."""
     Om = geom.omega_cutoff
-    if omega <= Om:
-        raise CutoffError(f"omega = {omega} eV at or below cutoff {Om} eV")
+    below = omega <= Om
+    # a float compares to a bool, and np.any costs microseconds on it
+    if below.any() if isinstance(below, np.ndarray) else below:
+        raise CutoffError(f"omega = {np.min(omega)} eV at or below cutoff {Om} eV")
     d2 = omega**2 - medium.omega0**2
     den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
     rho = medium.omega_p_sq * d2 / den
     sigma = -2.0 * omega * medium.omega_p_sq * medium.delta / den
     return rho, sigma
-
-
-def physical_curve(medium, geom, omega_grid):
-    """(rho, sigma) along a frequency grid; sub-cutoff points are skipped."""
-    out = []
-    for om in omega_grid:
-        try:
-            out.append(rho_sigma_of(medium, geom, om))
-        except CutoffError:
-            continue
-    return out
 
 
 def coupling_of(medium, geom, omega):
@@ -149,8 +137,7 @@ def _mismatch(n, medium, geom, omega):
 
 
 def find_singularities(medium, geom, n, omega_window=None,
-                       grid_points=DEFAULT_GRID_POINTS,
-                       residual_tol=RESIDUAL_TOL):
+                       grid_points=DEFAULT_GRID_POINTS):
     """All certified singularity designs of branch (n, -) in a frequency window.
 
     The locus function is evaluated along the physical curve on a grid
@@ -169,22 +156,15 @@ def find_singularities(medium, geom, n, omega_window=None,
     if not (Om < lo < hi):
         raise CutoffError(f"window ({lo}, {hi}) eV not above cutoff {Om} eV")
     us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-    omegas = Om + np.exp(us)
-    d2 = omegas**2 - medium.omega0**2
-    den = (d2 * d2 + 4.0 * omegas**2 * medium.delta**2) * (1 - Om**2 / omegas**2)
-    rho = medium.omega_p_sq * d2 / den
-    sigma = -2.0 * omegas * medium.omega_p_sq * medium.delta / den
+    rho, sigma = rho_sigma_of(medium, geom, Om + np.exp(us))
     with np.errstate(over="ignore"):
-        g = _grid_mismatch(n, rho, sigma)
-    sgn = np.sign(g)
-    roots = []
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        u = brentq(lambda uu: _mismatch(n, medium, geom, Om + math.exp(uu)),
-                   us[i], us[i + 1], xtol=1e-300, rtol=1e-14)
-        om = Om + math.exp(u)
-        if roots and abs(om - roots[-1]) <= 1e-9 * om:
-            continue
-        roots.append(om)
+        g = kernels.f_grid(n, -1, rho, sigma / (1.0 - rho))
+
+    def omega_of(u):
+        return Om + math.exp(u)
+
+    roots = _grid_roots(brentq, lambda u: _mismatch(n, medium, geom, omega_of(u)),
+                        us, g, 1e-9, omega_of)
     sols = []
     branch = BranchLabel(n=n, eps=-1)
     for om in roots:
@@ -199,7 +179,7 @@ def find_singularities(medium, geom, n, omega_window=None,
         alpha = alpha_k / k
         z = k * k * complex(r_, s_)
         res = m22_residual(BarrierSpec(alpha=alpha, z=z), k)
-        if res >= residual_tol:
+        if res >= RESIDUAL_TOL:
             continue
         eps_r = permittivity(medium, om)
         sols.append(SingularitySolution(
@@ -211,28 +191,6 @@ def find_singularities(medium, geom, n, omega_window=None,
     sols.sort(key=lambda s: (-s.rho_star, s.sigma_star))
     return [SingularitySolution(**{**vars(s), "ell": i})
             for i, s in enumerate(sols, start=1)]
-
-
-def _grid_mismatch(n, rho, sigma):
-    """Vectorized locus function along a sampled physical curve."""
-    y = sigma / (1.0 - rho)
-    out = np.empty(rho.shape)
-    # kernel grids are per fixed rho; here rho varies, so evaluate elementwise
-    # in numpy directly (same stable forms as the kernels)
-    s = np.sqrt(y * y + 1.0)
-    den = (1.0 - rho) ** 2 * y * y + rho * rho
-    below = rho < 1.0
-    num_a = np.where(below, rho * s - y * y / (s + 1.0), 1.0 - (rho - 1.0) * s)
-    term1 = np.where(below, (1.0 - rho) * (s + 1.0) / den,
-                     (rho - 1.0) * y * y / ((s + 1.0) * den))
-    a = np.clip(num_a / np.sqrt(den), -1.0, 1.0)
-    R = np.pi * n - np.arccos(a)
-    x = np.abs(y) * R / (s + 1.0)
-    safe = x <= 350.0
-    out[:] = -1e300
-    sh = np.sinh(x[safe])
-    out[safe] = term1[safe] - 0.5 * sh * sh
-    return out
 
 
 def gain_scan(solution, medium, geom, ratio_grid, cap=GAIN_CAP):

@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from specsing.locus import (
     G_of,
     Q_of,
     R_of,
+    _grid_roots,
+    brentq,
     q_of,
     r_of,
     solve_sigma,
@@ -183,18 +187,162 @@ class TestTrigConsistency:
         assert ok_plus or ok_minus
 
 
-class TestBackends:
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("compiled", "python")
+def _textbook_f(mp, n, eps, rho, y):
+    """F from its textbook forms at mpmath precision, with the scale
+    |term1| + sinh(x)^2/2 it cancels from and x itself."""
+    rho, y = mp.mpf(rho), mp.mpf(y)
+    s = mp.sqrt(y * y + 1)
+    ar = abs(1 - rho)
+    den = (1 - rho) ** 2 * y * y + rho * rho
+    term1 = (ar * s + 1 - rho) / den
+    a = min(mp.mpf(1), max(mp.mpf(-1), (1 - ar * s) / mp.sqrt(den)))
+    x = (mp.pi * n + eps * mp.acos(a)) * mp.sqrt((s - 1) / (s + 1))
+    half_sh2 = mp.sinh(x) ** 2 / 2
+    return term1 - half_sh2, abs(term1) + half_sh2, x
 
-    def test_fallback_agrees_with_active_backend(self):
-        from specsing import _kernels_py
-        ys = np.geomspace(1e-4, 1e4, 500)
-        for n in (1, 2, 5):
-            a = kernels.f_grid(n, -1, 0.4, ys)
-            b = _kernels_py.f_grid(n, -1, 0.4, ys)
-            # atol floor: libm vs fused-op rounding differs in the F -> 0 tail
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-            for y in (1e-3, 0.7, 12.0):
-                assert kernels.f_scalar(n, -1, 0.4, y) == pytest.approx(
-                    _kernels_py.f_scalar(n, -1, 0.4, y), rel=1e-13)
+
+def _assert_close_to_scale(got, want, rho, y, rtol):
+    """|got - want| <= rtol (|term1| + sinh(x)^2/2): F cancels near its roots,
+    so its own size is no scale.  term1 >= 0, so the scale is 2 term1 - F."""
+    s = np.sqrt(y * y + 1.0)
+    term1 = (np.abs(1.0 - rho) * s + 1.0 - rho) / ((1.0 - rho) ** 2 * y * y + rho * rho)
+    want = np.asarray(want)
+    assert np.all(np.abs(got - want) <= rtol * (2.0 * term1 - want))
+
+
+class TestKernels:
+    # numpy's arccos and sinh may differ from libm's by an ulp or so, and F
+    # cancels near its roots, so f_grid and f_scalar are compared relative to
+    # the scale F cancels from
+    RHOS = (-2.5, 0.01, 0.4, 0.999, 1.0, 1.001, 1.7, 40.0)
+
+    def test_grid_matches_scalar_one_rho(self):
+        ys = np.geomspace(1e-6, 1e6, 301)
+        for n in (1, 2, 5, 1000):
+            for eps in (1, -1):
+                for rho in self.RHOS:
+                    grid = kernels.f_grid(n, eps, rho, ys)
+                    scalars = [kernels.f_scalar(n, eps, rho, y) for y in ys]
+                    _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
+
+    def test_grid_matches_scalar_array_rho(self):
+        # rho down a column, y along a row: f_grid broadcasts them
+        rho = np.array(self.RHOS)[:, None]
+        ys = np.geomspace(1e-6, 1e6, 301)[None, :]
+        for n, eps in ((1, -1), (3, 1), (1000, -1)):
+            grid = kernels.f_grid(n, eps, rho, ys)
+            assert grid.shape == (rho.size, ys.size)
+            scalars = [[kernels.f_scalar(n, eps, r, y) for y in ys[0]] for r in rho[:, 0]]
+            _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
+            # one rho at a time gives the same doubles as the array of them
+            for i, r in enumerate(rho[:, 0]):
+                assert np.array_equal(kernels.f_grid(n, eps, r, ys[0]), grid[i])
+
+    def test_overflow_sentinel(self):
+        # x = |y| R / (s + 1) > 350 reads -1e300 on every path
+        ys = np.array([10.0, 100.0])
+        assert list(kernels.f_grid(1000, -1, 0.4, ys)) == [-1e300, -1e300]
+        assert list(kernels.f_grid(1000, -1, np.array([0.4, 1.7]), ys)) == [-1e300, -1e300]
+        assert kernels.f_scalar(1000, -1, 0.4, 10.0) == -1e300
+        assert kernels.f_scalar(1000, -1, 1.7, 100.0) == -1e300
+
+    def test_grid_matches_high_precision_textbook_f(self):
+        mpmath = pytest.importorskip("mpmath")
+        ys = np.geomspace(1e-6, 1e6, 49)
+        with mpmath.workdps(50):
+            for n in (1, 7, 50):
+                for eps in (1, -1):
+                    for rho in self.RHOS:
+                        grid = kernels.f_grid(n, eps, rho, ys)
+                        for y, got in zip(ys, grid):
+                            want, scale, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+                            if x > 350:
+                                # the sentinel never overstates F
+                                assert got == -1e300 and want < -1e300
+                                continue
+                            # arccos is ill-conditioned near a = -1, where
+                            # 1 + a ~ 1/|y| at large |y|: allow error ~ |y|
+                            err = abs(mpmath.mpf(got) - want)
+                            assert err <= 1e-12 * max(1.0, y) * scale, (n, eps, rho, y)
+
+
+class TestRootPipeline:
+    @staticmethod
+    def _run(solver, f, a, b):
+        """(root or exception name, number of f evaluations)."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        try:
+            return solver(counted, a, b), len(calls)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc).__name__, len(calls)
+
+    def test_brentq_follows_scipy_step_for_step(self):
+        # same root to the bit and the same number of evaluations, on
+        # seeded brackets of F and on functions that force bisection,
+        # extrapolation and non-convergence
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+
+        def reference(f, a, b):
+            return scipy_optimize.brentq(f, a, b, xtol=1e-300, rtol=1e-14)
+        rng = random.Random(0)
+        ys = np.geomspace(1e-6, 1e6, 4801)
+        cases = []
+        for _ in range(40):
+            n, rho = rng.randint(1, 50), rng.uniform(-1.0, 0.99)
+            fv = kernels.f_grid(n, -1, rho, ys)
+            sgn = np.sign(fv)
+            for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+                f = functools.partial(kernels.f_scalar, n, -1, rho)
+                cases.append((f, ys[i], ys[i + 1]))
+        assert len(cases) >= 20
+        cases += [
+            (lambda x: x * x - 0.01, 0.0, 1.0),
+            (lambda x: x ** 20 - 0.5, 0.0, 1.5),
+            (lambda x: math.sqrt(x) - 0.1, 0.0, 1.0),
+            (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: math.tanh(40.0 * (x - 0.31)), 0.0, 1.0),
+            (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+            (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # triple root: no convergence
+        ]
+        for f, a, b in cases:
+            assert self._run(brentq, f, a, b) == self._run(reference, f, a, b)
+
+    def test_brentq_raises_without_sign_change(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_brentq_raises_on_nan(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+
+    def test_brentq_raises_when_not_converged(self):
+        # a jump at 1e-200 inside [-1e300, 4e300] needs ~2000 halvings to
+        # reach xtol = 1e-300; brentq stops after 100 iterations
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 4e300)
+
+    def test_root_on_a_grid_point_is_kept(self):
+        # F = 0 exactly at x = 0.5: no sign change brackets it
+        def f(x):
+            return (x - 0.5) * (x - 0.8)
+        xs = np.linspace(0.0, 1.0, 5)
+        fv = f(xs)
+        assert fv[2] == 0.0
+        assert _grid_roots(brentq, f, xs, fv, 1e-9) == [0.5, pytest.approx(0.8, rel=1e-14)]
+
+    def test_duplicate_roots_merged(self):
+        # two sign changes that polish to roots within rel_tol are one root
+        xs = np.array([0.0, 1.0, 1.0 + 1e-12, 2.0])
+        fv = np.array([-1.0, 1.0, -1.0, 1.0])
+        roots = _grid_roots(lambda f, lo, hi: 1.0, None, xs, fv, 1e-9)
+        assert roots == [1.0]
+
+    def test_image_maps_roots_before_dedupe(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        roots = _grid_roots(brentq, lambda x: x - 0.25, xs, xs - 0.25, 1e-9,
+                            lambda x: 2.0 + math.exp(x))
+        assert roots == [pytest.approx(2.0 + math.exp(0.25), rel=1e-14)]

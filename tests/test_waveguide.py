@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from specsing.constants import HBAR_C_EV_NM
 from specsing.waveguide import (
@@ -14,7 +13,6 @@ from specsing.waveguide import (
     gain_scan,
     k_of,
     permittivity,
-    physical_curve,
     rho_sigma_of,
 )
 
@@ -86,10 +84,18 @@ class TestRhoSigma:
             _, sigma = rho_sigma_of(MEDIUM, GEOM_1CM, om)
             assert sigma > 0
 
-    def test_physical_curve_skips_subcutoff(self):
+    def test_array_matches_floats(self):
+        omegas = np.array([0.5, 2.0, 4.999, 5.001, 40.0])
+        rho, sigma = rho_sigma_of(MEDIUM, GEOM_1CM, omegas)
+        assert [(r, s) for r, s in zip(rho, sigma)] == \
+            [rho_sigma_of(MEDIUM, GEOM_1CM, float(om)) for om in omegas]
+
+    def test_subcutoff_raises(self):
         Om = GEOM_1CM.omega_cutoff
-        pts = physical_curve(MEDIUM, GEOM_1CM, [Om * 0.5, Om * 2, 1.0])
-        assert len(pts) == 2
+        with pytest.raises(CutoffError):
+            rho_sigma_of(MEDIUM, GEOM_1CM, Om * 0.5)
+        with pytest.raises(CutoffError):
+            rho_sigma_of(MEDIUM, GEOM_1CM, np.array([Om * 2, Om * 0.5, 1.0]))
 
 
 class TestFindSingularities:
@@ -130,6 +136,7 @@ class TestFindSingularities:
     def test_independent_root_polish(self):
         # re-solve rho(omega) = rho_star with a bisection unaware of the
         # locus machinery; it must land on the same frequency
+        brentq = pytest.importorskip("scipy.optimize").brentq
         s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
         om = brentq(
             lambda om: rho_sigma_of(MEDIUM, GEOM_1CM, om)[0] - s2.rho_star,
