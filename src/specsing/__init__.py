@@ -8,6 +8,7 @@ from .barrier import (
     amplitudes,
     m22_residual,
     oracle_transfer_matrix,
+    scaled_transfer,
     transfer_matrix,
 )
 from .constants import HBAR_C_EV_NM, ev_to_inverse_nm, principal_sqrt_upper

@@ -12,6 +12,7 @@ independent of the closed form for cross-validation.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "SpectralSingularityError",
     "NumericalDegeneracyError",
     "f_func",
+    "scaled_transfer",
     "transfer_matrix",
     "amplitudes",
     "m22_residual",
@@ -50,8 +52,10 @@ class BarrierSpec:
     z: complex
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"z must be finite, got {self.z}")
 
 
 @dataclass(frozen=True)
@@ -95,33 +99,76 @@ def f_func(w, chi):
             - cmath.exp(2j * chi * w) * (1 - w) ** 2)
 
 
-def _csinc(x):
-    """sin(x)/x for complex x, stable at x ~ 0."""
-    if abs(x) < 1e-4:
+def _check_k(k):
+    if not (k > 0 and math.isfinite(k)):
+        raise ValueError(f"k must be positive and finite, got {k}")
+
+
+def scaled_transfer(alpha, z, k):
+    """Closed-form transfer matrix with its growth factor e^b taken out.
+
+    Broadcasts over alpha, z and k (k > 0).  With chi = alpha k,
+    w = sqrt(1 - z/k^2) on the upper-half-plane branch and x = 2 chi w = a + ib
+    (b >= 0), returns (m11, m12, m22, b) such that
+
+        M = e^b [[m11, m12], [-m12, m22]].
+
+    cos x and sin x enter only scaled,
+
+        e^{-b} cos x = cos a p - i sin a q,    e^{-b} sin x = sin a p + i cos a q,
+
+    with p = e^{-b} cosh b = (1 + e^{-2b})/2 and q = e^{-b} sinh b =
+    -expm1(-2b)/2, so no entry is ever formed unscaled and nothing overflows
+    however large b grows.  sin(x)/(2w) = chi sinc(x) removes the w = 0
+    (z = k^2) removable point without a branch switch; the analytic limits
+    m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
+    m12 -> -i chi come out automatically.
+    """
+    chi = alpha * k
+    w = principal_sqrt_upper(1 - z / k**2)
+    x = 2 * chi * w
+    c, sinc = _scaled_cos_sinc(x)
+    sr = chi * sinc  # e^{-b} sin(x) / (2w)
+    w2 = w * w
+    t = 1j * (1 + w2) * sr
+    m11 = np.exp(-2j * chi) * (c + t)
+    m22 = np.exp(2j * chi) * (c - t)
+    m12 = 1j * (w2 - 1) * sr
+    return m11, m12, m22, np.imag(x)
+
+
+def _scaled_cos_sinc(x):
+    """e^{-b} cos x and e^{-b} sin(x)/x for x = a + ib, b >= 0; the sinc by
+    its series where |x| < 1e-4."""
+    a, b = np.real(x), np.imag(x)
+    p = 0.5 + 0.5 * np.exp(-2 * b)
+    q = -0.5 * np.expm1(-2 * b)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    c = cos_a * p - 1j * (sin_a * q)
+    small = np.abs(x) < 1e-4
+    sinc = (sin_a * p + 1j * (cos_a * q)) / np.where(small, 1.0, x)
+    if np.any(small):
         x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return cmath.sin(x) / x
+        sinc = np.where(small, np.exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
+    return c, sinc
 
 
 def transfer_matrix(spec, k):
     """Closed-form transfer matrix of the barrier at wave number k (nm^-1).
 
-    The entries are evaluated through sin(2 chi w)/(2w) = chi * sinc(2 chi w),
-    which removes the w = 0 (z = k^2) removable singularity without a branch
-    switch; the analytic limits m11 -> e^{-2i chi}(1 + i chi),
-    m22 -> e^{2i chi}(1 - i chi), m12 -> -i chi come out automatically.
+    The entries of `scaled_transfer` times e^b; raises OverflowError where
+    they do not fit in a double.
     """
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
-    chi = spec.alpha * k
-    w = principal_sqrt_upper(1 - spec.z / k**2)
-    c = cmath.cos(2 * chi * w)
-    # sin(2 chi w) / (2 w) without dividing by w
-    sr = chi * _csinc(2 * chi * w)
-    m11 = cmath.exp(-2j * chi) * (c + 1j * (1 + w * w) * sr)
-    m22 = cmath.exp(2j * chi) * (c - 1j * (1 + w * w) * sr)
-    m12 = 1j * (w * w - 1) * sr
-    return TransferMatrix(m11=m11, m12=m12, m21=-m12, m22=m22)
+    _check_k(k)
+    m11, m12, m22, b = scaled_transfer(spec.alpha, spec.z, k)
+    try:
+        g = math.exp(b)
+    except OverflowError:
+        raise OverflowError(f"transfer-matrix entries grow like e^{float(b):.6g} "
+                            f"and do not fit in a double") from None
+    m12 = complex(m12) * g
+    return TransferMatrix(m11=complex(m11) * g, m12=m12, m21=-m12,
+                          m22=complex(m22) * g)
 
 
 def amplitudes(m):
@@ -141,11 +188,15 @@ def m22_residual(spec, k):
     Values below ~1e-9 certify a spectral singularity at working precision.
     The metric degenerates at the removable point z = k^2 (w = 0), where f
     vanishes identically while m22 stays finite; callers stay away from it.
+    Where a term of f exceeds a double, f cannot vanish and the residual is
+    inf.
     """
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     w = principal_sqrt_upper(1 - spec.z / k**2)
-    f = f_func(w, spec.alpha * k)
+    try:
+        f = f_func(w, spec.alpha * k)
+    except OverflowError:
+        return math.inf
     return abs(f) / (abs(1 + w) ** 2 + abs(1 - w) ** 2)
 
 
@@ -158,8 +209,7 @@ def oracle_transfer_matrix(spec, k):
     results form the matrix columns.  Uses numpy's standard sqrt branch: the
     interior basis only spans the same space, so the result is branch-free.
     """
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     a = spec.alpha
     w = np.sqrt(complex(1 - spec.z / k**2))
     if w == 0:
@@ -194,8 +244,7 @@ def oracle_transfer_matrix(spec, k):
 
 def reduced_variables(spec, k):
     """Dimensionless variables (w, rho, sigma, y, q, r) for a barrier at k."""
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     rho = spec.z.real / k**2
     sigma = spec.z.imag / k**2
     if rho == 1:
@@ -217,8 +266,7 @@ def wavefunction_profile(spec, k, which, xs):
     which: 'left-incident' (unit wave from x = -inf) or 'right-incident'.
     psi and psi' are continuous at +-alpha by construction.
     """
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if which not in ("left-incident", "right-incident"):
         raise ValueError(f"unknown incidence {which!r}")
     a = spec.alpha

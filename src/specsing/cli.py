@@ -8,7 +8,8 @@ Subcommands:
   tables    -- recompute the reference design tables and show deviations
 
 Exit codes: 0 success with results, 2 valid run with no solutions,
-3 invalid input or configuration.
+3 invalid input or configuration, or an arithmetic failure (a result that
+does not fit in a double).
 
 Numeric CSV fields use %.12e and LF line endings so output is
 byte-deterministic for fixed inputs.  The frequency-grid density of the
@@ -154,8 +155,6 @@ def _write(out_path, text):
 
 def cmd_transfer(args):
     spec = BarrierSpec(alpha=parse_length_nm(args.alpha), z=parse_complex(args.z))
-    if not args.k > 0:
-        raise CliError(f"k must be positive, got {args.k}")
     m = transfer_matrix(spec, args.k)
     lines = [
         f"m11={_fmt_c(m.m11)}",
@@ -221,6 +220,10 @@ def cmd_design(args):
 
 
 def cmd_scan(args):
+    if not math.isfinite(args.span):
+        raise CliError(f"span must be finite, got {args.span}")
+    if args.points < 1:
+        raise CliError(f"points must be >= 1, got {args.points}")
     cfg = load_config(args.config)
     try:
         medium, geom, sols = _solve_design(args, cfg)
@@ -236,7 +239,7 @@ def cmd_scan(args):
         "# values with |m22| < 1e-300 are reported as the cap 600",
         "omega_ratio,log10_T2_plus_R2",
     ]
-    for ratio, lg in scan:
+    for ratio, lg in scan.tolist():
         rows.append(f"{ratio:.12e},{lg:.12e}")
     _write(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -381,10 +384,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import BarrierSpec, m22_residual, transfer_matrix
+from .barrier import BarrierSpec, m22_residual, scaled_transfer
 from .constants import HBAR_C_EV_NM
 from .locus import RESIDUAL_TOL, BranchLabel, G_of, _grid_roots, brentq
 
@@ -36,6 +36,10 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 20000
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
+_LOG10_E = math.log10(math.e)
+# gain_scan points per vectorized block: the ~20 temporaries of a block stay
+# in cache, and memory does not grow with the grid
+_SCAN_BLOCK = 2048
 
 
 class CutoffError(ValueError):
@@ -52,6 +56,9 @@ class GainMedium:
     delta: float
 
     def __post_init__(self):
+        for name in ("omega0", "omega_p_sq", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.delta > 0:
@@ -67,8 +74,8 @@ class WaveguideGeometry:
     m: int = 1
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.m < 1:
             raise ValueError(f"mode index must be >= 1, got {self.m}")
 
@@ -94,30 +101,42 @@ class SingularitySolution:
 
 
 def permittivity(medium, omega):
-    """Relative permittivity 1 - omega_p^2 / (omega^2 - omega0^2 + 2i delta omega)."""
-    if not omega > 0:
+    """Relative permittivity 1 - omega_p^2 / (omega^2 - omega0^2 + 2i delta omega)
+    at omega, a float or an array of them."""
+    if not np.all(omega > 0):
         raise ValueError(f"omega must be positive, got {omega}")
     return 1 - medium.omega_p_sq / (omega**2 - medium.omega0**2
                                     + 2j * medium.delta * omega)
 
 
-def k_of(geom, omega):
-    """Longitudinal wave number k = (omega/hbar c) sqrt(1 - Omega^2/omega^2)."""
+def _checked_cutoff(geom, omega):
+    """The cutoff Omega, once every omega (a float or an array) is checked to
+    be finite and above it."""
     Om = geom.omega_cutoff
-    if omega <= Om:
-        raise CutoffError(f"omega = {omega} eV at or below cutoff {Om} eV")
+    if isinstance(omega, np.ndarray):
+        ok = ((omega > Om) & (omega < np.inf)).all()
+    else:
+        # np.all costs microseconds on a float
+        ok = Om < omega < math.inf
+    if not ok:
+        raise CutoffError(f"omega = {np.min(omega)} eV is not a finite value "
+                          f"above cutoff {Om} eV")
+    return Om
+
+
+def k_of(geom, omega):
+    """Longitudinal wave number k = (omega/hbar c) sqrt(1 - Omega^2/omega^2)
+    at omega, a float or an array of them."""
+    Om = _checked_cutoff(geom, omega)
     # (1-Om/omega)(1+Om/omega) keeps precision just above cutoff
-    return (omega / HBAR_C_EV_NM) * math.sqrt((1 - Om / omega) * (1 + Om / omega))
+    u = (1 - Om / omega) * (1 + Om / omega)
+    return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
 
 
 def rho_sigma_of(medium, geom, omega):
     """Locus-plane coordinates (rho, sigma) of the drive frequency omega, a
     float or an array of them."""
-    Om = geom.omega_cutoff
-    below = omega <= Om
-    # a float compares to a bool, and np.any costs microseconds on it
-    if below.any() if isinstance(below, np.ndarray) else below:
-        raise CutoffError(f"omega = {np.min(omega)} eV at or below cutoff {Om} eV")
+    Om = _checked_cutoff(geom, omega)
     d2 = omega**2 - medium.omega0**2
     den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
     rho = medium.omega_p_sq * d2 / den
@@ -126,7 +145,8 @@ def rho_sigma_of(medium, geom, omega):
 
 
 def coupling_of(medium, geom, omega):
-    """Complex barrier coupling z (nm^-2) at the drive frequency omega."""
+    """Complex barrier coupling z (nm^-2) at the drive frequency omega, a
+    float or an array of them."""
     kk = omega / HBAR_C_EV_NM  # vacuum wave number omega/c
     return kk * kk * (1 - permittivity(medium, omega))
 
@@ -198,23 +218,31 @@ def gain_scan(solution, medium, geom, ratio_grid, cap=GAIN_CAP):
 
     The gain-region length alpha and the waveguide geometry are held at the
     solution's values; only the drive frequency (and with it the coupling)
-    moves.  Returns a list of (ratio, log10 value); |m22| < 1e-300 reports
-    the cap instead of overflowing.
+    moves.  Returns an (N, 2) float64 array of (ratio, value) rows; iterating
+    it, dict() and len() behave as on a list of pairs.
+
+    The grid goes through `scaled_transfer` in vectorized blocks of
+    _SCAN_BLOCK points.  With M = e^b M~,
+    |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log space as
+    log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite however
+    large the entries grow.  Where |m22| = e^b |m~22| < 1e-300 (at a
+    singularity) the value is the cap.  Raises CutoffError, before the
+    matrix is evaluated, if any ratio puts omega at or below the cutoff (or
+    is not finite).
     """
-    Om = geom.omega_cutoff
-    out = []
-    spec_alpha = solution.alpha
-    for ratio in ratio_grid:
-        om = ratio * solution.omega
-        if om <= Om:
-            raise CutoffError(f"ratio {ratio} puts omega below cutoff")
-        k = k_of(geom, om)
-        z = coupling_of(medium, geom, om)
-        m = transfer_matrix(BarrierSpec(alpha=spec_alpha, z=z), k)
-        a22 = abs(m.m22)
-        if a22 < 1e-300:
-            out.append((ratio, cap))
-            continue
-        val = (1.0 + abs(m.m12) ** 2) / (a22 * a22)
-        out.append((ratio, math.log10(val)))
-    return out
+    ratios = np.asarray(ratio_grid, dtype=float)
+    omega = ratios * solution.omega
+    _checked_cutoff(geom, omega)
+    scan = np.empty((len(ratios), 2))
+    scan[:, 0] = ratios
+    for lo in range(0, len(ratios), _SCAN_BLOCK):
+        block = slice(lo, lo + _SCAN_BLOCK)
+        om = omega[block]
+        _, m12, m22, b = scaled_transfer(solution.alpha, coupling_of(medium, geom, om),
+                                         k_of(geom, om))
+        a22 = np.abs(m22)
+        lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
+        capped = lg22 + b * _LOG10_E < -300.0  # |m22| < 1e-300
+        values = np.log10(np.exp(-2.0 * b) + np.abs(m12) ** 2) - 2.0 * lg22
+        scan[block, 1] = np.where(capped, cap, values)
+    return scan

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsing.barrier import (
     BarrierSpec,
@@ -12,9 +13,12 @@ from specsing.barrier import (
     m22_residual,
     oracle_transfer_matrix,
     reduced_variables,
+    scaled_transfer,
     transfer_matrix,
     wavefunction_profile,
 )
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
 class TestFFunc:
@@ -92,6 +96,111 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             BarrierSpec(alpha=0, z=1j)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_barrier(self, bad):
+        with pytest.raises(ValueError):
+            BarrierSpec(alpha=bad, z=1j)
+        with pytest.raises(ValueError):
+            BarrierSpec(alpha=1.0, z=complex(bad, 1.0))
+        with pytest.raises(ValueError):
+            BarrierSpec(alpha=1.0, z=complex(1.0, bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("fn", [transfer_matrix, m22_residual, oracle_transfer_matrix])
+    def test_rejects_non_finite_k(self, fn, bad):
+        with pytest.raises(ValueError):
+            fn(BarrierSpec(alpha=1.0, z=1j), bad)
+
+    def test_overflow_raises_where_entries_exceed_a_double(self):
+        # README example: 2 chi Im w ~ 4116, entries ~ e^4116
+        with pytest.raises(OverflowError):
+            transfer_matrix(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01)
+
+
+def _mp_scaled_transfer(mp, alpha, z, k):
+    """((m11, m12, m22) e^{-b}, x) at mpmath precision, from the textbook
+    entries cos(x) +- i(1 + w^2) sin(x)/(2w), x = 2 alpha k w = a + ib."""
+    alpha, z, k = mp.mpf(alpha), mp.mpc(z), mp.mpf(k)
+    w = mp.sqrt(1 - z / k**2)
+    if w.imag < 0 or (w.imag == 0 and w.real < 0):
+        w = -w
+    chi = alpha * k
+    x = 2 * chi * w
+    c, sr = mp.cos(x), chi * mp.sinc(x)
+    scale = mp.exp(-x.imag)
+    return ((scale * mp.exp(-2j * chi) * (c + 1j * (1 + w * w) * sr),
+             scale * 1j * (w * w - 1) * sr,
+             scale * mp.exp(2j * chi) * (c - 1j * (1 + w * w) * sr)), x)
+
+
+# (alpha, z, k): b = 2 chi Im w from 0 to 1e4, w -> 0, and both sides of the
+# |x| = 1e-4 switch to the sinc series
+HARD_BARRIERS = [
+    (1.1, 0.4, 1.3),                      # real z < k^2: b = 0
+    (1.1, 2.9, 1.3),                      # real z > k^2: evanescent
+    (0.8, 1.5**2, 1.5),                   # w = 0
+    (1.0, 1 + 1e-9j, 1.0),                # |x| ~ 6e-5, series
+    (1.0, 1 + 2e-8j, 1.0),                # |x| ~ 3e-4, sin(x)/x
+    (3.0, 1 - 1e-12j, 1.0),               # b ~ 4e-6
+    (0.5, 0.5 + 0.3j, 1.0),
+    (2000.0, 1e-4 + 5e-5j, 0.01),         # b ~ 20
+    (2.0, 300.0 + 1.0j, 1.0),             # b ~ 69
+    (230.0, -150.0 + 40.0j, 1.0),         # b ~ 740, past where cosh overflows
+    (2000.0, 1 + 0.5j, 0.01),             # README transfer example, b ~ 4116
+    (2.6e3, 4.0 + 3.0j, 1.0),             # b ~ 1e4
+    (3.4e6, 1.6e-16 + 1e-19j, 1.4e-11),   # 1 cm guide at omega/Omega - 1 ~ 1e-9
+]
+
+
+class TestScaledTransfer:
+    @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
+    def test_matches_50_digit_evaluation(self, alpha, z, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want, x = _mp_scaled_transfer(mpmath.mp, alpha, z, k)
+            m11, m12, m22, b = scaled_transfer(alpha, z, k)
+            assert b >= 0
+            # x = 2 chi w carries rounding of |x| eps, and cos/sin pass it on
+            tol = 1e-15 * (16 + abs(x))
+            assert abs(b - x.imag) <= tol
+            scale = max(abs(v) for v in want)
+            for got, ref in zip((m11, m12, m22), want):
+                assert abs(mpmath.mpc(complex(got)) - ref) <= tol * scale
+
+    def test_broadcasts_like_scalar_calls(self):
+        zs = np.array([0.5 + 0.3j, 1.5**2, 1 + 0.5j, -150.0 + 40.0j])
+        ks = np.array([1.0, 1.5, 0.01, 1.0])
+        arrays = scaled_transfer(2.0, zs, ks)
+        for i, (z, k) in enumerate(zip(zs, ks)):
+            for got, want in zip(arrays, scaled_transfer(2.0, complex(z), float(k))):
+                assert got[i] == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+    def test_transfer_matrix_is_its_rescaling(self):
+        spec = BarrierSpec(alpha=2.0, z=3.0 - 0.8j)
+        m11, m12, m22, b = scaled_transfer(spec.alpha, spec.z, 1.3)
+        m = transfer_matrix(spec, 1.3)
+        assert (m.m11, m.m12, m.m21, m.m22) == (
+            complex(m11) * math.exp(b), complex(m12) * math.exp(b),
+            -complex(m12) * math.exp(b), complex(m22) * math.exp(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(chi=st.floats(1e-3, 1e4), k=st.floats(1e-3, 1e2),
+           u=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+    def test_scaled_determinant(self, chi, k, u):
+        # det M = 1, so m11 m22 - m12 m21 = e^{-2b} for the scaled entries;
+        # m11 and m22 are c + t and c - t, so rounding scales with the larger
+        m11, m12, m22, b = scaled_transfer(chi / k, u * k * k, k)
+        det = m11 * m22 + m12 * m12
+        scale = max(abs(m11), abs(m22)) ** 2 + abs(m12) ** 2
+        assert abs(det - math.exp(-2 * b)) <= 1e-13 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(chi=st.floats(1e-3, 1e4), k=st.floats(1e-3, 1e2), u=st.floats(-1e3, 1e3))
+    def test_real_coupling_conserves_flux(self, chi, k, u):
+        # |T|^2 + |R|^2 = (e^{-2b} + |m12|^2) / |m22|^2 = 1 for real z
+        _, m12, m22, b = scaled_transfer(chi / k, u * k * k, k)
+        assert math.exp(-2 * b) + abs(m12) ** 2 == pytest.approx(abs(m22) ** 2, rel=1e-12)
+
 
 class TestAmplitudes:
     def test_transmission_is_inverse_m22(self):
@@ -124,6 +233,11 @@ class TestResidual:
                 continue  # removable point, metric degenerates there
             vals.append(m22_residual(BarrierSpec(alpha=alpha, z=z), k))
         assert min(vals) > 1e-3
+
+
+    def test_overflowing_f_gives_inf(self):
+        # f ~ e^4116: no zero of m22 is possible there
+        assert m22_residual(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01) == math.inf
 
 
 class TestReducedVariables:

@@ -89,6 +89,24 @@ class TestTransferCommand:
         rc = main(["transfer", "--z", "1i", "--k", "1"])
         assert rc == EXIT_BAD_INPUT
 
+    def test_overflow_is_reported_not_raised(self, capsys):
+        # README example: the entries grow like e^4116
+        rc = main(["transfer", "--z", "1+0.5i", "--alpha", "2um", "--k", "0.01"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--z", "nan"), ("--z", "1+infi"), ("--k", "inf"), ("--k", "nan"), ("--alpha", "inf"),
+    ])
+    def test_non_finite_input_is_input_error(self, capsys, option, value):
+        args = {"--z": "1i", "--alpha": "1", "--k": "1", option: value}
+        rc = main(["transfer"] + [x for kv in args.items() for x in kv])
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestCurveCommand:
     ARGS = ["curve", "--n", "1", "--rho-min", "0.7", "--rho-max", "0.9",
@@ -142,6 +160,13 @@ class TestDesignCommand:
         rc = main(["design", "--n", "2000", "--config", str(p)])
         assert rc == EXIT_NO_SOLUTIONS
 
+    @pytest.mark.parametrize("line", ["omega0_eV = nan", "delta_eV = inf",
+                                      "two_beta_over_m = inf"])
+    def test_non_finite_config_is_input_error(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
+
     def test_grid_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECSING_GRID_POINTS", "50")
         assert main(["design", "--n", "2000"]) == EXIT_BAD_INPUT
@@ -161,6 +186,14 @@ class TestScanCommand:
         assert len(lines) == 24
         center = dict(tuple(map(float, ln.split(","))) for ln in lines[3:])
         assert center[1.0] > 10
+
+    @pytest.mark.parametrize("span,points", [("nan", "5"), ("inf", "5"), ("1.5", "5"),
+                                             ("1e-4", "0")])
+    def test_bad_grid_is_input_error(self, capsys, span, points):
+        rc = main(["scan", "--n", "2000", "--ell", "2", "--span", span, "--points", points])
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestTablesCommand:

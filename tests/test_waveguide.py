@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from specsing import waveguide
+from specsing.barrier import BarrierSpec, oracle_transfer_matrix
 from specsing.constants import HBAR_C_EV_NM
 from specsing.waveguide import (
+    GAIN_CAP,
     CutoffError,
     GainMedium,
     WaveguideGeometry,
@@ -62,6 +65,19 @@ class TestGeometry:
             WaveguideGeometry(beta=-1.0)
         with pytest.raises(ValueError):
             WaveguideGeometry(beta=1.0, m=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError):
+            WaveguideGeometry(beta=bad)
+        for field in ("omega0", "omega_p_sq", "delta"):
+            with pytest.raises(ValueError):
+                GainMedium(**{"omega0": 5.0, "omega_p_sq": -0.04, "delta": 1.25,
+                              field: bad})
+
+    def test_k_of_array_matches_floats(self):
+        omegas = np.array([0.5, 2.0, 5.0, 40.0])
+        assert list(k_of(GEOM_1CM, omegas)) == [k_of(GEOM_1CM, float(om)) for om in omegas]
 
 
 class TestRhoSigma:
@@ -156,7 +172,81 @@ class TestFindSingularities:
                                omega_window=(Om * 0.5, 10.0))
 
 
+def _oracle_gain(sol, ratio):
+    """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
+    om = ratio * sol.omega
+    m = oracle_transfer_matrix(BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, GEOM_1CM, om)),
+                               k_of(GEOM_1CM, om))
+    return math.log10((1 + abs(m.m12) ** 2) / abs(m.m22) ** 2)
+
+
 class TestGainScan:
+    def test_returns_ratio_value_rows(self):
+        s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
+        ratios = [1 - 1e-4, 1.0, 1 + 1e-4]
+        scan = gain_scan(s2, MEDIUM, GEOM_1CM, ratios)
+        assert isinstance(scan, np.ndarray)
+        assert scan.shape == (3, 2) and scan.dtype == np.float64
+        assert list(scan[:, 0]) == ratios
+        assert len(scan) == 3 and list(dict(scan)) == ratios
+
+    def test_blocks_match_pointwise_scans(self):
+        # long grids are evaluated in blocks; rows at block edges must match
+        s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
+        ratios = np.linspace(1 - 1e-3, 1 + 1e-3, 5001)
+        scan = gain_scan(s2, MEDIUM, GEOM_1CM, ratios)
+        assert list(scan[:, 0]) == list(ratios)
+        for i in (0, 1, 2047, 2048, 2049, 4095, 4096, 5000):
+            (row,) = gain_scan(s2, MEDIUM, GEOM_1CM, ratios[i:i + 1])
+            assert row[1] == pytest.approx(scan[i, 1], rel=1e-12)
+
+    def test_matches_plane_wave_oracle(self):
+        # README scan design: n = 2000, ell = 2, 2 beta / m = 1 cm
+        sol = find_singularities(MEDIUM, GEOM_1CM, 2000)[1]
+        ratios = np.linspace(1 - 5e-4, 1 + 5e-4, 101)
+        ratios = ratios[np.abs(ratios - 1) >= 1e-5]
+        for ratio, value in gain_scan(sol, MEDIUM, GEOM_1CM, ratios):
+            assert value == pytest.approx(_oracle_gain(sol, ratio), rel=1e-6)
+
+    def test_cap_applies_to_unscaled_m22(self, monkeypatch):
+        # |m22| = e^b |m~22| below 1e-300 is capped: an exact zero of m~22 and
+        # 1e-305 e^1; 1e-305 e^100 ~ 3e-262 is kept
+        s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
+        kernel = waveguide.scaled_transfer
+
+        def tiny_m22(alpha, z, k):
+            m11, m12, m22, b = kernel(alpha, z, k)
+            m22, b = m22.copy(), b.copy()
+            m22[:] = [0.0, 1e-305, 1e-305]
+            b[:] = [1.0, 1.0, 100.0]
+            return m11, m12, m22, b
+
+        monkeypatch.setattr(waveguide, "scaled_transfer", tiny_m22)
+        scan = gain_scan(s2, MEDIUM, GEOM_1CM, [0.999, 0.9995, 1.001])
+        assert list(scan[:2, 1]) == [GAIN_CAP, GAIN_CAP]
+        assert 600 < scan[2, 1] < 700
+
+    @pytest.mark.parametrize("bad", [1e-9, math.nan, math.inf])
+    def test_bad_ratio_raises_before_evaluating(self, monkeypatch, bad):
+        s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
+
+        def not_called(*args):
+            raise AssertionError("transfer matrix evaluated")
+
+        monkeypatch.setattr(waveguide, "scaled_transfer", not_called)
+        with pytest.raises(CutoffError):
+            gain_scan(s2, MEDIUM, GEOM_1CM, [1.0, bad, 1.1])
+
+    def test_ell1_design_scans_to_near_cutoff(self):
+        # the matrix entries of this design grow past a double near cutoff
+        geom = WaveguideGeometry(beta=5e5, m=1)  # 2 beta / m = 1 mm
+        s1 = find_singularities(MEDIUM, geom, 10000)[0]
+        span = 0.9 * (s1.omega / geom.omega_cutoff - 1)
+        scan = gain_scan(s1, MEDIUM, geom, np.linspace(1 - span, 1 + span, 201))
+        assert np.isfinite(scan).all()
+        assert scan[100, 0] == pytest.approx(1, abs=1e-12)
+        assert scan[100, 1] >= 15 and scan[100, 1] == scan[:, 1].max()
+
     def test_resonance_dominates_neighbors(self):
         sols = find_singularities(MEDIUM, GEOM_1CM, 10000)
         s2 = sols[1]
