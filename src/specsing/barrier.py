@@ -23,7 +23,6 @@ __all__ = [
     "BarrierSpec",
     "TransferMatrix",
     "ScatteringAmplitudes",
-    "ReducedVariables",
     "SpectralSingularityError",
     "NumericalDegeneracyError",
     "f_func",
@@ -69,27 +68,12 @@ class TransferMatrix:
     def det(self):
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def as_array(self):
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
     t: complex
     r_left: complex
     r_right: complex
-
-
-@dataclass(frozen=True)
-class ReducedVariables:
-    """Dimensionless reduction of (z, alpha, k): w, rho, sigma, y, q, r."""
-
-    w: complex
-    rho: float
-    sigma: float
-    y: float
-    q: float
-    r: float
 
 
 def f_func(w, chi):
@@ -240,24 +224,6 @@ def oracle_transfer_matrix(spec, k):
         cols.append((sol[2], sol[3]))
     return TransferMatrix(m11=cols[0][0], m12=cols[1][0],
                           m21=cols[0][1], m22=cols[1][1])
-
-
-def reduced_variables(spec, k):
-    """Dimensionless variables (w, rho, sigma, y, q, r) for a barrier at k."""
-    _check_k(k)
-    rho = spec.z.real / k**2
-    sigma = spec.z.imag / k**2
-    if rho == 1:
-        raise ValueError("rho = 1: y is undefined")
-    y = sigma / (1 - rho)
-    w = principal_sqrt_upper(1 - spec.z / k**2)
-    s = np.sqrt(y * y + 1.0)
-    ar = abs(1 - rho)
-    chi = spec.alpha * k
-    # s - 1 = y^2/(s+1) keeps q accurate for small y
-    q = chi * np.sqrt(2 * ar / (s + 1.0)) * y
-    r = chi * np.sqrt(2 * ar * (s + 1.0))
-    return ReducedVariables(w=w, rho=rho, sigma=sigma, y=y, q=q, r=r)
 
 
 def wavefunction_profile(spec, k, which, xs):

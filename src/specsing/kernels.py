@@ -1,6 +1,7 @@
-"""The locus function F(n, eps; rho, y), the only place it is written.
+"""The reduction of m22 = 0 to F(n, eps; rho, y) = 0, the only place it is
+written: the locus function F and the phase R that fixes alpha*k.
 
-    F = term1 - sinh(x)^2 / 2,   x = |y| (pi n + eps arccos a) / (s + 1),
+    F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n + eps arccos a,
 
 with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2 and a = num_a/sqrt(den).
 The textbook term1 and num_a contain s - 1 and 1 - |1-rho| s, which cancel
@@ -9,17 +10,17 @@ s - 1 = y^2/(s+1) and (for rho < 1) 1 - (1-rho) s = rho s - y^2/(s+1).
 Rounding can push a out of [-1, 1] by an ulp, so it is clamped.  Where
 sinh(x) would overflow (x > 350) F is far below any root and reads -1e300.
 
-``f_scalar`` evaluates one point with the math module (the root polish);
-``f_grid`` evaluates numpy arrays, with rho and y broadcast against each
-other (the bracketing grids).  The two agree up to the last-place
-differences between numpy's and libm's arccos and sinh.
+``f_scalar`` evaluates one point with the math module (the root polish) and
+``phase`` gives R there; ``f_grid`` evaluates numpy arrays, with rho and y
+broadcast against each other (the bracketing grids).  The two agree up to
+the last-place differences between numpy's and libm's arccos and sinh.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["f_scalar", "f_grid"]
+__all__ = ["f_scalar", "f_grid", "phase"]
 
 _OVERFLOW = 350.0
 _SENTINEL = -1e300
@@ -44,13 +45,24 @@ def _side(below, part, *args):
     return np.where(below, part(*args, True), part(*args, False))
 
 
+def _phase(n, eps, rho, y, s, den, below):
+    """R at one point, from the pieces f_scalar shares."""
+    a = min(1.0, max(-1.0, _num_a(rho, y, s, below) / math.sqrt(den)))
+    return math.pi * n + eps * math.acos(a)
+
+
+def phase(n, eps, rho, y):
+    """R = pi n + eps arccos a at one point (floats); alpha*k = R/sqrt(2|1-rho|(s+1))."""
+    s = math.sqrt(y * y + 1.0)
+    return _phase(n, eps, rho, y, s, (1.0 - rho) ** 2 * y * y + rho * rho, rho < 1.0)
+
+
 def f_scalar(n, eps, rho, y):
     """F at one point (floats)."""
     s = math.sqrt(y * y + 1.0)
     den = (1.0 - rho) ** 2 * y * y + rho * rho
     below = rho < 1.0
-    a = min(1.0, max(-1.0, _num_a(rho, y, s, below) / math.sqrt(den)))
-    x = abs(y) * (math.pi * n + eps * math.acos(a)) / (s + 1.0)
+    x = abs(y) * _phase(n, eps, rho, y, s, den, below) / (s + 1.0)
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)

@@ -8,10 +8,9 @@ is fixed by G(n, eps; rho, y).  Candidate roots of F are certified by
 evaluating the barrier residual on a concrete (k, alpha, z) realization;
 only certified points are reported (eps = -, n >= 1, sigma > 0 survive).
 
-Numerics note: the textbook expressions contain sqrt(y^2+1) - 1 and
-1 - |1-rho|*sqrt(y^2+1), which cancel catastrophically for small y.  All
-functions below use the identical stable rewrites s - 1 = y^2/(s+1) and
-(for rho < 1) 1 - (1-rho)s = rho*s - y^2/(s+1).
+F and the phase in G are computed only in `kernels`, with the stable
+rewrites of the terms that cancel for small y; this module brackets,
+polishes and certifies their roots.
 """
 
 import math
@@ -27,10 +26,7 @@ __all__ = [
     "LocusPoint",
     "q_of",
     "r_of",
-    "Q_of",
-    "R_of",
     "G_of",
-    "F_of",
     "brentq",
     "solve_sigma",
     "trace_curve",
@@ -70,20 +66,6 @@ class LocusPoint:
     residual: float
 
 
-def _pieces(rho, y):
-    """(s, den, num_a, ar) with the cancellation-free numerator of the arccos."""
-    s = math.sqrt(y * y + 1.0)
-    ar = abs(1.0 - rho)
-    den = (1.0 - rho) ** 2 * y * y + rho * rho
-    if den == 0.0:
-        raise ValueError("(rho, y) = (0, 0): real free case is excluded")
-    if rho < 1.0:
-        num_a = rho * s - y * y / (s + 1.0)
-    else:
-        num_a = 1.0 - (rho - 1.0) * s
-    return s, den, num_a, ar
-
-
 def q_of(rho, y, alpha_k):
     """alpha_k * sqrt(2|1-rho|(sqrt(y^2+1)-1)) * sgn(y); odd in y."""
     if rho == 1:
@@ -100,37 +82,9 @@ def r_of(rho, y, alpha_k):
     return alpha_k * math.sqrt(2.0 * abs(1.0 - rho) * (s + 1.0))
 
 
-def Q_of(rho, y):
-    """asinh sqrt(2(sqrt(y^2+1)|1-rho| + 1 - rho) / ((1-rho)^2 y^2 + rho^2))."""
-    s, den, _, _ = _pieces(rho, y)
-    if rho < 1.0:
-        num = (1.0 - rho) * (s + 1.0)
-    else:
-        num = (rho - 1.0) * y * y / (s + 1.0)
-    return math.asinh(math.sqrt(2.0 * num / den))
-
-
-def R_of(branch, rho, y):
-    """pi*n + eps * arccos of the normalized offset; always real."""
-    s, den, num_a, _ = _pieces(rho, y)
-    a = num_a / math.sqrt(den)
-    # analytically in [-1, 1]; rounding can push it out by ~1 ulp
-    a = min(1.0, max(-1.0, a))
-    return math.pi * branch.n + branch.eps * math.acos(a)
-
-
 def G_of(branch, rho, y):
     """Value of alpha*k forced at a locus point: R / sqrt(2|1-rho|(s+1))."""
-    s, _, _, ar = _pieces(rho, y)
-    if rho == 1:
-        raise ValueError("rho = 1")
-    return R_of(branch, rho, y) / math.sqrt(2.0 * ar * (s + 1.0))
-
-
-def F_of(branch, rho, y):
-    """Locus function; zero exactly on the branch curve."""
-    _pieces(rho, y)  # validates the degenerate cases
-    return kernels.f_scalar(branch.n, branch.eps, rho, y)
+    return kernels.phase(branch.n, branch.eps, rho, y) / r_of(rho, y, 1.0)
 
 
 def brentq(f, a, b):
@@ -213,13 +167,18 @@ def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
     return sorted(roots)
 
 
-def _certify(branch, rho, y):
-    """Realize (k=1, alpha=G, z=rho+i sigma) and check the barrier residual."""
-    sigma = (1.0 - rho) * y
+def _certify(residual, branch, rho, sigma, y, k=1.0):
+    """The locus point (rho, sigma = (1-rho) y) of branch if it certifies, else None.
+
+    It is realized at wave number k as alpha = G/k, z = k^2 (rho + i sigma)
+    and certifies if alpha > 0 and the barrier residual there, computed by
+    ``residual`` (the caller's binding of m22_residual), is below
+    RESIDUAL_TOL.
+    """
     alpha_k = G_of(branch, rho, y)
     if alpha_k <= 0:
         return None
-    res = m22_residual(BarrierSpec(alpha=alpha_k, z=complex(rho, sigma)), 1.0)
+    res = residual(BarrierSpec(alpha=alpha_k / k, z=k * k * complex(rho, sigma)), k)
     if res >= RESIDUAL_TOL:
         return None
     return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,
@@ -239,7 +198,8 @@ def solve_sigma(branch, rho):
     n, eps = branch.n, branch.eps
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
                         _Y_GRID, kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
-    points = [pt for pt in (_certify(branch, rho, y) for y in roots) if pt is not None]
+    points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
+                            for y in roots) if pt is not None]
     points.sort(key=lambda p: p.sigma)
     return points
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import BarrierSpec, m22_residual, scaled_transfer
+from .barrier import m22_residual, scaled_transfer
 from .constants import HBAR_C_EV_NM
-from .locus import RESIDUAL_TOL, BranchLabel, G_of, _grid_roots, brentq
+from .locus import BranchLabel, _certify, _grid_roots, brentq
 
 __all__ = [
     "GainMedium",
@@ -63,6 +63,9 @@ class GainMedium:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.omega_p_sq == 0:
+            # (rho, sigma) = (0, 0) at every omega: the free barrier, no locus
+            raise ValueError("omega_p_sq must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,9 @@ def _mismatch(n, medium, geom, omega):
     return kernels.f_scalar(n, -1, rho, sigma / (1.0 - rho))
 
 
-def find_singularities(medium, geom, n, omega_window=None,
-                       grid_points=DEFAULT_GRID_POINTS):
-    """All certified singularity designs of branch (n, -) in a frequency window.
+def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
+    """All certified singularity designs of branch (n, -) in the window
+    (Omega (1 + 1e-9), 10 omega0); CutoffError if it is empty.
 
     The locus function is evaluated along the physical curve on a grid
     log-spaced in (omega - Omega) -- near-cutoff intersections sit at
@@ -170,11 +173,9 @@ def find_singularities(medium, geom, n, omega_window=None,
     if n < 1:
         raise ValueError(f"branch index must be >= 1, got {n}")
     Om = geom.omega_cutoff
-    if omega_window is None:
-        omega_window = (Om * (1 + 1e-9), 10.0 * medium.omega0)
-    lo, hi = omega_window
-    if not (Om < lo < hi):
-        raise CutoffError(f"window ({lo}, {hi}) eV not above cutoff {Om} eV")
+    lo, hi = Om * (1 + 1e-9), 10.0 * medium.omega0
+    if not lo < hi:
+        raise CutoffError(f"cutoff {Om} eV is not below 10 omega0 = {hi} eV")
     us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
     rho, sigma = rho_sigma_of(medium, geom, Om + np.exp(us))
     with np.errstate(over="ignore"):
@@ -191,29 +192,23 @@ def find_singularities(medium, geom, n, omega_window=None,
         r_, s_ = rho_sigma_of(medium, geom, om)
         if r_ >= 1:
             continue
-        y = s_ / (1.0 - r_)
-        alpha_k = G_of(branch, r_, y)
-        if alpha_k <= 0:
-            continue
         k = k_of(geom, om)
-        alpha = alpha_k / k
-        z = k * k * complex(r_, s_)
-        res = m22_residual(BarrierSpec(alpha=alpha, z=z), k)
-        if res >= RESIDUAL_TOL:
+        pt = _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)
+        if pt is None:
             continue
         eps_r = permittivity(medium, om)
         sols.append(SingularitySolution(
-            branch=branch, ell=0, omega=om, k=k, alpha=alpha,
+            branch=branch, ell=0, omega=om, k=k, alpha=pt.alpha_k / k,
             lam=2.0 * math.pi * HBAR_C_EV_NM / om,
             epsilon=eps_r, refractive_index=cmath.sqrt(eps_r),
-            residual=res, rho_star=r_, sigma_star=s_,
+            residual=pt.residual, rho_star=r_, sigma_star=s_,
         ))
     sols.sort(key=lambda s: (-s.rho_star, s.sigma_star))
     return [SingularitySolution(**{**vars(s), "ell": i})
             for i, s in enumerate(sols, start=1)]
 
 
-def gain_scan(solution, medium, geom, ratio_grid, cap=GAIN_CAP):
+def gain_scan(solution, medium, geom, ratio_grid):
     """log10(|T|^2 + |R|^2) versus omega/omega_s with the geometry frozen.
 
     The gain-region length alpha and the waveguide geometry are held at the
@@ -226,7 +221,7 @@ def gain_scan(solution, medium, geom, ratio_grid, cap=GAIN_CAP):
     |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log space as
     log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite however
     large the entries grow.  Where |m22| = e^b |m~22| < 1e-300 (at a
-    singularity) the value is the cap.  Raises CutoffError, before the
+    singularity) the value is GAIN_CAP.  Raises CutoffError, before the
     matrix is evaluated, if any ratio puts omega at or below the cutoff (or
     is not finite).
     """
@@ -244,5 +239,5 @@ def gain_scan(solution, medium, geom, ratio_grid, cap=GAIN_CAP):
         lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
         capped = lg22 + b * _LOG10_E < -300.0  # |m22| < 1e-300
         values = np.log10(np.exp(-2.0 * b) + np.abs(m12) ** 2) - 2.0 * lg22
-        scan[block, 1] = np.where(capped, cap, values)
+        scan[block, 1] = np.where(capped, GAIN_CAP, values)
     return scan

@@ -12,7 +12,6 @@ from specsing.barrier import (
     f_func,
     m22_residual,
     oracle_transfer_matrix,
-    reduced_variables,
     scaled_transfer,
     transfer_matrix,
     wavefunction_profile,
@@ -238,20 +237,6 @@ class TestResidual:
     def test_overflowing_f_gives_inf(self):
         # f ~ e^4116: no zero of m22 is possible there
         assert m22_residual(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01) == math.inf
-
-
-class TestReducedVariables:
-    def test_frozen_q_r(self):
-        # rho=0, y=0.75, alpha*k=2: q = sqrt(2), r = 3 sqrt(2)
-        rv = reduced_variables(BarrierSpec(alpha=2.0, z=0.75j), 1.0)
-        assert rv.rho == 0 and rv.sigma == pytest.approx(0.75)
-        assert rv.q == pytest.approx(math.sqrt(2), rel=1e-14)
-        assert rv.r == pytest.approx(3 * math.sqrt(2), rel=1e-14)
-
-    def test_w_branch(self):
-        rv = reduced_variables(BarrierSpec(alpha=1.0, z=2 + 0.5j), 1.0)
-        assert rv.w.imag >= 0
-        assert rv.w * rv.w == pytest.approx(1 - (2 + 0.5j))
 
 
 class TestWavefunction:

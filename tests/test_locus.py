@@ -9,10 +9,7 @@ from specsing import kernels
 from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
     BranchLabel,
-    F_of,
     G_of,
-    Q_of,
-    R_of,
     _grid_roots,
     brentq,
     q_of,
@@ -52,31 +49,14 @@ class TestClosedForms:
     def test_r_frozen(self):
         assert r_of(0.0, 0.75, 2.0) == pytest.approx(3 * math.sqrt(2), rel=1e-14)
 
-    def test_Q_log_value(self):
-        # rho=-3, y=0: asinh(4/3) = ln 3
-        assert Q_of(-3.0, 0.0) == pytest.approx(math.log(3), rel=1e-14)
-
-    def test_Q_quartic_oracle(self):
-        # sinh(Q) solves sinh^4 - (4(1-rho)/den) sinh^2 - 4(1-rho)^2 y^2/den^2 = 0
-        rho, y = 0.5, 1.0
-        q = Q_of(rho, y)
-        assert q == pytest.approx(math.asinh(2.19737), rel=1e-6)
-        den = (1 - rho) ** 2 * y * y + rho * rho
-        s2 = math.sinh(q) ** 2
-        quartic = s2 * s2 - 4 * (1 - rho) / den * s2 - 4 * (1 - rho) ** 2 * y * y / den**2
-        assert abs(quartic) < 1e-12
-
     def test_R_frozen(self):
         # rho=0.5, y=0: arccos argument is exactly 1
-        assert R_of(B1, 0.5, 0.0) == pytest.approx(math.pi, rel=1e-14)
-        assert R_of(BranchLabel(n=0, eps=1), 0.5, 0.0) == 0.0
+        assert kernels.phase(1, -1, 0.5, 0.0) == pytest.approx(math.pi, rel=1e-14)
+        assert kernels.phase(0, 1, 0.5, 0.0) == 0.0
+        assert G_of(BranchLabel(n=0, eps=1), 0.5, 0.0) == 0.0
 
     def test_G_frozen(self):
         assert G_of(B1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
-
-    def test_degenerate_origin_rejected(self):
-        with pytest.raises(ValueError):
-            Q_of(0.0, 0.0)
 
     def test_small_y_stability(self):
         # the naive sqrt(y^2+1)-1 forms lose ~8 digits here; the stable
@@ -91,13 +71,13 @@ class TestClosedForms:
 class TestLocusFunction:
     def test_bracketing_sign_change(self):
         # frozen signs on the n=2, rho=0.3 slice
-        assert F_of(B2, 0.3, 0.5) == pytest.approx(5.758011, rel=1e-5)
-        assert F_of(B2, 0.3, 1.0) == pytest.approx(-3.106192, rel=1e-5)
+        assert kernels.f_scalar(2, -1, 0.3, 0.5) == pytest.approx(5.758011, rel=1e-5)
+        assert kernels.f_scalar(2, -1, 0.3, 1.0) == pytest.approx(-3.106192, rel=1e-5)
 
     def test_matches_backend_grid(self):
         ys = np.geomspace(1e-3, 1e3, 200)
         grid = kernels.f_grid(2, -1, 0.3, ys)
-        scalars = np.array([F_of(B2, 0.3, y) for y in ys])
+        scalars = np.array([kernels.f_scalar(2, -1, 0.3, y) for y in ys])
         np.testing.assert_allclose(grid, scalars, rtol=1e-13, atol=1e-300)
 
 

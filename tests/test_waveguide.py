@@ -75,6 +75,11 @@ class TestGeometry:
                 GainMedium(**{"omega0": 5.0, "omega_p_sq": -0.04, "delta": 1.25,
                               field: bad})
 
+    def test_free_medium_rejected(self):
+        # omega_p^2 = 0 puts every omega at (rho, sigma) = (0, 0), where F is 0/0
+        with pytest.raises(ValueError):
+            GainMedium(omega0=5.0, omega_p_sq=0.0, delta=1.25)
+
     def test_k_of_array_matches_floats(self):
         omegas = np.array([0.5, 2.0, 5.0, 40.0])
         assert list(k_of(GEOM_1CM, omegas)) == [k_of(GEOM_1CM, float(om)) for om in omegas]
@@ -166,10 +171,11 @@ class TestFindSingularities:
             find_singularities(MEDIUM, GEOM_1CM, 0)
 
     def test_bad_window(self):
-        Om = GEOM_1CM.omega_cutoff
+        # the window ends at 10 omega0 = 50 eV; a 10 nm guide cuts off at 62 eV
+        geom = WaveguideGeometry(beta=5.0)
+        assert geom.omega_cutoff > 10.0 * MEDIUM.omega0
         with pytest.raises(CutoffError):
-            find_singularities(MEDIUM, GEOM_1CM, 2000,
-                               omega_window=(Om * 0.5, 10.0))
+            find_singularities(MEDIUM, geom, 2000)
 
 
 def _oracle_gain(sol, ratio):
