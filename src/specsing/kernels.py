@@ -7,13 +7,16 @@ with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2 and a = num_a/sqrt(den).
 The textbook term1 and num_a contain s - 1 and 1 - |1-rho| s, which cancel
 catastrophically for small y; both sides of rho = 1 use the stable rewrites
 s - 1 = y^2/(s+1) and (for rho < 1) 1 - (1-rho) s = rho s - y^2/(s+1).
-Rounding can push a out of [-1, 1] by an ulp, so it is clamped.  Where
-sinh(x) would overflow (x > 350) F is far below any root and reads -1e300.
+arccos a is ill-conditioned near a = -1, where 1 + a ~ 1/|y| at large |y|,
+so it is taken as atan2(S, num_a) with S^2 = den - num_a^2 = 2|1-rho|(s -+ 1)
+(- below rho = 1, + above), and for eps = -1 the pi is folded in:
+pi n - arccos a = pi (n - 1) + atan2(S, -num_a).  Where sinh(x) would
+overflow (x > 350) F is far below any root and reads -1e300.
 
 ``f_scalar`` evaluates one point with the math module (the root polish) and
 ``phase`` gives R there; ``f_grid`` evaluates numpy arrays, with rho and y
 broadcast against each other (the bracketing grids).  The two agree up to
-the last-place differences between numpy's and libm's arccos and sinh.
+the last-place differences between numpy's and libm's atan2 and sinh.
 """
 
 import math
@@ -38,6 +41,13 @@ def _term1(rho, y, s, den, below):
     return (rho - 1.0) * y * y / ((s + 1.0) * den)
 
 
+def _sin2_a(rho, y, s, below):
+    """S^2 = den - num_a^2 = 2|1-rho| (s - 1 or s + 1); ``below`` is rho < 1."""
+    if below:
+        return 2.0 * (1.0 - rho) * y * y / (s + 1.0)
+    return 2.0 * (rho - 1.0) * (s + 1.0)
+
+
 def _side(below, part, *args):
     """``part`` on the side of rho = 1 where ``below`` puts each element."""
     if np.ndim(below) == 0:
@@ -45,16 +55,15 @@ def _side(below, part, *args):
     return np.where(below, part(*args, True), part(*args, False))
 
 
-def _phase(n, eps, rho, y, s, den, below):
+def _phase(n, eps, rho, y, s, below):
     """R at one point, from the pieces f_scalar shares."""
-    a = min(1.0, max(-1.0, _num_a(rho, y, s, below) / math.sqrt(den)))
-    return math.pi * n + eps * math.acos(a)
+    sin_a = math.sqrt(_sin2_a(rho, y, s, below))
+    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, y, s, below))
 
 
 def phase(n, eps, rho, y):
     """R = pi n + eps arccos a at one point (floats); alpha*k = R/sqrt(2|1-rho|(s+1))."""
-    s = math.sqrt(y * y + 1.0)
-    return _phase(n, eps, rho, y, s, (1.0 - rho) ** 2 * y * y + rho * rho, rho < 1.0)
+    return _phase(n, eps, rho, y, math.sqrt(y * y + 1.0), rho < 1.0)
 
 
 def f_scalar(n, eps, rho, y):
@@ -62,7 +71,7 @@ def f_scalar(n, eps, rho, y):
     s = math.sqrt(y * y + 1.0)
     den = (1.0 - rho) ** 2 * y * y + rho * rho
     below = rho < 1.0
-    x = abs(y) * _phase(n, eps, rho, y, s, den, below) / (s + 1.0)
+    x = abs(y) * _phase(n, eps, rho, y, s, below) / (s + 1.0)
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)
@@ -75,8 +84,9 @@ def f_grid(n, eps, rho, y):
     s = np.sqrt(y * y + 1.0)
     den = (1.0 - rho) ** 2 * y * y + rho * rho
     below = rho < 1.0
-    a = np.clip(_side(below, _num_a, rho, y, s) / np.sqrt(den), -1.0, 1.0)
-    x = np.abs(y) * (np.pi * n + eps * np.arccos(a)) / (s + 1.0)
+    sin_a = np.sqrt(_side(below, _sin2_a, rho, y, s))
+    r = np.pi * (n + (eps - 1) // 2) + np.arctan2(sin_a, eps * _side(below, _num_a, rho, y, s))
+    x = np.abs(y) * r / (s + 1.0)
     safe = x <= _OVERFLOW
     out = np.full(x.shape, _SENTINEL)
     sh = np.sinh(x[safe])

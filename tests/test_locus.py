@@ -59,13 +59,12 @@ class TestClosedForms:
         assert G_of(B1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
 
     def test_small_y_stability(self):
-        # the naive sqrt(y^2+1)-1 forms lose ~8 digits here; the stable
-        # rewrites must keep G smooth down to tiny y
-        g1 = G_of(B1, 0.5, 1e-9)
-        g2 = G_of(B1, 0.5, 2e-9)
-        g0 = G_of(B1, 0.5, 0.0)
-        assert g1 == pytest.approx(g0, rel=1e-12)
-        assert g2 == pytest.approx(g0, rel=1e-12)
+        # the naive sqrt(y^2+1)-1 forms lose ~8 digits here, and arccos a
+        # with a = 1 - O(y^2) loses half of them; at rho = 0.5,
+        # G = pi/sqrt(2) - |y| + O(y^2) (a 50-digit evaluation agrees)
+        for y in (1e-9, 2e-9):
+            assert G_of(B1, 0.5, y) == pytest.approx(math.pi / math.sqrt(2) - y, rel=1e-14)
+            assert G_of(B1, 0.5, -y) == G_of(B1, 0.5, y)
 
 
 class TestLocusFunction:
@@ -229,22 +228,23 @@ class TestKernels:
     def test_grid_matches_high_precision_textbook_f(self):
         mpmath = pytest.importorskip("mpmath")
         ys = np.geomspace(1e-6, 1e6, 49)
+        # (n, eps, rho, ys): the grid, plus points on branch eps = -1 at large
+        # |y|, where 1 + a ~ 1/|y| and a plain arccos a loses digits
+        cases = [(n, eps, rho, ys) for n in (1, 7, 50) for eps in (1, -1)
+                 for rho in self.RHOS]
+        cases += [(1, -1, 40.0, np.array([2.5e5])), (1, -1, -2.5, np.array([7.9e5]))]
         with mpmath.workdps(50):
-            for n in (1, 7, 50):
-                for eps in (1, -1):
-                    for rho in self.RHOS:
-                        grid = kernels.f_grid(n, eps, rho, ys)
-                        for y, got in zip(ys, grid):
-                            want, scale, x = _textbook_f(mpmath.mp, n, eps, rho, y)
-                            if x > 350:
-                                # the sentinel never overstates F
-                                assert got == -1e300 and want < -1e300
-                                continue
-                            # arccos is ill-conditioned near a = -1, where
-                            # 1 + a ~ 1/|y| at large |y|: allow error ~ |y|
-                            err = abs(mpmath.mpf(got) - want)
-                            assert err <= 1e-12 * max(1.0, y) * scale, (n, eps, rho, y)
-
+            for n, eps, rho, ys in cases:
+                grid = kernels.f_grid(n, eps, rho, ys)
+                for y, got in zip(ys, grid):
+                    want, scale, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+                    if x > 350:
+                        # the sentinel never overstates F
+                        assert got == -1e300 and want < -1e300
+                        continue
+                    err = abs(mpmath.mpf(got) - want)
+                    assert err <= 1e-12 * scale, (n, eps, rho, y)
+                    assert abs(kernels.f_scalar(n, eps, rho, y) - want) <= 1e-12 * scale
 
 class TestRootPipeline:
     @staticmethod
