@@ -8,8 +8,8 @@ Subcommands:
   tables    -- recompute the reference design tables and show deviations
 
 Exit codes: 0 success with results, 2 valid run with no solutions,
-3 invalid input or configuration, or an arithmetic failure (a result that
-does not fit in a double).
+3 invalid input or configuration, an arithmetic failure (a result that
+does not fit in a double), or a request too large for memory.
 
 Numeric CSV fields use %.12e and LF line endings so output is
 byte-deterministic for fixed inputs.  The frequency-grid density of the
@@ -384,8 +384,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -210,8 +210,8 @@ def trace_curve(branch, rho_min, rho_max, samples):
     The rho grid is uniform in log(1 - rho).  Output is ordered by
     descending rho, then ascending sigma; empty rho slices are skipped.
     """
-    if not (rho_min < rho_max < 1):
-        raise ValueError(f"need rho_min < rho_max < 1, got [{rho_min}, {rho_max}]")
+    if not (-math.inf < rho_min < rho_max < 1):
+        raise ValueError(f"need finite rho_min < rho_max < 1, got [{rho_min}, {rho_max}]")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     us = np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)

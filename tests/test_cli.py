@@ -1,5 +1,8 @@
+import warnings
+
 import pytest
 
+from specsing import cli
 from specsing.cli import (
     CliError,
     EXIT_BAD_INPUT,
@@ -205,3 +208,43 @@ class TestTablesCommand:
         assert out.count("\n") == 9  # 8 rows + worst line
         worst = float(out.rsplit(":", 1)[1])
         assert worst < 1e-4
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+
+CURVE = ["curve", "--n", "1", "--rho-min", "0.7", "--rho-max", "0.9", "--samples", "5"]
+SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
+
+
+# (arguments, config file line or None, cli function replaced by one raising
+# MemoryError or None, expected exit code)
+@pytest.mark.parametrize("argv,config,oom,code", [
+    pytest.param(["curve", "--n", "1", "--rho-min=-inf", "--rho-max", "0.5"], None, None,
+                 EXIT_BAD_INPUT, id="curve-rho-min-inf"),
+    pytest.param(["curve", "--n", "1", "--rho-min", "0.5", "--rho-max", "nan"], None, None,
+                 EXIT_BAD_INPUT, id="curve-rho-max-nan"),
+    pytest.param(["curve", "--n", "1", "--rho-min", "0.2", "--rho-max", "0.5", "--samples", "4"],
+                 None, None, EXIT_NO_SOLUTIONS, id="curve-empty"),
+    pytest.param(["design", "--n", "2000"], "omega_p_sq_eV2 = 0", None, EXIT_BAD_INPUT,
+                 id="design-free-medium"),
+    # stand-ins for curve --samples 1e11 and scan --points 1e11, whose arrays
+    # do not fit in memory; nothing that large is allocated here
+    pytest.param(CURVE, None, "trace_curve", EXIT_BAD_INPUT, id="curve-out-of-memory"),
+    pytest.param(SCAN, None, "gain_scan", EXIT_BAD_INPUT, id="scan-out-of-memory"),
+    pytest.param(SCAN, None, None, EXIT_OK, id="scan"),
+])
+def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, config, oom, code):
+    if config is not None:
+        (tmp_path / "wg.cfg").write_text(config + "\n")
+        argv = argv + ["--config", str(tmp_path / "wg.cfg")]
+    if oom is not None:
+        monkeypatch.setattr(cli, oom, _out_of_memory)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape main as an exception
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (EXIT_OK, EXIT_NO_SOLUTIONS, EXIT_BAD_INPUT) and rc == code
+    assert err == "" if rc != EXIT_BAD_INPUT else (
+        err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err)

@@ -144,6 +144,12 @@ class TestTraceCurve:
         with pytest.raises(ValueError):
             trace_curve(B1, 0.5, 1.0, 5)
 
+    @pytest.mark.parametrize("rho_min,rho_max", [(-math.inf, 0.5), (math.nan, 0.5),
+                                                 (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_range_rejected(self, rho_min, rho_max):
+        with pytest.raises(ValueError):
+            trace_curve(B1, rho_min, rho_max, 5)
+
 
 class TestTrigConsistency:
     @pytest.mark.parametrize("branch,rho", [(B1, 0.7), (B2, 0.3), (B3, 0.5)])
