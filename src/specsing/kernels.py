@@ -7,11 +7,11 @@ with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2 and a = num_a/sqrt(den).
 The textbook term1 and num_a contain s - 1 and 1 - |1-rho| s, which cancel
 catastrophically for small y; both sides of rho = 1 use the stable rewrites
 s - 1 = y^2/(s+1) and (for rho < 1) 1 - (1-rho) s = rho s - y^2/(s+1).
-arccos a is ill-conditioned near a = -1, where 1 + a ~ 1/|y| at large |y|,
-so it is taken as atan2(S, num_a) with S^2 = den - num_a^2 = 2|1-rho|(s -+ 1)
-(- below rho = 1, + above), and for eps = -1 the pi is folded in:
-pi n - arccos a = pi (n - 1) + atan2(S, -num_a).  Where sinh(x) would
-overflow (x > 350) F is far below any root and reads -1e300.
+arccos a is ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~
+1/|y| at large |y|), so it is taken as atan2(S, num_a) with S^2 = den -
+num_a^2 = 2|1-rho|(s -+ 1) (- below rho = 1, + above), and for eps = -1 the
+pi is folded in: pi n - arccos a = pi (n - 1) + atan2(S, -num_a).  Where
+sinh(x) would overflow (x > 350) F is far below any root and reads -1e300.
 
 ``f_scalar`` evaluates one point with the math module (the root polish) and
 ``phase`` gives R there; ``f_grid`` evaluates numpy arrays, with rho and y
