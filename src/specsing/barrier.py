@@ -170,13 +170,15 @@ def m22_residual(spec, k):
     """Scale-free singularity residual |f(w, alpha k)| / (|1+w|^2 + |1-w|^2).
 
     Values below ~1e-9 certify a spectral singularity at working precision.
-    The metric degenerates at the removable point z = k^2 (w = 0), where f
-    vanishes identically while m22 stays finite; callers stay away from it.
-    Where a term of f exceeds a double, f cannot vanish and the residual is
-    inf.
+    At the removable point z = k^2 (w = 0) f vanishes identically, but m22 =
+    e^{2i alpha k}(1 - i alpha k) has |m22| >= 1, so no singularity is there
+    and the residual is inf.  Where a term of f exceeds a double, f cannot
+    vanish either and the residual is inf.
     """
     _check_k(k)
     w = principal_sqrt_upper(1 - spec.z / k**2)
+    if w == 0:
+        return math.inf
     try:
         f = f_func(w, spec.alpha * k)
     except OverflowError:

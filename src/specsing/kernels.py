@@ -13,39 +13,76 @@ num_a^2 = 2|1-rho|(s -+ 1) (- below rho = 1, + above), and for eps = -1 the
 pi is folded in: pi n - arccos a = pi (n - 1) + atan2(S, -num_a).  Where
 sinh(x) would overflow (x > 350) F is far below any root and reads -1e300.
 
-``f_scalar`` evaluates one point with the math module (the root polish) and
-``phase`` gives R there; ``f_grid`` evaluates numpy arrays, with rho and y
-broadcast against each other (the bracketing grids).  The two agree up to
-the last-place differences between numpy's and libm's atan2 and sinh.
+``YGrid`` holds a y grid with the pieces that depend on y alone (s, s + 1,
+s - 1 and |y|), so a bracketing grid built once (``locus`` keeps one from
+import) pays for them once, not on every call.  The per-side helpers
+``_num_a``, ``_sin2_a`` and ``_term1`` are the only statement of the stable
+forms; they are written with augmented assignment, so the same lines serve
+floats (``f_scalar`` for the root polish, ``phase`` for R) and arrays, which
+they allocate once and then update in place (``f_grid``, with rho and y
+broadcast against each other).  The float and array paths agree up to the
+last-place differences between numpy's and libm's atan2 and sinh.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["f_scalar", "f_grid", "phase"]
+__all__ = ["YGrid", "f_scalar", "f_grid", "phase"]
 
 _OVERFLOW = 350.0
 _SENTINEL = -1e300
 
 
-def _num_a(rho, y, s, below):
+class YGrid:
+    """A y grid with the pieces of F that depend on y alone: s = sqrt(y^2 +
+    1), sp = s + 1, sm = s - 1 = y^2/(s+1) and ay = |y| (read-only arrays)."""
+
+    __slots__ = ("y", "s", "sp", "sm", "ay")
+
+    def __init__(self, y):
+        self.y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.s, self.sp, self.sm, self.ay = _y_pieces(self.y, np.sqrt)
+        for piece in (self.s, self.sp, self.sm, self.ay):
+            piece.flags.writeable = False
+
+
+def _y_pieces(y, sqrt=math.sqrt):
+    """s, s + 1, s - 1 = y^2/(s+1) and |y|, of a float or (with np.sqrt) an array."""
+    s = sqrt(y * y + 1.0)
+    sp = s + 1.0
+    return s, sp, y * y / sp, abs(y)
+
+
+def _num_a(rho, s, sm, below):
     """Arccos numerator 1 - |1-rho| s; ``below`` is rho < 1."""
-    return rho * s - y * y / (s + 1.0) if below else 1.0 - (rho - 1.0) * s
+    if below:
+        t = rho * s
+        t -= sm
+        return t
+    return 1.0 - (rho - 1.0) * s
 
 
-def _term1(rho, y, s, den, below):
+def _term1(rho, y, sp, den, below):
     """First term |1-rho| (s+1 or s-1) / den; ``below`` is rho < 1."""
     if below:
-        return (1.0 - rho) * (s + 1.0) / den
-    return (rho - 1.0) * y * y / ((s + 1.0) * den)
+        t = (1.0 - rho) * sp
+        t /= den
+        return t
+    t = (rho - 1.0) * y
+    t *= y
+    t /= sp * den
+    return t
 
 
-def _sin2_a(rho, y, s, below):
+def _sin2_a(rho, y, sp, below):
     """S^2 = den - num_a^2 = 2|1-rho| (s - 1 or s + 1); ``below`` is rho < 1."""
     if below:
-        return 2.0 * (1.0 - rho) * y * y / (s + 1.0)
-    return 2.0 * (rho - 1.0) * (s + 1.0)
+        t = 2.0 * (1.0 - rho) * y
+        t *= y
+        t /= sp
+        return t
+    return 2.0 * (rho - 1.0) * sp
 
 
 def _side(below, part, *args):
@@ -55,40 +92,53 @@ def _side(below, part, *args):
     return np.where(below, part(*args, True), part(*args, False))
 
 
-def _phase(n, eps, rho, y, s, below):
+def _phase(n, eps, rho, y, s, sp, sm, below):
     """R at one point, from the pieces f_scalar shares."""
-    sin_a = math.sqrt(_sin2_a(rho, y, s, below))
-    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, y, s, below))
+    sin_a = math.sqrt(_sin2_a(rho, y, sp, below))
+    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, s, sm, below))
 
 
 def phase(n, eps, rho, y):
     """R = pi n + eps arccos a at one point (floats); alpha*k = R/sqrt(2|1-rho|(s+1))."""
-    return _phase(n, eps, rho, y, math.sqrt(y * y + 1.0), rho < 1.0)
+    s, sp, sm, _ = _y_pieces(y)
+    return _phase(n, eps, rho, y, s, sp, sm, rho < 1.0)
 
 
 def f_scalar(n, eps, rho, y):
     """F at one point (floats)."""
-    s = math.sqrt(y * y + 1.0)
+    s, sp, sm, ay = _y_pieces(y)
     den = (1.0 - rho) ** 2 * y * y + rho * rho
     below = rho < 1.0
-    x = abs(y) * _phase(n, eps, rho, y, s, below) / (s + 1.0)
+    x = ay * _phase(n, eps, rho, y, s, sp, sm, below) / sp
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)
-    return _term1(rho, y, s, den, below) - 0.5 * sh * sh
+    return _term1(rho, y, sp, den, below) - 0.5 * sh * sh
 
 
 def f_grid(n, eps, rho, y):
-    """F on arrays; rho and y broadcast against each other."""
-    y = np.asarray(y, dtype=float)
-    s = np.sqrt(y * y + 1.0)
-    den = (1.0 - rho) ** 2 * y * y + rho * rho
+    """F on arrays; rho and y (an array or a YGrid of one) broadcast against
+    each other.  Each helper allocates its result once; the rest is in place."""
+    g = y if isinstance(y, YGrid) else YGrid(y)
     below = rho < 1.0
-    sin_a = np.sqrt(_side(below, _sin2_a, rho, y, s))
-    r = np.pi * (n + (eps - 1) // 2) + np.arctan2(sin_a, eps * _side(below, _num_a, rho, y, s))
-    x = np.abs(y) * r / (s + 1.0)
-    safe = x <= _OVERFLOW
-    out = np.full(x.shape, _SENTINEL)
-    sh = np.sinh(x[safe])
-    out[safe] = _side(below, _term1, rho, y, s, den)[safe] - 0.5 * sh * sh
-    return out
+    x = _side(below, _sin2_a, rho, g.y, g.sp)
+    np.sqrt(x, out=x)
+    num_a = _side(below, _num_a, rho, g.s, g.sm)
+    if eps < 0:
+        np.negative(num_a, out=num_a)
+    np.arctan2(x, num_a, out=x)
+    x += math.pi * (n + (eps - 1) // 2)  # R
+    x *= g.ay
+    x /= g.sp
+    over = ~(x <= _OVERFLOW)  # x > 350, or NaN
+    np.minimum(x, _OVERFLOW, out=x)  # sinh stays finite; these points read -1e300
+    sh = np.sinh(x, out=x)
+    half_sh2 = np.multiply(sh, 0.5, out=num_a)
+    half_sh2 *= sh
+    den = (1.0 - rho) ** 2 * g.y
+    den *= g.y
+    den += rho * rho
+    f = _side(below, _term1, rho, g.y, g.sp, den)
+    f -= half_sh2
+    f[over] = _SENTINEL
+    return f

@@ -34,8 +34,9 @@ __all__ = [
 
 #: certification threshold on the barrier residual
 RESIDUAL_TOL = 1e-9
-#: bracketing grid of solve_sigma: y in [1e-6, 1e6], 400 points per decade
-_Y_GRID = np.geomspace(1e-6, 1e6, 4801)
+#: bracketing grid of solve_sigma: y in [1e-6, 1e6], 400 points per decade,
+#: with its y-only pieces of F computed once
+_Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 4801))
 #: brentq tolerances (absolute, relative) and iteration cap
 _XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
@@ -153,17 +154,20 @@ def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
     are kept as image(x), and one within rel_tol (relative) of a root
     already kept is a duplicate.
     """
-    sgn = np.sign(fv)
+    neg, pos = fv < 0.0, fv > 0.0
+    change = neg[:-1] & pos[1:]
+    change |= pos[:-1] & neg[1:]
     roots = []
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+    for i in change.nonzero()[0]:
         r = image(polish(f, xs[i], xs[i + 1]))
         if roots and abs(r - roots[-1]) <= rel_tol * abs(r):
             continue
         roots.append(r)
-    for x in xs[fv == 0.0]:
-        r = image(x)
-        if not any(abs(r - q) <= rel_tol * abs(r) for q in roots):
-            roots.append(r)
+    if np.count_nonzero(neg) + np.count_nonzero(pos) < fv.size:  # a zero (or NaN)
+        for x in xs[fv == 0.0]:
+            r = image(x)
+            if not any(abs(r - q) <= rel_tol * abs(r) for q in roots):
+                roots.append(r)
     return sorted(roots)
 
 
@@ -197,7 +201,7 @@ def solve_sigma(branch, rho):
         raise ValueError(f"rho must be < 1, got {rho}")
     n, eps = branch.n, branch.eps
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
-                        _Y_GRID, kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
+                        _Y_GRID.y, kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
     points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                             for y in roots) if pt is not None]
     points.sort(key=lambda p: p.sigma)

@@ -234,6 +234,16 @@ class TestResidual:
         assert min(vals) > 1e-3
 
 
+    @pytest.mark.parametrize("z,alpha,k", [(1.0, 2.0, 1.0), (4.0, 1000.0, 2.0)])
+    def test_removable_point_gives_inf(self, z, alpha, k):
+        # w = 0: f vanishes identically, yet m22 = e^{2i chi}(1 - i chi) with
+        # chi = alpha k, so |m22| >= 1 and no singularity is there
+        spec = BarrierSpec(alpha=alpha, z=z)
+        assert 1 - z / k**2 == 0 and f_func(0, alpha * k) == 0
+        m22 = transfer_matrix(spec, k).m22
+        assert abs(m22) == pytest.approx(math.hypot(1.0, alpha * k), rel=1e-12)
+        assert m22_residual(spec, k) == math.inf
+
     def test_overflowing_f_gives_inf(self):
         # f ~ e^4116: no zero of m22 is possible there
         assert m22_residual(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01) == math.inf

@@ -80,6 +80,15 @@ class TestTransferCommand:
         assert "m22=1.000000000000e+00+0.000000000000e+00i" in out
         assert "T2_plus_R2=1.000000000000e+00" in out
 
+    @pytest.mark.parametrize("z,alpha,k", [("1", "2nm", "1"), ("4", "1um", "2")])
+    def test_removable_point_residual_is_inf(self, capsys, z, alpha, k):
+        # z = k^2: f vanishes there, but |m22| >= 1, so it is no singularity
+        rc = main(["transfer", "--z", z, "--alpha", alpha, "--k", k])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "T2_plus_R2=1.000000000000e+00\n" in out
+        assert out.endswith("\nresidual=inf\n")
+
     def test_bad_complex_is_input_error(self, capsys):
         rc = main(["transfer", "--z", "nope", "--alpha", "1", "--k", "1"])
         assert rc == EXIT_BAD_INPUT

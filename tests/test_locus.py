@@ -228,6 +228,39 @@ class TestKernels:
         assert kernels.f_scalar(1000, -1, 0.4, 10.0) == -1e300
         assert kernels.f_scalar(1000, -1, 1.7, 100.0) == -1e300
 
+    def test_y_grid_gives_the_same_doubles(self):
+        # one YGrid reused for every call gives what a fresh array gives, so
+        # no call leaves its y pieces changed
+        ys = np.geomspace(1e-6, 1e6, 301)
+        grid = kernels.YGrid(ys)
+        column = np.array(self.RHOS)[:, None]
+        for n in (1, 2, 5, 1000):
+            for eps in (1, -1):
+                for rho in self.RHOS + (column,):
+                    assert np.array_equal(kernels.f_grid(n, eps, rho, grid),
+                                          kernels.f_grid(n, eps, rho, ys))
+        with pytest.raises(ValueError):
+            grid.s[0] = 0.0
+
+    def test_sentinel_exactly_where_x_exceeds_350(self):
+        # n = 200: x = |y| R / (s + 1) runs from ~0.3 to ~600 on this grid
+        n, ys = 200, np.geomspace(1e-3, 1e3, 601)
+        column = np.array(self.RHOS)[:, None]
+        for eps in (1, -1):
+            xs = np.array([[kernels.phase(n, eps, rho, y) for y in ys] for rho in self.RHOS])
+            xs *= ys / (np.sqrt(ys * ys + 1.0) + 1.0)
+            scalars = np.array([[kernels.f_scalar(n, eps, rho, y) for y in ys]
+                                for rho in self.RHOS])
+            rhos = np.broadcast_to(column, xs.shape)
+            over = xs > 350.0
+            assert over.any(axis=1).all() and not over.all(axis=1).any()
+            grids = [kernels.f_grid(n, eps, column, ys)]
+            grids.append(np.array([kernels.f_grid(n, eps, rho, ys) for rho in self.RHOS]))
+            for grid in grids:
+                assert np.array_equal(grid == -1e300, over)
+                _assert_close_to_scale(grid[~over], scalars[~over], rhos[~over],
+                                       np.broadcast_to(ys, xs.shape)[~over], 1e-13)
+
     def test_grid_matches_high_precision_textbook_f(self):
         mpmath = pytest.importorskip("mpmath")
         ys = np.geomspace(1e-6, 1e6, 49)
@@ -248,6 +281,29 @@ class TestKernels:
                     err = abs(mpmath.mpf(got) - want)
                     assert err <= 1e-12 * scale, (n, eps, rho, y)
                     assert abs(kernels.f_scalar(n, eps, rho, y) - want) <= 1e-12 * scale
+
+
+class TestHotPath:
+    def test_trace_curve_reuses_the_y_grid(self, monkeypatch):
+        # the y pieces of the bracketing grid are built once, at import:
+        # a trace builds no YGrid and evaluates F once per rho sample
+        built, calls = [], []
+        init, f_grid = kernels.YGrid.__init__, kernels.f_grid
+
+        def counting_init(self, y):
+            built.append(y)
+            init(self, y)
+
+        def counting_f_grid(*args):
+            calls.append(args)
+            return f_grid(*args)
+        monkeypatch.setattr(kernels.YGrid, "__init__", counting_init)
+        monkeypatch.setattr(kernels, "f_grid", counting_f_grid)
+        assert trace_curve(B1, 0.7, 0.9, 3)
+        assert built == [] and len(calls) == 3
+        kernels.f_grid(1, -1, 0.5, np.ones(2))  # an array is wrapped: counted
+        assert len(built) == 1
+
 
 class TestRootPipeline:
     @staticmethod
