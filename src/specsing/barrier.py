@@ -4,7 +4,9 @@ The potential is v(x) = z for |x| < alpha and 0 elsewhere, with a complex
 coupling z.  The closed-form transfer matrix is expressed through
 w = sqrt(1 - z/k^2) taken on the upper-half-plane branch; a spectral
 singularity is a real k at which the m22 entry vanishes, making the
-reflection and transmission coefficients blow up.
+reflection and transmission coefficients blow up.  `_scaled_parts` is the
+only statement of the closed form: `scaled_transfer` evaluates it with numpy
+(it broadcasts) and `m22_residual`, which certifies singularities, with math.
 
 `oracle_transfer_matrix` re-derives the matrix by brute-force plane-wave
 matching (a 4x4 linear solve per basis column) and is kept deliberately
@@ -25,7 +27,6 @@ __all__ = [
     "ScatteringAmplitudes",
     "SpectralSingularityError",
     "NumericalDegeneracyError",
-    "f_func",
     "scaled_transfer",
     "transfer_matrix",
     "amplitudes",
@@ -76,65 +77,66 @@ class ScatteringAmplitudes:
     r_right: complex
 
 
-def f_func(w, chi):
-    """e^{-2i chi w}(1+w)^2 - e^{2i chi w}(1-w)^2; zero iff m22 is zero."""
-    w = complex(w)
-    return (cmath.exp(-2j * chi * w) * (1 + w) ** 2
-            - cmath.exp(2j * chi * w) * (1 - w) ** 2)
-
-
 def _check_k(k):
     if not (k > 0 and math.isfinite(k)):
         raise ValueError(f"k must be positive and finite, got {k}")
 
 
-def scaled_transfer(alpha, z, k):
-    """Closed-form transfer matrix with its growth factor e^b taken out.
+def _scaled_parts(alpha, z, k, ops):
+    """(chi, w, x, c, t, sr): chi = alpha k, w = sqrt(1 - z/k^2) on the
+    upper-half-plane branch, x = 2 chi w = a + ib (b >= 0) and the scaled
+    c = e^{-b} cos x, sr = e^{-b} sin(x)/(2w) = chi e^{-b} sinc x and
+    t = i(1 + w^2) sr.  ``ops`` = (exp, expm1, cos, sin, where, any, finite):
+    ``_NUMPY`` broadcasts, ``_MATH`` is faster on one point of floats.
 
-    Broadcasts over alpha, z and k (k > 0).  With chi = alpha k,
-    w = sqrt(1 - z/k^2) on the upper-half-plane branch and x = 2 chi w = a + ib
-    (b >= 0), returns (m11, m12, m22, b) such that
-
-        M = e^b [[m11, m12], [-m12, m22]].
-
-    cos x and sin x enter only scaled,
-
-        e^{-b} cos x = cos a p - i sin a q,    e^{-b} sin x = sin a p + i cos a q,
-
-    with p = e^{-b} cosh b = (1 + e^{-2b})/2 and q = e^{-b} sinh b =
-    -expm1(-2b)/2, so no entry is ever formed unscaled and nothing overflows
-    however large b grows.  sin(x)/(2w) = chi sinc(x) removes the w = 0
-    (z = k^2) removable point without a branch switch; the analytic limits
-    m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
-    m12 -> -i chi come out automatically.
+    e^{-b} cos x = cos a p - i sin a q and e^{-b} sin x = sin a p + i cos a q
+    with p = (1 + e^{-2b})/2 and q = -expm1(-2b)/2, so nothing overflows
+    however large b grows; the sinc (by its series where |x| < 1e-4) removes
+    the w = 0 (z = k^2) removable point.  Raises OverflowError where x is not
+    finite (alpha k or z/k^2 does not fit in a double).
     """
+    exp, expm1, cos, sin, where, any, finite = ops
     chi = alpha * k
     w = principal_sqrt_upper(1 - z / k**2)
     x = 2 * chi * w
-    c, sinc = _scaled_cos_sinc(x)
-    sr = chi * sinc  # e^{-b} sin(x) / (2w)
-    w2 = w * w
-    t = 1j * (1 + w2) * sr
+    if not finite(x):
+        raise OverflowError("alpha k, z/k^2 or 2 alpha k w does not fit in a double")
+    a, b = x.real, x.imag
+    p = 0.5 + 0.5 * exp(-2 * b)
+    q = -0.5 * expm1(-2 * b)
+    cos_a, sin_a = cos(a), sin(a)
+    c = cos_a * p - 1j * (sin_a * q)
+    small = abs(x) < 1e-4
+    sinc = (sin_a * p + 1j * (cos_a * q)) / where(small, 1.0, x)
+    if any(small):
+        x2 = x * x
+        sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
+    sr = chi * sinc
+    return chi, w, x, c, 1j * (1 + w * w) * sr, sr
+
+
+_NUMPY = (np.exp, np.expm1, np.cos, np.sin, np.where, np.any,
+          lambda v: np.isfinite(v).all())
+_MATH = (math.exp, math.expm1, math.cos, math.sin,
+         lambda cond, a, b: a if cond else b, bool, cmath.isfinite)
+
+
+def scaled_transfer(alpha, z, k):
+    """Closed-form transfer matrix with its growth factor e^b taken out.
+
+    Broadcasts over alpha, z and k (k > 0).  Returns (m11, m12, m22, b) with
+    M = e^b [[m11, m12], [-m12, m22]], where m11 = e^{-2i chi}(c + t),
+    m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr from `_scaled_parts`, so
+    no entry is formed unscaled.  At w = 0 the analytic limits
+    m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
+    m12 -> -i chi come out automatically.  Raises OverflowError where alpha k
+    or z/k^2 does not fit in a double.
+    """
+    chi, w, x, c, t, sr = _scaled_parts(alpha, z, k, _NUMPY)
     m11 = np.exp(-2j * chi) * (c + t)
     m22 = np.exp(2j * chi) * (c - t)
-    m12 = 1j * (w2 - 1) * sr
+    m12 = 1j * (w * w - 1) * sr
     return m11, m12, m22, np.imag(x)
-
-
-def _scaled_cos_sinc(x):
-    """e^{-b} cos x and e^{-b} sin(x)/x for x = a + ib, b >= 0; the sinc by
-    its series where |x| < 1e-4."""
-    a, b = np.real(x), np.imag(x)
-    p = 0.5 + 0.5 * np.exp(-2 * b)
-    q = -0.5 * np.expm1(-2 * b)
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    c = cos_a * p - 1j * (sin_a * q)
-    small = np.abs(x) < 1e-4
-    sinc = (sin_a * p + 1j * (cos_a * q)) / np.where(small, 1.0, x)
-    if np.any(small):
-        x2 = x * x
-        sinc = np.where(small, np.exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
-    return c, sinc
 
 
 def transfer_matrix(spec, k):
@@ -167,23 +169,17 @@ def amplitudes(m):
 
 
 def m22_residual(spec, k):
-    """Scale-free singularity residual |f(w, alpha k)| / (|1+w|^2 + |1-w|^2).
+    """Scale-free singularity residual |c - t| / ((|c| + |t|)(1 + |x|)).
 
-    Values below ~1e-9 certify a spectral singularity at working precision.
-    At the removable point z = k^2 (w = 0) f vanishes identically, but m22 =
-    e^{2i alpha k}(1 - i alpha k) has |m22| >= 1, so no singularity is there
-    and the residual is inf.  Where a term of f exceeds a double, f cannot
-    vanish either and the residual is inf.
+    |c - t| = e^{-b} |m22|, measured against the rounding level of c - t,
+    which grows with |x|; values below ~1e-9 certify a spectral singularity
+    at working precision.  It is finite and far from 0 away from a zero of
+    m22: at the removable point z = k^2 it is |1 - i alpha k| / (1 + alpha k).
+    Raises OverflowError where alpha k or z/k^2 does not fit in a double.
     """
     _check_k(k)
-    w = principal_sqrt_upper(1 - spec.z / k**2)
-    if w == 0:
-        return math.inf
-    try:
-        f = f_func(w, spec.alpha * k)
-    except OverflowError:
-        return math.inf
-    return abs(f) / (abs(1 + w) ** 2 + abs(1 - w) ** 2)
+    _, _, x, c, t, _ = _scaled_parts(spec.alpha, spec.z, k, _MATH)
+    return abs(c - t) / ((abs(c) + abs(t)) * (1 + abs(x)))
 
 
 def oracle_transfer_matrix(spec, k):

@@ -5,6 +5,7 @@ in nm^-1.  The single conversion constant is hbar*c in eV*nm.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -37,6 +38,6 @@ def principal_sqrt_upper(u):
 
 def ev_to_inverse_nm(omega_ev):
     """Convert an energy (hbar*omega, eV) to a vacuum wave number omega/c in nm^-1."""
-    if omega_ev < 0:
-        raise ValueError(f"energy must be non-negative, got {omega_ev}")
+    if not (omega_ev >= 0 and math.isfinite(omega_ev)):
+        raise ValueError(f"energy must be non-negative and finite, got {omega_ev}")
     return omega_ev / HBAR_C_EV_NM

@@ -183,7 +183,7 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
     if alpha_k <= 0:
         return None
     res = residual(BarrierSpec(alpha=alpha_k / k, z=k * k * complex(rho, sigma)), k)
-    if res >= RESIDUAL_TOL:
+    if not res < RESIDUAL_TOL:  # NaN does not certify either
         return None
     return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,
                       branch=branch, residual=res)

@@ -8,29 +8,21 @@ from hypothesis import given, settings, strategies as st
 from specsing.barrier import (
     BarrierSpec,
     SpectralSingularityError,
+    _MATH,
+    _NUMPY,
+    _scaled_parts,
     amplitudes,
-    f_func,
     m22_residual,
     oracle_transfer_matrix,
     scaled_transfer,
     transfer_matrix,
     wavefunction_profile,
 )
+from specsing.cli import TABLE1, TABLE2
+from specsing.locus import RESIDUAL_TOL, BranchLabel, trace_curve
+from specsing.waveguide import GainMedium, WaveguideGeometry, find_singularities
 
 NON_FINITE = (math.inf, -math.inf, math.nan)
-
-
-class TestFFunc:
-    def test_chi_zero(self):
-        # (1+2)^2 - (1-2)^2 = 8
-        assert f_func(2, 0) == pytest.approx(8)
-
-    def test_w_one_kills_second_term(self):
-        assert f_func(1, 0.7) == pytest.approx(4 * cmath.exp(-1.4j))
-
-    def test_w_zero_vanishes_identically(self):
-        for chi in (0.1, 1.0, 7.3):
-            assert f_func(0, chi) == pytest.approx(0)
 
 
 class TestTransferMatrix:
@@ -215,10 +207,23 @@ class TestAmplitudes:
             amplitudes(TransferMatrix(m11=1, m12=0, m21=0, m22=0))
 
 
+def _f_form_residual(alpha, z, k):
+    """The certification residual as first written, through f = e^{-2i chi
+    w}(1+w)^2 - e^{2i chi w}(1-w)^2 = 4w e^{-2i chi} m22: an independent
+    reference that certified points must pass too (it reads 0 at w = 0)."""
+    w = cmath.sqrt(1 - z / k**2)
+    w = w if w.imag > 0 or (w.imag == 0 and w.real >= 0) else -w
+    chi = alpha * k
+    f = cmath.exp(-2j * chi * w) * (1 + w) ** 2 - cmath.exp(2j * chi * w) * (1 - w) ** 2
+    return abs(f) / (abs(1 + w) ** 2 + abs(1 - w) ** 2)
+
+
 class TestResidual:
     def test_free_case_value(self):
-        # w = 1: |f| = 4, denominator = |2|^2 + 0 = 4
-        assert m22_residual(BarrierSpec(alpha=0.7, z=0), 2.0) == pytest.approx(1.0)
+        # w = 1: c - t = e^{-ix} with x = 2 chi real, |c| + |t| = |cos x| + |sin x|
+        chi = 0.7 * 2.0
+        want = 1 / ((abs(math.cos(2 * chi)) + abs(math.sin(2 * chi))) * (1 + 2 * chi))
+        assert m22_residual(BarrierSpec(alpha=0.7, z=0), 2.0) == pytest.approx(want, rel=1e-14)
 
     def test_real_z_never_singular(self):
         # a real barrier has no spectral singularity: residual stays large
@@ -228,25 +233,67 @@ class TestResidual:
             z = rng.uniform(-5, 5)
             alpha = rng.uniform(0.1, 5)
             k = rng.uniform(0.5, 3)
-            if abs(1 - z / k**2) < 1e-3:
-                continue  # removable point, metric degenerates there
             vals.append(m22_residual(BarrierSpec(alpha=alpha, z=z), k))
         assert min(vals) > 1e-3
 
+    @pytest.mark.parametrize("alpha,z,k", [
+        (2.0, 1 + 1e-20j, 1.0),     # next to the removable point z = k^2
+        (2.0, 1 - 1e-20j, 1.0),
+        (2.0, 1.0, 1.0),            # w = 0
+        (1000.0, 4.0, 2.0),         # w = 0, chi = 2000
+        (2000.0, 1 + 0.5j, 0.01),   # README transfer example: m22 ~ e^4116
+    ])
+    def test_no_singularity_reads_finite_and_large(self, alpha, z, k):
+        res = m22_residual(BarrierSpec(alpha=alpha, z=z), k)
+        assert math.isfinite(res) and res >= RESIDUAL_TOL
 
-    @pytest.mark.parametrize("z,alpha,k", [(1.0, 2.0, 1.0), (4.0, 1000.0, 2.0)])
-    def test_removable_point_gives_inf(self, z, alpha, k):
-        # w = 0: f vanishes identically, yet m22 = e^{2i chi}(1 - i chi) with
-        # chi = alpha k, so |m22| >= 1 and no singularity is there
+    @pytest.mark.parametrize("z,alpha,k", [(1.0, 2.0, 1.0), (4.0, 1000.0, 2.0), (2.25, 0.8, 1.5)])
+    def test_removable_point_value(self, z, alpha, k):
+        # w = 0: c = 1, t = i chi and x = 0, so the residual is |1 - i chi| / (1 + chi);
+        # |m22| = |1 - i chi| >= 1, so no singularity is there
+        chi = alpha * k
         spec = BarrierSpec(alpha=alpha, z=z)
-        assert 1 - z / k**2 == 0 and f_func(0, alpha * k) == 0
-        m22 = transfer_matrix(spec, k).m22
-        assert abs(m22) == pytest.approx(math.hypot(1.0, alpha * k), rel=1e-12)
-        assert m22_residual(spec, k) == math.inf
+        assert 1 - z / k**2 == 0
+        assert abs(transfer_matrix(spec, k).m22) == pytest.approx(math.hypot(1.0, chi), rel=1e-12)
+        assert m22_residual(spec, k) == pytest.approx(math.hypot(1.0, chi) / (1 + chi), rel=1e-14)
 
-    def test_overflowing_f_gives_inf(self):
-        # f ~ e^4116: no zero of m22 is possible there
-        assert m22_residual(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01) == math.inf
+    @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
+    def test_float_and_array_tables_agree(self, alpha, z, k):
+        # m22_residual runs the closed form on math, scaled_transfer on numpy
+        for got, want in zip(_scaled_parts(alpha, z, k, _MATH),
+                             _scaled_parts(alpha, z, k, _NUMPY)):
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("alpha,z,k", [(1e300, 1 + 1j, 1e10), (1.0, 1 + 1j, 1e-160)])
+    def test_overflowing_chi_or_coupling_raises(self, alpha, z, k):
+        # chi = 1e310, or z/k^2 = 1e320: no double holds them
+        spec = BarrierSpec(alpha=alpha, z=z)
+        for fn in (m22_residual, transfer_matrix):
+            with pytest.raises(OverflowError):
+                fn(spec, k)
+
+    def test_certified_points_pass_the_f_form(self):
+        for n, (lo, hi) in {1: (0.70, 0.95), 2: (0.05, 0.95), 3: (0.05, 0.95)}.items():
+            pts = trace_curve(BranchLabel(n=n, eps=-1), lo, hi, 10)
+            assert pts
+            for p in pts:
+                assert _f_form_residual(p.alpha_k, complex(p.rho, p.sigma), 1.0) < RESIDUAL_TOL
+
+    def test_table_designs_pass_the_f_form(self):
+        medium = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
+        problems = [(WaveguideGeometry(beta=tb / 2.0), 10000, [row[0] for row in rows])
+                    for _, tb, rows in TABLE1]
+        problems += [(WaveguideGeometry(beta=5e6), row[0], [ell])
+                     for ell, rows in TABLE2 for row in rows]
+        designs = 0
+        for geom, n, ells in problems:
+            sols = {s.ell: s for s in find_singularities(medium, geom, n)}
+            for ell in ells:
+                s = sols[ell]
+                z = s.k * s.k * complex(s.rho_star, s.sigma_star)
+                assert _f_form_residual(s.alpha, z, s.k) < RESIDUAL_TOL
+                designs += 1
+        assert designs == 17
 
 
 class TestWavefunction:

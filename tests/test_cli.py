@@ -80,14 +80,18 @@ class TestTransferCommand:
         assert "m22=1.000000000000e+00+0.000000000000e+00i" in out
         assert "T2_plus_R2=1.000000000000e+00" in out
 
-    @pytest.mark.parametrize("z,alpha,k", [("1", "2nm", "1"), ("4", "1um", "2")])
-    def test_removable_point_residual_is_inf(self, capsys, z, alpha, k):
-        # z = k^2: f vanishes there, but |m22| >= 1, so it is no singularity
+    @pytest.mark.parametrize("z,alpha,k,residual", [
+        pytest.param("1", "2nm", "1", "7.453559924999e-01", id="1-2nm-1"),
+        pytest.param("4", "1um", "2", "9.995003748126e-01", id="4-1um-2"),
+        pytest.param("1+1e-20i", "2nm", "1", "7.453559922018e-01", id="1+1e-20i-2nm-1"),
+    ])
+    def test_removable_point_residual(self, capsys, z, alpha, k, residual):
+        # at and next to z = k^2, |m22| >= 1, so the residual is far from 0
         rc = main(["transfer", "--z", z, "--alpha", alpha, "--k", k])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "T2_plus_R2=1.000000000000e+00\n" in out
-        assert out.endswith("\nresidual=inf\n")
+        assert out.endswith(f"\nresidual={residual}\n")
 
     def test_bad_complex_is_input_error(self, capsys):
         rc = main(["transfer", "--z", "nope", "--alpha", "1", "--k", "1"])
@@ -243,6 +247,8 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
     pytest.param(CURVE, None, "trace_curve", EXIT_BAD_INPUT, id="curve-out-of-memory"),
     pytest.param(SCAN, None, "gain_scan", EXIT_BAD_INPUT, id="scan-out-of-memory"),
     pytest.param(SCAN, None, None, EXIT_OK, id="scan"),
+    pytest.param(["transfer", "--z", "1+1i", "--alpha", "1e300", "--k", "1e10"], None, None,
+                 EXIT_BAD_INPUT, id="transfer-chi-overflow"),
 ])
 def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, config, oom, code):
     if config is not None:

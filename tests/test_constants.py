@@ -56,3 +56,8 @@ class TestEvToInverseNm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ev_to_inverse_nm(-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ev_to_inverse_nm(bad)

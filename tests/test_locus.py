@@ -10,6 +10,7 @@ from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
     BranchLabel,
     G_of,
+    _certify,
     _grid_roots,
     brentq,
     q_of,
@@ -385,3 +386,9 @@ class TestRootPipeline:
         roots = _grid_roots(brentq, lambda x: x - 0.25, xs, xs - 0.25, 1e-9,
                             lambda x: 2.0 + math.exp(x))
         assert roots == [pytest.approx(2.0 + math.exp(0.25), rel=1e-14)]
+
+    def test_certify_rejects_a_nan_residual(self):
+        # the gate accepts only res < RESIDUAL_TOL, so NaN never certifies
+        p = solve_sigma(B1, 0.7)[0]
+        assert _certify(lambda spec, k: 0.0, B1, p.rho, p.sigma, p.y) is not None
+        assert _certify(lambda spec, k: math.nan, B1, p.rho, p.sigma, p.y) is None
