@@ -78,8 +78,8 @@ class ScatteringAmplitudes:
 
 
 def _check_k(k):
-    if not (k > 0 and math.isfinite(k)):
-        raise ValueError(f"k must be positive and finite, got {k}")
+    if not (k > 0 and math.isfinite(k) and k * k > 0):
+        raise ValueError(f"k must be positive and finite with k^2 > 0, got {k}")
 
 
 def _scaled_parts(alpha, z, k, ops):
@@ -92,8 +92,8 @@ def _scaled_parts(alpha, z, k, ops):
     e^{-b} cos x = cos a p - i sin a q and e^{-b} sin x = sin a p + i cos a q
     with p = (1 + e^{-2b})/2 and q = -expm1(-2b)/2, so nothing overflows
     however large b grows; the sinc (by its series where |x| < 1e-4) removes
-    the w = 0 (z = k^2) removable point.  Raises OverflowError where x is not
-    finite (alpha k or z/k^2 does not fit in a double).
+    the w = 0 (z = k^2) removable point.  Needs k^2 > 0; raises OverflowError
+    where x is not finite (alpha k or z/k^2 does not fit in a double).
     """
     exp, expm1, cos, sin, where, any, finite = ops
     chi = alpha * k
@@ -169,17 +169,19 @@ def amplitudes(m):
 
 
 def m22_residual(spec, k):
-    """Scale-free singularity residual |c - t| / ((|c| + |t|)(1 + |x|)).
+    """Scale-free singularity residual |c - t| / ((|c| + |t|) min(1 + |x|, 1e3)).
 
     |c - t| = e^{-b} |m22|, measured against the rounding level of c - t,
-    which grows with |x|; values below ~1e-9 certify a spectral singularity
-    at working precision.  It is finite and far from 0 away from a zero of
-    m22: at the removable point z = k^2 it is |1 - i alpha k| / (1 + alpha k).
+    which grows like 1 + |x|; values below ~1e-9 certify a spectral
+    singularity at working precision.  The growth is followed only up to
+    |x| = 1e3, so a certified point always has |c - t| < 1e-6 (|c| + |t|) and
+    no large alpha k can bring a point far from a zero of m22 under the gate.
+    At the removable point z = k^2 it is |1 - i alpha k| / (1 + alpha k).
     Raises OverflowError where alpha k or z/k^2 does not fit in a double.
     """
     _check_k(k)
     _, _, x, c, t, _ = _scaled_parts(spec.alpha, spec.z, k, _MATH)
-    return abs(c - t) / ((abs(c) + abs(t)) * (1 + abs(x)))
+    return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
 
 
 def oracle_transfer_matrix(spec, k):

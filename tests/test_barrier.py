@@ -102,6 +102,13 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             fn(BarrierSpec(alpha=1.0, z=1j), bad)
 
+    @pytest.mark.parametrize("k", [1e-170, 5e-324])
+    @pytest.mark.parametrize("fn", [transfer_matrix, m22_residual, oracle_transfer_matrix])
+    def test_rejects_k_whose_square_underflows(self, fn, k):
+        # k^2 == 0 in a double: z/k^2 would divide by zero
+        with pytest.raises(ValueError):
+            fn(BarrierSpec(alpha=1.0, z=1 + 1j), k)
+
     def test_overflow_raises_where_entries_exceed_a_double(self):
         # README example: 2 chi Im w ~ 4116, entries ~ e^4116
         with pytest.raises(OverflowError):
@@ -225,6 +232,12 @@ class TestResidual:
         want = 1 / ((abs(math.cos(2 * chi)) + abs(math.sin(2 * chi))) * (1 + 2 * chi))
         assert m22_residual(BarrierSpec(alpha=0.7, z=0), 2.0) == pytest.approx(want, rel=1e-14)
 
+    def test_free_case_value_past_the_cap(self):
+        # the rounding-level factor 1 + |x| stops growing at 1e3
+        chi = 1e9
+        want = 1 / ((abs(math.cos(2 * chi)) + abs(math.sin(2 * chi))) * 1e3)
+        assert m22_residual(BarrierSpec(alpha=chi, z=0), 1.0) == pytest.approx(want, rel=1e-14)
+
     def test_real_z_never_singular(self):
         # a real barrier has no spectral singularity: residual stays large
         rng = np.random.default_rng(7)
@@ -242,6 +255,9 @@ class TestResidual:
         (2.0, 1.0, 1.0),            # w = 0
         (1000.0, 4.0, 2.0),         # w = 0, chi = 2000
         (2000.0, 1 + 0.5j, 0.01),   # README transfer example: m22 ~ e^4116
+        (1e9, 0.0, 1.0),            # free space at chi = 1e9
+        (1e9, 0.5, 1.0),            # real barriers at large chi
+        (3e8, -2.0, 1.0),
     ])
     def test_no_singularity_reads_finite_and_large(self, alpha, z, k):
         res = m22_residual(BarrierSpec(alpha=alpha, z=z), k)

@@ -249,6 +249,8 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
     pytest.param(SCAN, None, None, EXIT_OK, id="scan"),
     pytest.param(["transfer", "--z", "1+1i", "--alpha", "1e300", "--k", "1e10"], None, None,
                  EXIT_BAD_INPUT, id="transfer-chi-overflow"),
+    pytest.param(["transfer", "--z", "1+1i", "--alpha", "1nm", "--k", "1e-170"], None, None,
+                 EXIT_BAD_INPUT, id="transfer-k-squared-underflow"),
 ])
 def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, config, oom, code):
     if config is not None:
