@@ -20,6 +20,7 @@ variable.
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -55,6 +56,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Reports bad usage as CliError, and reads a token that starts with '-'
+    and a digit or '.' (-1+0.5i, -1j, -2e-1) as a value, never as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):
         raise CliError(message)
 

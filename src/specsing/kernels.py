@@ -22,16 +22,27 @@ floats (``f_scalar`` for the root polish, ``phase`` for R) and arrays, which
 they allocate once and then update in place (``f_grid``, with rho and y
 broadcast against each other).  The float and array paths agree up to the
 last-place differences between numpy's and libm's atan2 and sinh.
+
+``f_bounds`` encloses F on cells [y0, y1] (y >= 0, rho < 1) in the sense of
+interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, SIAM 2009): every piece of F is monotone in y there, so the same
+helpers evaluated at the cells' ends bound it, widened by a relative margin
+far above f_grid's rounding error.  A cell whose bounds exclude 0 provably
+holds no root of F and no sign change of f_grid.
 """
 
 import math
+import sys
 
 import numpy as np
 
-__all__ = ["YGrid", "f_scalar", "f_grid", "phase"]
+__all__ = ["Cells", "YGrid", "f_bounds", "f_grid", "f_scalar", "phase"]
 
 _OVERFLOW = 350.0
 _SENTINEL = -1e300
+#: outward margin of f_bounds, relative to each of F's two terms; f_grid's
+#: error against a 50-digit F is tested below 1e-12 of their sum
+_MARGIN = 1e-9
 
 
 class YGrid:
@@ -45,6 +56,14 @@ class YGrid:
         self.s, self.sp, self.sm, self.ay = _y_pieces(self.y, np.sqrt)
         for piece in (self.s, self.sp, self.sm, self.ay):
             piece.flags.writeable = False
+
+    def __getitem__(self, index):
+        """The grid at a basic index (a slice): views of these pieces, so
+        nothing is recomputed."""
+        g = object.__new__(YGrid)
+        for name in self.__slots__:
+            setattr(g, name, getattr(self, name)[index])
+        return g
 
 
 def _y_pieces(y, sqrt=math.sqrt):
@@ -75,6 +94,14 @@ def _term1(rho, y, sp, den, below):
     return t
 
 
+def _den(rho, y):
+    """den = (1-rho)^2 y^2 + rho^2."""
+    t = (1.0 - rho) ** 2 * y
+    t *= y
+    t += rho * rho
+    return t
+
+
 def _sin2_a(rho, y, sp, below):
     """S^2 = den - num_a^2 = 2|1-rho| (s - 1 or s + 1); ``below`` is rho < 1."""
     if below:
@@ -87,7 +114,7 @@ def _sin2_a(rho, y, sp, below):
 
 def _side(below, part, *args):
     """``part`` on the side of rho = 1 where ``below`` puts each element."""
-    if np.ndim(below) == 0:
+    if not isinstance(below, np.ndarray):
         return part(*args, below)
     return np.where(below, part(*args, True), part(*args, False))
 
@@ -107,7 +134,7 @@ def phase(n, eps, rho, y):
 def f_scalar(n, eps, rho, y):
     """F at one point (floats)."""
     s, sp, sm, ay = _y_pieces(y)
-    den = (1.0 - rho) ** 2 * y * y + rho * rho
+    den = _den(rho, y)
     below = rho < 1.0
     x = ay * _phase(n, eps, rho, y, s, sp, sm, below) / sp
     if x > _OVERFLOW:
@@ -135,10 +162,70 @@ def f_grid(n, eps, rho, y):
     sh = np.sinh(x, out=x)
     half_sh2 = np.multiply(sh, 0.5, out=num_a)
     half_sh2 *= sh
-    den = (1.0 - rho) ** 2 * g.y
-    den *= g.y
-    den += rho * rho
-    f = _side(below, _term1, rho, g.y, g.sp, den)
+    f = _side(below, _term1, rho, g.y, g.sp, _den(rho, g.y))
     f -= half_sh2
     f[over] = _SENTINEL
     return f
+
+
+class Cells:
+    """Cells [y0, y1] between ascending nodes y >= 0, laid out for f_bounds.
+
+    ``ends`` is a YGrid of rows y0, y1 and y0 again, so that [y0; y1] and
+    [y1; y0] are both contiguous views.  ``q`` holds |y|/(s+1) at [y1; y0]
+    and ``sp`` holds s + 1 at [y0; y1], each moved outward by _MARGIN: up
+    where it enters an upper bound on its term of F, down where it enters a
+    lower one (a margin on x moves sinh(x)^2 by at least twice as much).
+    """
+
+    __slots__ = ("ends", "q", "sp")
+
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        self.ends = g = YGrid(np.stack((nodes[:-1], nodes[1:], nodes[:-1])))
+        outward = np.array([[1.0 + _MARGIN], [1.0 - _MARGIN]])
+        self.q = g.ay[1:] / g.sp[1:] * outward
+        self.sp = g.sp[:2] * outward[::-1]
+
+
+def f_bounds(n, eps, rho, cells):
+    """Bounds lo <= F <= hi on each of ``cells`` (a Cells), for rho < 1 and
+    a branch with R >= 0 (n >= 1, or n = 0 with eps = +1); rows lo and hi.
+
+    Each of F's two terms is moved outward by at least the relative margin
+    _MARGIN, far above the rounding error of f_grid, so a cell with lo > 0
+    or hi < 0 holds no root and no sign change of f_grid.  (Where f_grid
+    reads -1e300 for x > 350, lo is below that, and hi may be too.)
+
+    On y >= 0 the pieces are monotone: S, |y|/(s+1), s + 1 and den rise with
+    y, and C = eps num_a rises for eps = -1 and falls for +1.  As S >= 0,
+    atan2(S, C) falls with C and is monotone in S at fixed C, so R takes its
+    extremes at the cell's corners, x lies in [R_lo |y0|/(s0+1),
+    R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0].
+    """
+    ends, up, down = cells.ends, slice(0, 2), slice(1, 3)  # rows [y0; y1] and [y1; y0]
+    sin_a = _sin2_a(rho, ends.y, ends.sp, True)
+    np.sqrt(sin_a, out=sin_a)
+    c = _num_a(rho, ends.s, ends.sm, True)
+    if eps < 0:
+        np.negative(c, out=c)
+    c = c[up] if eps < 0 else c[down]  # C at its lower end, at its higher end
+    x = np.arctan2(sin_a[down], c)  # the corners (S1, C_lo) and (S0, C_hi)
+    other = np.arctan2(sin_a[up], c)  # (S0, C_lo) and (S1, C_hi)
+    np.maximum(x[0], other[0], out=x[0])
+    np.minimum(x[1], other[1], out=x[1])
+    x += math.pi * (n + (eps - 1) // 2)  # R_hi, R_lo
+    x *= cells.q  # x_hi, x_lo
+    np.minimum(x, _OVERFLOW, out=x)  # as in f_grid: sinh stays finite
+    half_sh2 = np.sinh(x, out=x)
+    half_sh2 *= half_sh2
+    half_sh2 *= 0.5
+    den = _den(rho, ends.y[down])
+    unbounded = den[1, 0] < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
+    if unbounded:
+        den[1, 0] = 1.0
+    bounds = _term1(rho, ends.y[up], cells.sp, den, True)  # at (sp0, den1), (sp1, den0)
+    if unbounded:
+        bounds[1, 0] = math.inf
+    bounds -= half_sh2
+    return bounds

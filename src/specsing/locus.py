@@ -10,7 +10,10 @@ only certified points are reported (eps = -, n >= 1, sigma > 0 survive).
 
 F and the phase in G are computed only in `kernels`, with the stable
 rewrites of the terms that cancel for small y; this module brackets,
-polishes and certifies their roots.
+polishes and certifies their roots.  A root is bracketed on a fixed y grid,
+but F is evaluated only where an enclosure of F on coarse cells of that
+grid (`kernels.f_bounds`) cannot rule a root out, and below the grid while
+the cell [0, 1e-6] stays open.
 """
 
 import math
@@ -36,7 +39,13 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 #: bracketing grid of solve_sigma: y in [1e-6, 1e6], 400 points per decade,
 #: with its y-only pieces of F computed once
-_Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 4801))
+_PER_DECADE = 400
+_Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
+#: cells on which F is enclosed: [0, 1e-6], then the grid in steps of _CELL points
+_CELL = 16
+_CELLS = kernels.Cells(np.concatenate(([0.0], _Y_GRID.y[::_CELL])))
+#: the lowest decade searched below the grid ends here
+_Y_FLOOR = 1e-300
 #: brentq tolerances (absolute, relative) and iteration cap
 _XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
@@ -189,19 +198,57 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
                       branch=branch, residual=res)
 
 
+def _excluded(n, eps, rho, cells):
+    """Cells where the enclosure of F excludes a root (NaN bounds exclude
+    nothing)."""
+    bounds = kernels.f_bounds(n, eps, rho, cells)
+    return (bounds[0] > 0.0) | (bounds[1] < 0.0)
+
+
+def _window(n, eps, rho):
+    """The part of the bracketing grid that holds every sign change of F.
+
+    Cells the enclosure excludes hold none, so the grid from the first open
+    cell to the last one brackets the roots that the whole grid brackets.
+    While the cell [0, y_min] stays open, a decade of the grid's density is
+    put below it.  None if every cell is excluded.
+    """
+    excluded = _excluded(n, eps, rho, _CELLS)
+    first = excluded.argmin()
+    if excluded[first]:
+        return None
+    last = excluded.size - 1 - excluded[::-1].argmin()
+    window = _Y_GRID[max(first - 1, 0) * _CELL:last * _CELL + 1]
+    if first > 0:
+        return window
+    decades, y_min = 0, _Y_GRID.y[0]
+    while y_min > _Y_FLOOR:
+        decades += 1
+        y_min = _Y_GRID.y[0] * 10.0 ** -decades
+        if _excluded(n, eps, rho, kernels.Cells([0.0, y_min]))[0]:
+            break
+    below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
+    return kernels.YGrid(np.concatenate((below, window.y)))
+
+
 def solve_sigma(branch, rho):
     """All certified sigma > 0 singularity points above rho, sorted by sigma.
 
-    Roots of F are bracketed on a geometric y grid and polished by Brent's
+    Roots of F are bracketed on a geometric y grid, in the window of it that
+    the enclosure of F leaves open (``_window``), and polished by Brent's
     method to relative 1e-14; each candidate is then certified against the
     barrier residual, which weeds out spurious zeros of F (including the
-    double-precision noise roots in the far F -> 0 tails).
+    double-precision noise roots in the far F -> 0 tails).  The brackets are
+    those of the whole grid, and roots below it (y < 1e-6) are found too.
     """
     if not rho < 1:
         raise ValueError(f"rho must be < 1, got {rho}")
     n, eps = branch.n, branch.eps
+    grid = _window(n, eps, rho)
+    if grid is None:
+        return []
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
-                        _Y_GRID.y, kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
+                        grid.y, kernels.f_grid(n, eps, rho, grid), 1e-6)
     points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                             for y in roots) if pt is not None]
     points.sort(key=lambda p: p.sigma)

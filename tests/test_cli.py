@@ -113,6 +113,16 @@ class TestTransferCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("z", ["-1+0.5i", "-1j", "-.5-2i", "-2e-1"])
+    def test_negative_value_is_not_an_option(self, capsys, z):
+        # a value that starts with '-' and a digit or '.' is read as a value,
+        # the same as in the --z=... form
+        rc = main(["transfer", "--z", z, "--alpha", "2nm", "--k", "1"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert main(["transfer", f"--z={z}", "--alpha", "2nm", "--k", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("option,value", [
         ("--z", "nan"), ("--z", "1+infi"), ("--k", "inf"), ("--k", "nan"), ("--alpha", "inf"),
     ])
@@ -154,6 +164,24 @@ class TestCurveCommand:
     def test_bad_branch(self):
         assert main(["curve", "--n", "0", "--rho-min", "0.7",
                      "--rho-max", "0.9"]) == EXIT_BAD_INPUT
+
+    def test_negative_rho_min(self, capsys):
+        rc = main(["curve", "--n", "1", "--rho-min", "-2e-1", "--rho-max", "0.9"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK and out.count("\n") > 1
+        assert main(["curve", "--n", "1", "--rho-min=-2e-1", "--rho-max", "0.9"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("args,rows", [
+        (["--n", "700000", "--rho-min", "0.79", "--rho-max", "0.81", "--samples", "3"], 3),
+        (["--n", "3", "--rho-min", "0.999", "--rho-max", "0.9999999999999", "--samples", "6"], 6),
+    ])
+    def test_points_below_the_y_grid(self, capsys, args, rows):
+        # every slice has one root at y < 1e-6, below the bracketing grid
+        rc = main(["curve"] + args)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK and len(lines) == 1 + rows
+        assert all(float(ln.split(",")[3]) < 1e-9 for ln in lines[1:])
 
 
 class TestDesignCommand:

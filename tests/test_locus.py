@@ -4,13 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from specsing import kernels
 from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
+    _CELL,
+    _CELLS,
+    _Y_GRID,
     BranchLabel,
     G_of,
     _certify,
+    _excluded,
     _grid_roots,
     brentq,
     q_of,
@@ -124,6 +129,16 @@ class TestSolveSigma:
     def test_rho_at_least_one_rejected(self):
         with pytest.raises(ValueError):
             solve_sigma(B1, 1.0)
+
+    @pytest.mark.parametrize("n,rho", [(2, 1 - 1e-12), (3, 1 - 1e-12), (700000, 0.8)])
+    def test_root_below_the_grid(self, n, rho):
+        # the root sits near y = (2/(pi n)) asinh(2 sqrt(1-rho)/rho), below
+        # the grid's 1e-6: the open cell [0, 1e-6] puts decades below it
+        pts = solve_sigma(BranchLabel(n=n, eps=-1), rho)
+        assert len(pts) == 1
+        want = 2.0 / (math.pi * n) * math.asinh(2.0 * math.sqrt(1.0 - rho) / rho)
+        assert pts[0].y < 1e-6 and pts[0].y == pytest.approx(want, rel=1e-3)
+        assert pts[0].residual < 1e-9
 
 
 class TestTraceCurve:
@@ -285,10 +300,10 @@ class TestKernels:
 
 
 class TestHotPath:
-    def test_trace_curve_reuses_the_y_grid(self, monkeypatch):
-        # the y pieces of the bracketing grid are built once, at import:
-        # a trace builds no YGrid and evaluates F once per rho sample
-        built, calls = [], []
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(YGrids built, points of each f_grid call)."""
+        built, points = [], []
         init, f_grid = kernels.YGrid.__init__, kernels.f_grid
 
         def counting_init(self, y):
@@ -296,14 +311,30 @@ class TestHotPath:
             init(self, y)
 
         def counting_f_grid(*args):
-            calls.append(args)
-            return f_grid(*args)
+            f = f_grid(*args)
+            points.append(f.size)
+            return f
         monkeypatch.setattr(kernels.YGrid, "__init__", counting_init)
         monkeypatch.setattr(kernels, "f_grid", counting_f_grid)
+        return built, points
+
+    def test_trace_curve_reuses_the_y_grid(self, counted):
+        # the y pieces of the bracketing grid are built once, at import:
+        # a trace builds no YGrid and evaluates F once per rho sample
+        built, points = counted
         assert trace_curve(B1, 0.7, 0.9, 3)
-        assert built == [] and len(calls) == 3
+        assert built == [] and len(points) == 3
         kernels.f_grid(1, -1, 0.5, np.ones(2))  # an array is wrapped: counted
         assert len(built) == 1
+
+    def test_f_grid_sees_at_most_two_cells(self, counted):
+        # the enclosure leaves F to evaluate on at most two cells of 16 grid
+        # steps (33 points) per sample for n = 2...50
+        built, points = counted
+        for n in range(2, 51):
+            trace_curve(BranchLabel(n=n, eps=-1), -3.0, 0.999, 8)
+        assert built == [] and len(points) == 49 * 8
+        assert max(points) <= 2 * _CELL + 1
 
 
 class TestRootPipeline:
@@ -392,3 +423,106 @@ class TestRootPipeline:
         p = solve_sigma(B1, 0.7)[0]
         assert _certify(lambda spec, k: 0.0, B1, p.rho, p.sigma, p.y) is not None
         assert _certify(lambda spec, k: math.nan, B1, p.rho, p.sigma, p.y) is None
+
+
+def _cell_bounds(n, eps, rho, cell):
+    """(lo, hi) of the enclosure on one cell of the locus grid."""
+    return kernels.f_bounds(n, eps, rho, _CELLS)[:, cell]
+
+
+def _full_grid_solve(branch, rho):
+    """solve_sigma with F evaluated on the whole grid: the oracle for the
+    window the enclosure leaves."""
+    n, eps = branch.n, branch.eps
+    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y), _Y_GRID.y,
+                        kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
+    points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
+                            for y in roots) if pt is not None]
+    return sorted(points, key=lambda p: p.sigma)
+
+
+def _seeded_slices():
+    """(branch, rho) of seeded traces: n in [1, 50] over windows inside
+    (0.3, 0.99), and both signs with rho from -3 and n up to 1e4."""
+    rng = random.Random(7)
+    traces = []
+    for _ in range(12):
+        lo = rng.uniform(0.3, 0.94)
+        traces.append((BranchLabel(n=rng.randint(1, 50), eps=-1), lo, rng.uniform(lo + 0.05, 0.99)))
+    for _ in range(24):
+        eps, lo = rng.choice((1, -1)), rng.uniform(-3.0, 0.98)
+        n = rng.choice((rng.randint(1, 10), rng.randint(1, 10_000)))
+        traces.append((BranchLabel(n=n, eps=eps), lo, rng.uniform(lo + 1e-3, 0.999999)))
+    return [(branch, 1.0 - math.exp(u)) for branch, lo, hi in traces
+            for u in np.linspace(math.log(1.0 - hi), math.log(1.0 - lo), 15)]
+
+
+class TestEnclosure:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 10_000), eps=st.sampled_from((1, -1)),
+           rho=st.one_of(st.floats(-1e3, 1.0, exclude_max=True),
+                         st.floats(-15.0, 0.0).map(lambda u: 1.0 - 10.0 ** u)),
+           cell=st.integers(0, _CELLS.ends.y.shape[1] - 1),
+           ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_f_lies_in_the_bounds(self, n, eps, rho, cell, ts):
+        # F at 50 digits where x <= 350, and f_scalar everywhere, lie in each
+        # cell's bounds; where x > 350 f_scalar reads the sentinel -1e300,
+        # which lies above hi only where hi < -1e300; cell 0 is [0, 1e-6]
+        mpmath = pytest.importorskip("mpmath")
+        assume(rho < 1.0 and (n >= 1 or eps == 1))
+        lo, hi = _cell_bounds(n, eps, rho, cell)
+        y0, y1 = _CELLS.ends.y[:2, cell]
+        for t in ts:
+            y = y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1)
+            assert lo <= kernels.f_scalar(n, eps, rho, y) <= max(hi, -1e300), (y, lo, hi)
+            with mpmath.workdps(50):
+                want, _, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+                if x <= 350:
+                    assert lo <= want <= hi, (y, lo, hi)
+
+    def test_cell_ends_lie_in_the_bounds(self):
+        # the cells' ends are where the corner bounds are tightest
+        ys = _CELLS.ends.y[:2]
+        for n in (1, 2, 7, 50, 400, 3000):
+            for eps in (1, -1):
+                for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
+                    lo, hi = kernels.f_bounds(n, eps, rho, _CELLS)
+                    f = kernels.f_grid(n, eps, rho, ys[:, 1:])
+                    assert (lo[1:] <= f).all() and (f <= np.maximum(hi[1:], -1e300)).all()
+
+    def test_margin_exceeds_rounding(self):
+        # on cells of zero width [y, y] the bounds sit the margin (1e-9 of
+        # |term1| + sinh(x)^2/2) away from f_grid's value, far above the
+        # rounding error the two share; where f_grid reads -1e300, both
+        # bounds are below 0 and lo below -1e300
+        ys = np.geomspace(1e-6, 1e6, 97)
+        point_cells = kernels.Cells(np.repeat(ys, 2))
+        for n, eps, rho in ((1, -1, 0.7), (7, 1, -2.5), (50, -1, 0.999), (3000, -1, 0.3)):
+            lo, hi = kernels.f_bounds(n, eps, rho, point_cells)[:, ::2]
+            f = kernels.f_grid(n, eps, rho, ys)
+            s = np.sqrt(ys * ys + 1.0)
+            scale = 2.0 * (1.0 - rho) * (s + 1.0) / ((1.0 - rho) ** 2 * ys * ys + rho * rho) - f
+            real = f > -1e300
+            assert (f - lo >= 0.5e-9 * scale)[real].all() and (hi - f >= 0.5e-9 * scale)[real].all()
+            assert (lo[~real] < -1e300).all() and (hi[~real] < 0.0).all()
+
+    def test_bounds_at_y_zero_for_rho_zero(self):
+        # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): F is unbounded
+        # above there, and the cell [0, 1e-6] still excludes a root
+        for rho in (0.0, 1e-170):
+            lo, hi = _cell_bounds(2, -1, rho, 0)
+            assert hi == math.inf and lo > 0.0
+
+    def test_excluded_cells_hold_no_sign_change(self):
+        # on the full grid, every cell the enclosure excludes keeps one sign
+        cells = (np.arange(1, _CELLS.ends.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
+        for branch, rho in _seeded_slices():
+            n, eps = branch.n, branch.eps
+            lo, hi = kernels.f_bounds(n, eps, rho, _CELLS)[:, 1:]
+            f = kernels.f_grid(n, eps, rho, _Y_GRID)[cells]
+            assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
+            assert _excluded(n, eps, rho, _CELLS)[0]  # no root below the grid here
+
+    def test_solve_sigma_matches_the_full_grid(self):
+        for branch, rho in _seeded_slices():
+            assert solve_sigma(branch, rho) == _full_grid_solve(branch, rho)
