@@ -5,8 +5,10 @@ coupling z.  The closed-form transfer matrix is expressed through
 w = sqrt(1 - z/k^2) taken on the upper-half-plane branch; a spectral
 singularity is a real k at which the m22 entry vanishes, making the
 reflection and transmission coefficients blow up.  `_scaled_parts` is the
-only statement of the closed form: `scaled_transfer` evaluates it with numpy
-(it broadcasts) and `m22_residual`, which certifies singularities, with math.
+only statement of the closed form, in the dimensionless chi = alpha k and
+zeta = z/k^2: `scaled_transfer` evaluates it with numpy (it broadcasts),
+`scaled_moduli` takes only the moduli a frequency scan prints from it, and
+`m22_residual`, which certifies singularities, evaluates it with math.
 
 `oracle_transfer_matrix` re-derives the matrix by brute-force plane-wave
 matching (a 4x4 linear solve per basis column) and is kept deliberately
@@ -28,6 +30,7 @@ __all__ = [
     "SpectralSingularityError",
     "NumericalDegeneracyError",
     "scaled_transfer",
+    "scaled_moduli",
     "transfer_matrix",
     "amplitudes",
     "m22_residual",
@@ -82,22 +85,21 @@ def _check_k(k):
         raise ValueError(f"k must be positive and finite with k^2 > 0, got {k}")
 
 
-def _scaled_parts(alpha, z, k, ops):
-    """(chi, w, x, c, t, sr): chi = alpha k, w = sqrt(1 - z/k^2) on the
-    upper-half-plane branch, x = 2 chi w = a + ib (b >= 0) and the scaled
-    c = e^{-b} cos x, sr = e^{-b} sin(x)/(2w) = chi e^{-b} sinc x and
+def _scaled_parts(chi, zeta, ops):
+    """(w, x, c, t, sr) at chi = alpha k and zeta = z/k^2: w = sqrt(1 - zeta)
+    on the upper-half-plane branch, x = 2 chi w = a + ib (b >= 0) and the
+    scaled c = e^{-b} cos x, sr = e^{-b} sin(x)/(2w) = chi e^{-b} sinc x and
     t = i(1 + w^2) sr.  ``ops`` = (exp, expm1, cos, sin, where, any, finite):
     ``_NUMPY`` broadcasts, ``_MATH`` is faster on one point of floats.
 
     e^{-b} cos x = cos a p - i sin a q and e^{-b} sin x = sin a p + i cos a q
     with p = (1 + e^{-2b})/2 and q = -expm1(-2b)/2, so nothing overflows
     however large b grows; the sinc (by its series where |x| < 1e-4) removes
-    the w = 0 (z = k^2) removable point.  Needs k^2 > 0; raises OverflowError
-    where x is not finite (alpha k or z/k^2 does not fit in a double).
+    the w = 0 (zeta = 1) removable point.  Raises OverflowError where x is
+    not finite (chi or zeta does not fit in a double).
     """
     exp, expm1, cos, sin, where, any, finite = ops
-    chi = alpha * k
-    w = principal_sqrt_upper(1 - z / k**2)
+    w = principal_sqrt_upper(1 - zeta)
     x = 2 * chi * w
     if not finite(x):
         raise OverflowError("alpha k, z/k^2 or 2 alpha k w does not fit in a double")
@@ -112,7 +114,7 @@ def _scaled_parts(alpha, z, k, ops):
         x2 = x * x
         sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
     sr = chi * sinc
-    return chi, w, x, c, 1j * (1 + w * w) * sr, sr
+    return w, x, c, 1j * (1 + w * w) * sr, sr
 
 
 _NUMPY = (np.exp, np.expm1, np.cos, np.sin, np.where, np.any,
@@ -126,17 +128,29 @@ def scaled_transfer(alpha, z, k):
 
     Broadcasts over alpha, z and k (k > 0).  Returns (m11, m12, m22, b) with
     M = e^b [[m11, m12], [-m12, m22]], where m11 = e^{-2i chi}(c + t),
-    m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr from `_scaled_parts`, so
-    no entry is formed unscaled.  At w = 0 the analytic limits
-    m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
-    m12 -> -i chi come out automatically.  Raises OverflowError where alpha k
-    or z/k^2 does not fit in a double.
+    m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr from `_scaled_parts` at
+    chi = alpha k and zeta = z/k^2, so no entry is formed unscaled.  At w = 0
+    the analytic limits m11 -> e^{-2i chi}(1 + i chi),
+    m22 -> e^{2i chi}(1 - i chi), m12 -> -i chi come out automatically.
+    Raises OverflowError where alpha k or z/k^2 does not fit in a double.
     """
-    chi, w, x, c, t, sr = _scaled_parts(alpha, z, k, _NUMPY)
+    chi = alpha * k
+    w, x, c, t, sr = _scaled_parts(chi, z / k**2, _NUMPY)
     m11 = np.exp(-2j * chi) * (c + t)
     m22 = np.exp(2j * chi) * (c - t)
     m12 = 1j * (w * w - 1) * sr
     return m11, m12, m22, np.imag(x)
+
+
+def scaled_moduli(chi, zeta):
+    """(|m12|, |m22|, b) of `scaled_transfer` at real chi = alpha k and
+    zeta = z/k^2 (numpy arrays, broadcast).
+
+    |e^{+-2i chi}| = 1, so |m22| = |c - t| and |m12| = |w^2 - 1| |sr|: the
+    phase factors and m11 are never formed.
+    """
+    w, x, c, t, sr = _scaled_parts(chi, zeta, _NUMPY)
+    return np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag
 
 
 def transfer_matrix(spec, k):
@@ -171,8 +185,9 @@ def amplitudes(m):
 def m22_residual(spec, k):
     """Scale-free singularity residual |c - t| / ((|c| + |t|) min(1 + |x|, 1e3)).
 
-    |c - t| = e^{-b} |m22|, measured against the rounding level of c - t,
-    which grows like 1 + |x|; values below ~1e-9 certify a spectral
+    c, t and x are `_scaled_parts` at chi = alpha k and zeta = z/k^2, on
+    math.  |c - t| = e^{-b} |m22|, measured against the rounding level of
+    c - t, which grows like 1 + |x|; values below ~1e-9 certify a spectral
     singularity at working precision.  The growth is followed only up to
     |x| = 1e3, so a certified point always has |c - t| < 1e-6 (|c| + |t|) and
     no large alpha k can bring a point far from a zero of m22 under the gate.
@@ -180,7 +195,7 @@ def m22_residual(spec, k):
     Raises OverflowError where alpha k or z/k^2 does not fit in a double.
     """
     _check_k(k)
-    _, _, x, c, t, _ = _scaled_parts(spec.alpha, spec.z, k, _MATH)
+    _, x, c, t, _ = _scaled_parts(spec.alpha * k, spec.z / k**2, _MATH)
     return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
 
 

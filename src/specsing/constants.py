@@ -31,9 +31,11 @@ def principal_sqrt_upper(u):
         if s.imag > 0 or (s.imag == 0 and s.real >= 0):
             return s
         return -s
-    s = np.sqrt(np.asarray(u, dtype=np.complex128))
-    flip = (s.imag < 0) | ((s.imag == 0) & (s.real < 0))
-    return np.where(flip, -s, s)
+    u = np.asarray(u, dtype=np.complex128)
+    # numpy's principal root has Re >= 0, so only Im < 0 needs the flip
+    s = np.sqrt(u, out=np.empty_like(u))
+    np.negative(s, out=s, where=s.imag < 0)
+    return s
 
 
 def ev_to_inverse_nm(omega_ev):

@@ -97,13 +97,18 @@ def G_of(branch, rho, y):
     return kernels.phase(branch.n, branch.eps, rho, y) / r_of(rho, y, 1.0)
 
 
+class NoSignChange(ValueError):
+    """f(a) and f(b) have the same sign: [a, b] brackets no root of f."""
+
+
 def brentq(f, a, b):
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     A port of scipy's ``Zeros/brentq.c`` in the same operation order, so it
     returns the same double as ``scipy.optimize.brentq(f, a, b,
-    xtol=1e-300, rtol=1e-14)``.  Raises ValueError if f(a) and f(b) have
-    the same sign or f gives NaN, RuntimeError after 100 iterations.
+    xtol=1e-300, rtol=1e-14)``.  Raises NoSignChange (a ValueError) if f(a)
+    and f(b) have the same sign, ValueError if f gives NaN, RuntimeError
+    after 100 iterations.
     """
     def call(x):
         fx = f(x)
@@ -118,7 +123,7 @@ def brentq(f, a, b):
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise NoSignChange("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -159,8 +164,10 @@ def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
 
     Each sign change of fv is polished by ``polish(f, lo, hi)``, the
     caller's binding of ``brentq`` (so each layer's polish can be profiled
-    under its own name); exact zeros of fv are roots as they stand.  Roots
-    are kept as image(x), and one within rel_tol (relative) of a root
+    under its own name); one where f itself does not change sign (fv and f
+    differ in sign at an end, where f is at its rounding noise) holds no
+    root of f and is dropped.  Exact zeros of fv are roots as they stand.
+    Roots are kept as image(x), and one within rel_tol (relative) of a root
     already kept is a duplicate.
     """
     neg, pos = fv < 0.0, fv > 0.0
@@ -168,7 +175,10 @@ def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
     change |= pos[:-1] & neg[1:]
     roots = []
     for i in change.nonzero()[0]:
-        r = image(polish(f, xs[i], xs[i + 1]))
+        try:
+            r = image(polish(f, xs[i], xs[i + 1]))
+        except NoSignChange:
+            continue
         if roots and abs(r - roots[-1]) <= rel_tol * abs(r):
             continue
         roots.append(r)

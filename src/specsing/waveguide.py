@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import m22_residual, scaled_transfer
+from .barrier import m22_residual, scaled_moduli
 from .constants import HBAR_C_EV_NM
 from .locus import BranchLabel, _certify, _grid_roots, brentq
 
@@ -37,9 +37,9 @@ __all__ = [
 DEFAULT_GRID_POINTS = 20000
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
 _LOG10_E = math.log10(math.e)
-# gain_scan points per vectorized block: the ~20 temporaries of a block stay
-# in cache, and memory does not grow with the grid
-_SCAN_BLOCK = 2048
+# gain_scan points per vectorized block: enough to spread numpy's per-call
+# cost thin, while a block's temporaries (about 1 MB) do not grow with the grid
+_SCAN_BLOCK = 4096
 
 
 class CutoffError(ValueError):
@@ -130,7 +130,10 @@ def _checked_cutoff(geom, omega):
 def k_of(geom, omega):
     """Longitudinal wave number k = (omega/hbar c) sqrt(1 - Omega^2/omega^2)
     at omega, a float or an array of them."""
-    Om = _checked_cutoff(geom, omega)
+    return _k(_checked_cutoff(geom, omega), omega)
+
+
+def _k(Om, omega):
     # (1-Om/omega)(1+Om/omega) keeps precision just above cutoff
     u = (1 - Om / omega) * (1 + Om / omega)
     return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
@@ -139,7 +142,10 @@ def k_of(geom, omega):
 def rho_sigma_of(medium, geom, omega):
     """Locus-plane coordinates (rho, sigma) of the drive frequency omega, a
     float or an array of them."""
-    Om = _checked_cutoff(geom, omega)
+    return _rho_sigma(medium, _checked_cutoff(geom, omega), omega)
+
+
+def _rho_sigma(medium, Om, omega):
     d2 = omega**2 - medium.omega0**2
     den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
     rho = medium.omega_p_sq * d2 / den
@@ -216,28 +222,31 @@ def gain_scan(solution, medium, geom, ratio_grid):
     moves.  Returns an (N, 2) float64 array of (ratio, value) rows; iterating
     it, dict() and len() behave as on a list of pairs.
 
-    The grid goes through `scaled_transfer` in vectorized blocks of
-    _SCAN_BLOCK points.  With M = e^b M~,
-    |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log space as
-    log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite however
-    large the entries grow.  Where |m22| = e^b |m~22| < 1e-300 (at a
+    Each vectorized block of _SCAN_BLOCK points is fed to `scaled_moduli`
+    at chi = alpha k(omega) and zeta = z/k^2 = rho + i sigma, the locus point
+    of omega (at ratio 1 the design's own rho_star + i sigma_star).  With
+    M = e^b M~, |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log
+    space as log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite
+    however large the entries grow.  Where |m22| = e^b |m~22| < 1e-300 (at a
     singularity) the value is GAIN_CAP.  Raises CutoffError, before the
     matrix is evaluated, if any ratio puts omega at or below the cutoff (or
-    is not finite).
+    is not finite).  Within |ratio - 1| < 1e-5 of the design, m~22 = c - t
+    cancels, and the values there carry few correct digits.
     """
     ratios = np.asarray(ratio_grid, dtype=float)
     omega = ratios * solution.omega
-    _checked_cutoff(geom, omega)
+    Om = _checked_cutoff(geom, omega)
     scan = np.empty((len(ratios), 2))
     scan[:, 0] = ratios
     for lo in range(0, len(ratios), _SCAN_BLOCK):
         block = slice(lo, lo + _SCAN_BLOCK)
         om = omega[block]
-        _, m12, m22, b = scaled_transfer(solution.alpha, coupling_of(medium, geom, om),
-                                         k_of(geom, om))
-        a22 = np.abs(m22)
+        rho, sigma = _rho_sigma(medium, Om, om)
+        zeta = rho.astype(complex)
+        zeta.imag = sigma
+        a12, a22, b = scaled_moduli(solution.alpha * _k(Om, om), zeta)
         lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
         capped = lg22 + b * _LOG10_E < -300.0  # |m22| < 1e-300
-        values = np.log10(np.exp(-2.0 * b) + np.abs(m12) ** 2) - 2.0 * lg22
+        values = np.log10(np.exp(-2.0 * b) + a12 * a12) - 2.0 * lg22
         scan[block, 1] = np.where(capped, GAIN_CAP, values)
     return scan

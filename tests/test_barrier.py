@@ -14,11 +14,13 @@ from specsing.barrier import (
     amplitudes,
     m22_residual,
     oracle_transfer_matrix,
+    scaled_moduli,
     scaled_transfer,
     transfer_matrix,
     wavefunction_profile,
 )
 from specsing.cli import TABLE1, TABLE2
+from specsing.constants import principal_sqrt_upper
 from specsing.locus import RESIDUAL_TOL, BranchLabel, trace_curve
 from specsing.waveguide import GainMedium, WaveguideGeometry, find_singularities
 
@@ -200,6 +202,99 @@ class TestScaledTransfer:
         assert math.exp(-2 * b) + abs(m12) ** 2 == pytest.approx(abs(m22) ** 2, rel=1e-12)
 
 
+def _alpha_z_k_parts(alpha, z, k, ops):
+    """`_scaled_parts` as written on (alpha, z, k), before it took
+    chi = alpha k and zeta = z/k^2: (chi, w, x, c, t, sr)."""
+    exp, expm1, cos, sin, where, any, finite = ops
+    chi = alpha * k
+    w = principal_sqrt_upper(1 - z / k**2)
+    x = 2 * chi * w
+    assert finite(x)
+    a, b = x.real, x.imag
+    p = 0.5 + 0.5 * exp(-2 * b)
+    q = -0.5 * expm1(-2 * b)
+    cos_a, sin_a = cos(a), sin(a)
+    c = cos_a * p - 1j * (sin_a * q)
+    small = abs(x) < 1e-4
+    sinc = (sin_a * p + 1j * (cos_a * q)) / where(small, 1.0, x)
+    if any(small):
+        x2 = x * x
+        sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
+    sr = chi * sinc
+    return chi, w, x, c, 1j * (1 + w * w) * sr, sr
+
+
+def _alpha_z_k_transfer(alpha, z, k):
+    chi, w, x, c, t, sr = _alpha_z_k_parts(alpha, z, k, _NUMPY)
+    return (np.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
+            np.exp(2j * chi) * (c - t), np.imag(x))
+
+
+def _alpha_z_k_residual(alpha, z, k):
+    _, _, x, c, t, _ = _alpha_z_k_parts(alpha, z, k, _MATH)
+    return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
+
+
+def _bits(values):
+    """The bits of each double (complex: both parts), so -0.0 != 0.0."""
+    return [np.atleast_1d(np.asarray(v, dtype=complex)).view(np.uint64).tolist()
+            for v in values]
+
+
+def _seeded_barriers(count, seed=11):
+    """(alpha, z, k) arrays: chi from 1e-3 to 1e4, |z/k^2| up to 1e3, and a
+    quarter within 1e-9 of z = k^2, where the sinc series is taken."""
+    rng = np.random.default_rng(seed)
+    k = 10 ** rng.uniform(-3, 2, count)
+    alpha = 10 ** rng.uniform(-3, 4, count) / k
+    zeta = (10 ** rng.uniform(-3, 3, count)
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, count)))
+    near = rng.random(count) < 0.25
+    zeta[near] = 1 + 1e-9 * (rng.uniform(-1, 1, near.sum()) + 1j * rng.uniform(-1, 1, near.sum()))
+    return alpha, zeta * k * k, k
+
+
+class TestChiZetaForm:
+    """`_scaled_parts` takes chi = alpha k and zeta = z/k^2; its callers form
+    them with the operations the (alpha, z, k) form did, so every double of
+    the certified and unscaled paths is unchanged."""
+
+    @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
+    def test_hard_barriers_give_the_same_doubles(self, alpha, z, k):
+        spec = BarrierSpec(alpha=alpha, z=z)
+        assert _bits(scaled_transfer(alpha, z, k)) == _bits(_alpha_z_k_transfer(alpha, z, k))
+        assert _bits([m22_residual(spec, k)]) == _bits([_alpha_z_k_residual(alpha, z, k)])
+
+    def test_seeded_arrays_give_the_same_doubles(self):
+        alpha, z, k = _seeded_barriers(4000)
+        assert _bits(scaled_transfer(alpha, z, k)) == _bits(_alpha_z_k_transfer(alpha, z, k))
+
+    def test_seeded_residuals_give_the_same_doubles(self):
+        for alpha, z, k in zip(*_seeded_barriers(2000, seed=12)):
+            spec = BarrierSpec(alpha=float(alpha), z=complex(z))
+            assert m22_residual(spec, float(k)) == _alpha_z_k_residual(
+                float(alpha), complex(z), float(k))
+
+
+class TestScaledModuli:
+    @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
+    def test_moduli_of_the_scaled_entries(self, alpha, z, k):
+        # |e^{+-2i chi}| = 1 up to rounding, so the moduli agree to a few ulp
+        a12, a22, b = scaled_moduli(alpha * k, z / k**2)
+        _, m12, m22, b_ref = scaled_transfer(alpha, z, k)
+        assert b == b_ref
+        assert a12 == pytest.approx(abs(m12), rel=1e-15, abs=1e-300)
+        assert a22 == pytest.approx(abs(m22), rel=1e-15, abs=1e-300)
+
+    def test_seeded_arrays(self):
+        alpha, z, k = _seeded_barriers(4000, seed=13)
+        a12, a22, b = scaled_moduli(alpha * k, z / k**2)
+        _, m12, m22, b_ref = scaled_transfer(alpha, z, k)
+        assert (b == b_ref).all()
+        np.testing.assert_allclose(a12, np.abs(m12), rtol=1e-15, atol=1e-300)
+        np.testing.assert_allclose(a22, np.abs(m22), rtol=1e-15, atol=1e-300)
+
+
 class TestAmplitudes:
     def test_transmission_is_inverse_m22(self):
         m = transfer_matrix(BarrierSpec(alpha=1.0, z=0.5 + 0.2j), 1.0)
@@ -276,8 +371,9 @@ class TestResidual:
     @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
     def test_float_and_array_tables_agree(self, alpha, z, k):
         # m22_residual runs the closed form on math, scaled_transfer on numpy
-        for got, want in zip(_scaled_parts(alpha, z, k, _MATH),
-                             _scaled_parts(alpha, z, k, _NUMPY)):
+        chi, zeta = alpha * k, z / k**2
+        for got, want in zip(_scaled_parts(chi, zeta, _MATH),
+                             _scaled_parts(chi, zeta, _NUMPY)):
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("alpha,z,k", [(1e300, 1 + 1j, 1e10), (1.0, 1 + 1j, 1e-160)])

@@ -161,6 +161,13 @@ class TestCurveCommand:
                    "--samples", "4", "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_NO_SOLUTIONS
 
+    def test_noise_bracket_is_not_an_error(self, tmp_path, capsys):
+        # a grid sign change that F itself does not make (n = 1 noise tail)
+        rc = main(["curve", "--n", "1", "--rho-min", "0.6666666667", "--rho-max", "0.7",
+                   "--samples", "3", "--out", str(tmp_path / "c.csv")])
+        assert rc in (EXIT_OK, EXIT_NO_SOLUTIONS)
+        assert "error:" not in capsys.readouterr().err
+
     def test_bad_branch(self):
         assert main(["curve", "--n", "0", "--rho-min", "0.7",
                      "--rho-max", "0.9"]) == EXIT_BAD_INPUT

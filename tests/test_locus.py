@@ -14,6 +14,7 @@ from specsing.locus import (
     _Y_GRID,
     BranchLabel,
     G_of,
+    NoSignChange,
     _certify,
     _excluded,
     _grid_roots,
@@ -94,6 +95,12 @@ class TestSolveSigma:
         assert p.sigma == pytest.approx(0.6168308757, rel=1e-8)
         assert p.alpha_k == pytest.approx(1.3631373392, rel=1e-8)
         assert p.residual < 1e-9
+
+    def test_noise_bracket_is_not_an_error(self):
+        # in the n = 1 noise tail f_grid and f_scalar can differ in sign at a
+        # bracket end; that bracket holds no root of F and is dropped
+        pts = solve_sigma(B1, 0.66666666667)
+        assert all(p.residual < 1e-9 and p.sigma > 0 for p in pts)
 
     def test_rho_06_below_asymptote_is_empty(self):
         assert solve_sigma(B1, 0.6) == []
@@ -383,12 +390,26 @@ class TestRootPipeline:
             assert self._run(brentq, f, a, b) == self._run(reference, f, a, b)
 
     def test_brentq_raises_without_sign_change(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoSignChange):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert issubclass(NoSignChange, ValueError)
 
     def test_brentq_raises_on_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        assert not isinstance(info.value, NoSignChange)
+
+    def test_bracket_where_f_keeps_its_sign_is_dropped(self):
+        # fv changes sign on [1, 2] where f = 2.5 - x does not: no root there
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        fv = np.array([-1.0, -1.0, 1.0, -1.0])
+        roots = _grid_roots(brentq, lambda x: 2.5 - x, xs, fv, 1e-9)
+        assert roots == [pytest.approx(2.5, rel=1e-14)]
+
+    def test_nan_still_raises_through_the_pipeline(self):
+        xs = np.array([0.0, 1.0])
+        with pytest.raises(ValueError):
+            _grid_roots(brentq, lambda x: math.nan, xs, np.array([-1.0, 1.0]), 1e-9)
 
     def test_brentq_raises_when_not_converged(self):
         # a jump at 1e-200 inside [-1e300, 4e300] needs ~2000 halvings to

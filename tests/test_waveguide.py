@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specsing import waveguide
-from specsing.barrier import BarrierSpec, oracle_transfer_matrix
+from specsing.barrier import BarrierSpec, oracle_transfer_matrix, scaled_transfer
 from specsing.constants import HBAR_C_EV_NM
 from specsing.waveguide import (
     GAIN_CAP,
@@ -186,6 +186,21 @@ def _oracle_gain(sol, ratio):
     return math.log10((1 + abs(m.m12) ** 2) / abs(m.m22) ** 2)
 
 
+def _mp_gain(mp, sol, geom, omega):
+    """log10(|T|^2 + |R|^2) at the double omega in mpmath, from the textbook
+    entries; the doubles alpha, Omega and the medium are taken as exact."""
+    om, hc = mp.mpf(omega), mp.mpf(HBAR_C_EV_NM)
+    k = om / hc * mp.sqrt(1 - mp.mpf(geom.omega_cutoff) ** 2 / om**2)
+    eps = 1 - mp.mpf(MEDIUM.omega_p_sq) / (om**2 - mp.mpf(MEDIUM.omega0) ** 2
+                                          + 2j * mp.mpf(MEDIUM.delta) * om)
+    w = mp.sqrt(1 - (om / hc) ** 2 * (1 - eps) / k**2)  # either root: M is even in w
+    x = 2 * mp.mpf(sol.alpha) * k * w
+    sr = mp.sin(x) / (2 * w)
+    m12 = 1j * (w * w - 1) * sr
+    m22 = mp.exp(2j * mp.mpf(sol.alpha) * k) * (mp.cos(x) - 1j * (1 + w * w) * sr)
+    return mp.log10((1 + abs(m12) ** 2) / abs(m22) ** 2)
+
+
 class TestGainScan:
     def test_returns_ratio_value_rows(self):
         s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
@@ -218,16 +233,16 @@ class TestGainScan:
         # |m22| = e^b |m~22| below 1e-300 is capped: an exact zero of m~22 and
         # 1e-305 e^1; 1e-305 e^100 ~ 3e-262 is kept
         s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
-        kernel = waveguide.scaled_transfer
+        kernel = waveguide.scaled_moduli
 
-        def tiny_m22(alpha, z, k):
-            m11, m12, m22, b = kernel(alpha, z, k)
-            m22, b = m22.copy(), b.copy()
-            m22[:] = [0.0, 1e-305, 1e-305]
+        def tiny_m22(chi, zeta):
+            a12, a22, b = kernel(chi, zeta)
+            a22, b = a22.copy(), b.copy()
+            a22[:] = [0.0, 1e-305, 1e-305]
             b[:] = [1.0, 1.0, 100.0]
-            return m11, m12, m22, b
+            return a12, a22, b
 
-        monkeypatch.setattr(waveguide, "scaled_transfer", tiny_m22)
+        monkeypatch.setattr(waveguide, "scaled_moduli", tiny_m22)
         scan = gain_scan(s2, MEDIUM, GEOM_1CM, [0.999, 0.9995, 1.001])
         assert list(scan[:2, 1]) == [GAIN_CAP, GAIN_CAP]
         assert 600 < scan[2, 1] < 700
@@ -239,9 +254,53 @@ class TestGainScan:
         def not_called(*args):
             raise AssertionError("transfer matrix evaluated")
 
-        monkeypatch.setattr(waveguide, "scaled_transfer", not_called)
+        monkeypatch.setattr(waveguide, "scaled_moduli", not_called)
         with pytest.raises(CutoffError):
             gain_scan(s2, MEDIUM, GEOM_1CM, [1.0, bad, 1.1])
+
+    def test_ratio_one_is_the_certified_point(self, monkeypatch):
+        # zeta = z/k^2 is the locus point rho + i sigma of omega, so at
+        # ratio 1 the scan evaluates the design's own (rho_star, sigma_star)
+        kernel, seen = waveguide.scaled_moduli, []
+
+        def recorded(chi, zeta):
+            seen.append((chi.copy(), zeta.copy()))
+            return kernel(chi, zeta)
+
+        monkeypatch.setattr(waveguide, "scaled_moduli", recorded)
+        designs = 0
+        for geom in (WaveguideGeometry(beta=500.0), WaveguideGeometry(beta=5e5), GEOM_1CM):
+            for n in (2, 2000, 10000):
+                for sol in find_singularities(MEDIUM, geom, n):
+                    seen.clear()
+                    gain_scan(sol, MEDIUM, geom, [1 - 1e-4, 1.0, 1 + 1e-4])
+                    ((chi, zeta),) = seen
+                    assert zeta[1] == complex(sol.rho_star, sol.sigma_star)
+                    assert chi[1] == sol.alpha * sol.k
+                    designs += 1
+        assert designs >= 10
+
+    def test_rows_near_a_design_are_no_less_accurate(self):
+        # against a 50-digit evaluation at the same double omega, the scan's
+        # worst row is within 1 % of the (alpha, z, k) path's worst row; both
+        # err by the closed form's rounding of x = 2 chi w, amplified where
+        # m22 nearly cancels, which neither path can remove
+        mpmath = pytest.importorskip("mpmath")
+        offsets = [s * d for d in (1e-5, 3e-5, 1e-4, 3e-4, 1e-3) for s in (-1, 1)]
+        for geom, n, ell in ((GEOM_1CM, 2000, 2), (WaveguideGeometry(beta=5e5), 5000, 2),
+                             (WaveguideGeometry(beta=500.0), 3000, 1)):
+            sol = find_singularities(MEDIUM, geom, n)[ell - 1]
+            ratios = 1.0 + np.array(offsets)
+            om = ratios * sol.omega
+            _, m12, m22, b = scaled_transfer(sol.alpha, coupling_of(MEDIUM, geom, om),
+                                             k_of(geom, om))
+            old = np.log10(np.exp(-2 * b) + np.abs(m12) ** 2) - 2 * np.log10(np.abs(m22))
+            new = gain_scan(sol, MEDIUM, geom, ratios)[:, 1]
+            with mpmath.workdps(50):
+                ref = [_mp_gain(mpmath.mp, sol, geom, w) for w in om]
+                err_old = max(float(abs(v - r) / abs(r)) for v, r in zip(old, ref))
+                err_new = max(float(abs(v - r) / abs(r)) for v, r in zip(new, ref))
+            assert err_new <= 1.01 * err_old
 
     def test_ell1_design_scans_to_near_cutoff(self):
         # the matrix entries of this design grow past a double near cutoff
