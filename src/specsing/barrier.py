@@ -81,8 +81,9 @@ class ScatteringAmplitudes:
 
 
 def _check_k(k):
-    if not (k > 0 and math.isfinite(k) and k * k > 0):
-        raise ValueError(f"k must be positive and finite with k^2 > 0, got {k}")
+    # z/k^2 needs a k^2 that neither underflows to 0 nor overflows to inf
+    if not (0 < k < math.inf and 0 < k * k < math.inf):
+        raise ValueError(f"k must be positive and finite with 0 < k^2 < inf, got {k}")
 
 
 def _scaled_parts(chi, zeta, ops):

@@ -9,17 +9,16 @@ Subcommands:
 
 Exit codes: 0 success with results, 2 valid run with no solutions,
 3 invalid input or configuration, an arithmetic failure (a result that
-does not fit in a double), or a request too large for memory.
+does not fit in a double), a request too large for memory, or output that
+cannot be written.  `main` is the one place that turns an exception into
+an `error:` line and exit code 3.
 
 Numeric CSV fields use %.12e and LF line endings so output is
-byte-deterministic for fixed inputs.  The frequency-grid density of the
-design solver can be overridden with the SPECSING_GRID_POINTS environment
-variable.
+byte-deterministic for fixed inputs.
 """
 
 import argparse
 import math
-import os
 import re
 import sys
 
@@ -27,14 +26,7 @@ import numpy as np
 
 from .barrier import BarrierSpec, SpectralSingularityError, amplitudes, m22_residual, transfer_matrix
 from .locus import BranchLabel, trace_curve
-from .waveguide import (
-    CutoffError,
-    DEFAULT_GRID_POINTS,
-    GainMedium,
-    WaveguideGeometry,
-    find_singularities,
-    gain_scan,
-)
+from .waveguide import GainMedium, WaveguideGeometry, find_singularities, gain_scan
 
 EXIT_OK = 0
 EXIT_NO_SOLUTIONS = 2
@@ -133,32 +125,20 @@ def medium_geometry(cfg):
     return medium, geom
 
 
-def grid_points_from_env():
-    raw = os.environ.get("SPECSING_GRID_POINTS")
-    if raw is None:
-        return DEFAULT_GRID_POINTS
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"SPECSING_GRID_POINTS must be an integer, got {raw!r}")
-    if n < 100:
-        raise CliError("SPECSING_GRID_POINTS must be >= 100")
-    return n
-
-
 def _fmt_c(c):
     return f"{c.real:.12e}{c.imag:+.12e}i"
 
 
 def _write(out_path, text):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full disk or closed pipe fails here, not at exit
+        else:
             with open(out_path, "w", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}")
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path or 'stdout'}: {exc}")
 
 
 def cmd_transfer(args):
@@ -210,19 +190,14 @@ def _solution_record(sol):
 
 def _solve_design(args, cfg):
     medium, geom = medium_geometry(cfg)
-    sols = find_singularities(medium, geom, args.n,
-                              grid_points=grid_points_from_env())
+    sols = find_singularities(medium, geom, args.n)
     if getattr(args, "ell", None) is not None:
         sols = [s for s in sols if s.ell == args.ell]
     return medium, geom, sols
 
 
 def cmd_design(args):
-    cfg = load_config(args.config)
-    try:
-        _, _, sols = _solve_design(args, cfg)
-    except (CutoffError, ValueError) as exc:
-        raise CliError(str(exc))
+    _, _, sols = _solve_design(args, load_config(args.config))
     _write(args.out, "".join(_solution_record(s) + "\n" for s in sols))
     return EXIT_OK if sols else EXIT_NO_SOLUTIONS
 
@@ -232,11 +207,7 @@ def cmd_scan(args):
         raise CliError(f"span must be finite, got {args.span}")
     if args.points < 1:
         raise CliError(f"points must be >= 1, got {args.points}")
-    cfg = load_config(args.config)
-    try:
-        medium, geom, sols = _solve_design(args, cfg)
-    except (CutoffError, ValueError) as exc:
-        raise CliError(str(exc))
+    medium, geom, sols = _solve_design(args, load_config(args.config))
     if not sols:
         return EXIT_NO_SOLUTIONS
     sol = sols[0]
@@ -305,7 +276,7 @@ def _table_line(tag, ell_or_n, sol, lam_exp, ta_exp, se_exp):
             f"dev {devs[2]:.1e}/{devs[3]:.1e})"), max(devs)
 
 
-def compute_table(which, grid_points=DEFAULT_GRID_POINTS):
+def compute_table(which):
     """Recompute a reference table; yields (line, max_rel_dev) per row."""
     medium = GainMedium(omega0=DEFAULT_CONFIG["omega0_eV"],
                         omega_p_sq=DEFAULT_CONFIG["omega_p_sq_eV2"],
@@ -314,8 +285,7 @@ def compute_table(which, grid_points=DEFAULT_GRID_POINTS):
     if which == 1:
         for label, tb, rows in TABLE1:
             geom = WaveguideGeometry(beta=tb / 2.0, m=1)
-            sols = {s.ell: s for s in find_singularities(medium, geom, 10000,
-                                                         grid_points=grid_points)}
+            sols = {s.ell: s for s in find_singularities(medium, geom, 10000)}
             for ell, lam_exp, ta_exp, se_exp in rows:
                 out.append(_table_line(label, f"ell={ell}", sols[ell],
                                        lam_exp, ta_exp, se_exp))
@@ -323,8 +293,7 @@ def compute_table(which, grid_points=DEFAULT_GRID_POINTS):
         geom = WaveguideGeometry(beta=5e6, m=1)  # 2beta/m = 1 cm
         for ell, rows in TABLE2:
             for n, lam_exp, ta_exp, se_exp in rows:
-                sols = {s.ell: s for s in find_singularities(medium, geom, n,
-                                                             grid_points=grid_points)}
+                sols = {s.ell: s for s in find_singularities(medium, geom, n)}
                 out.append(_table_line(f"ell={ell}", f"n={n}", sols[ell],
                                        lam_exp, ta_exp, se_exp))
     else:
@@ -335,7 +304,7 @@ def compute_table(which, grid_points=DEFAULT_GRID_POINTS):
 def cmd_tables(args):
     lines = []
     worst = 0.0
-    for line, dev in compute_table(args.which, grid_points=grid_points_from_env()):
+    for line, dev in compute_table(args.which):
         lines.append(line)
         worst = max(worst, dev)
     lines.append(f"worst relative deviation: {worst:.2e}")

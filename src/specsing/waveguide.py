@@ -116,12 +116,7 @@ def _checked_cutoff(geom, omega):
     """The cutoff Omega, once every omega (a float or an array) is checked to
     be finite and above it."""
     Om = geom.omega_cutoff
-    if isinstance(omega, np.ndarray):
-        ok = ((omega > Om) & (omega < np.inf)).all()
-    else:
-        # np.all costs microseconds on a float
-        ok = Om < omega < math.inf
-    if not ok:
+    if not np.all((omega > Om) & (omega < np.inf)):
         raise CutoffError(f"omega = {np.min(omega)} eV is not a finite value "
                           f"above cutoff {Om} eV")
     return Om
@@ -160,11 +155,6 @@ def coupling_of(medium, geom, omega):
     return kk * kk * (1 - permittivity(medium, omega))
 
 
-def _mismatch(n, medium, geom, omega):
-    rho, sigma = rho_sigma_of(medium, geom, omega)
-    return kernels.f_scalar(n, -1, rho, sigma / (1.0 - rho))
-
-
 def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     """All certified singularity designs of branch (n, -) in the window
     (Omega (1 + 1e-9), 10 omega0); CutoffError if it is empty.
@@ -175,6 +165,12 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     change is polished by Brent's method and certified by the barrier
     residual.  Solutions are labeled ell = 1, 2, ... by descending rho
     (ties by ascending sigma) to match the count-down-from-rho=1 convention.
+
+    The window is checked once, here: it must be non-empty (CutoffError), and
+    the map from omega to (rho, sigma) must evaluate on its grid without
+    overflow, division by zero or NaN (OverflowError otherwise, as where
+    omega0^2 or 10 omega0 exceeds a double).  Every polish step and every
+    root lies inside the grid, so none is checked again.
     """
     if n < 1:
         raise ValueError(f"branch index must be >= 1, got {n}")
@@ -182,23 +178,31 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     lo, hi = Om * (1 + 1e-9), 10.0 * medium.omega0
     if not lo < hi:
         raise CutoffError(f"cutoff {Om} eV is not below 10 omega0 = {hi} eV")
-    us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-    rho, sigma = rho_sigma_of(medium, geom, Om + np.exp(us))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
+            rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
+    except (FloatingPointError, OverflowError):  # numpy's, or a float power's
+        raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
+                            f"double on the window ({lo}, {hi}) eV") from None
     with np.errstate(over="ignore"):
         g = kernels.f_grid(n, -1, rho, sigma / (1.0 - rho))
 
     def omega_of(u):
         return Om + math.exp(u)
 
-    roots = _grid_roots(brentq, lambda u: _mismatch(n, medium, geom, omega_of(u)),
-                        us, g, 1e-9, omega_of)
+    def mismatch(u):
+        r_, s_ = _rho_sigma(medium, Om, omega_of(u))
+        return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_))
+
+    roots = _grid_roots(brentq, mismatch, us, g, 1e-9, omega_of)
     sols = []
     branch = BranchLabel(n=n, eps=-1)
     for om in roots:
-        r_, s_ = rho_sigma_of(medium, geom, om)
+        r_, s_ = _rho_sigma(medium, Om, om)
         if r_ >= 1:
             continue
-        k = k_of(geom, om)
+        k = _k(Om, om)
         pt = _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)
         if pt is None:
             continue

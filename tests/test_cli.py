@@ -1,3 +1,4 @@
+import errno
 import warnings
 
 import pytest
@@ -218,12 +219,6 @@ class TestDesignCommand:
         p.write_text(line + "\n")
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
 
-    def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECSING_GRID_POINTS", "50")
-        assert main(["design", "--n", "2000"]) == EXIT_BAD_INPUT
-        monkeypatch.setenv("SPECSING_GRID_POINTS", "4000")
-        assert main(["design", "--n", "2000", "--ell", "2"]) == EXIT_OK
-
 
 class TestScanCommand:
     def test_scan_csv(self, tmp_path):
@@ -248,8 +243,7 @@ class TestScanCommand:
 
 
 class TestTablesCommand:
-    def test_table2_deviations(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPECSING_GRID_POINTS", "8000")
+    def test_table2_deviations(self, capsys):
         rc = main(["tables", "--which", "2"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
@@ -277,6 +271,14 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
                  None, None, EXIT_NO_SOLUTIONS, id="curve-empty"),
     pytest.param(["design", "--n", "2000"], "omega_p_sq_eV2 = 0", None, EXIT_BAD_INPUT,
                  id="design-free-medium"),
+    # media whose map from omega to (rho, sigma) overflows on the window, or
+    # whose window end 10 omega0 does
+    pytest.param(["design", "--n", "2000"], "omega0_eV = 1e200", None, EXIT_BAD_INPUT,
+                 id="design-omega0-square-overflow"),
+    pytest.param(["design", "--n", "2000"], "omega0_eV = 1e308", None, EXIT_BAD_INPUT,
+                 id="design-window-end-overflow"),
+    pytest.param(["design", "--n", "2000"], "delta_eV = 1e300", None, EXIT_BAD_INPUT,
+                 id="design-delta-square-overflow"),
     # stand-ins for curve --samples 1e11 and scan --points 1e11, whose arrays
     # do not fit in memory; nothing that large is allocated here
     pytest.param(CURVE, None, "trace_curve", EXIT_BAD_INPUT, id="curve-out-of-memory"),
@@ -286,6 +288,8 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
                  EXIT_BAD_INPUT, id="transfer-chi-overflow"),
     pytest.param(["transfer", "--z", "1+1i", "--alpha", "1nm", "--k", "1e-170"], None, None,
                  EXIT_BAD_INPUT, id="transfer-k-squared-underflow"),
+    pytest.param(["transfer", "--z", "1", "--alpha", "2nm", "--k", "1e200"], None, None,
+                 EXIT_BAD_INPUT, id="transfer-k-squared-overflow"),
 ])
 def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, config, oom, code):
     if config is not None:
@@ -300,3 +304,30 @@ def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, c
     assert rc in (EXIT_OK, EXIT_NO_SOLUTIONS, EXIT_BAD_INPUT) and rc == code
     assert err == "" if rc != EXIT_BAD_INPUT else (
         err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err)
+    assert not err.startswith("error: (")  # a bare errno tuple such as (34, '...') names nothing
+
+
+class _FullStdout:
+    """A stdout on a full disk: every write and flush fails."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+# a buffered stdout fails at the flush, an unbuffered one at the write
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["design", "--n", "2000"], ["tables", "--which", "1"]])
+def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on):
+    monkeypatch.setattr("sys.stdout", _FullStdout(fail_on))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_BAD_INPUT
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"

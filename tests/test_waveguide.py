@@ -177,6 +177,22 @@ class TestFindSingularities:
         with pytest.raises(CutoffError):
             find_singularities(MEDIUM, geom, 2000)
 
+    # the problems behind the 17 designs of Tables 1 (2 beta/m = 1 um, 1 mm,
+    # 1 cm at n = 10000) and 2 (1 cm at n = 2000...5000), where n = 2000 at
+    # 1 cm is also the README's design example
+    @pytest.mark.parametrize("beta,n", [(tb / 2.0, 10000) for tb in (1e3, 1e6, 1e7)]
+                             + [(5e6, n) for n in (2000, 3000, 4000, 5000)])
+    def test_designs_do_not_depend_on_grid_density(self, beta, n):
+        geom = WaveguideGeometry(beta=beta)
+        ref = find_singularities(MEDIUM, geom, n)
+        assert len(ref) >= 2
+        for points in (5000, 10000, 40000):
+            sols = find_singularities(MEDIUM, geom, n, grid_points=points)
+            assert [s.ell for s in sols] == [s.ell for s in ref]
+            for s, r in zip(sols, ref):
+                assert s.omega == pytest.approx(r.omega, rel=1e-13, abs=0)
+                assert s.alpha == pytest.approx(r.alpha, rel=1e-13, abs=0)
+
 
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
