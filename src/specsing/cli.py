@@ -19,6 +19,7 @@ byte-deterministic for fixed inputs.
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -133,12 +134,27 @@ def _write(out_path, text):
     try:
         if out_path is None:
             sys.stdout.write(text)
-            sys.stdout.flush()  # a full disk or closed pipe fails here, not at exit
+            sys.stdout.flush()  # a full disk or closed pipe fails here
         else:
             with open(out_path, "w", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
+        if out_path is None:
+            _discard_stdout()
         raise CliError(f"cannot write {out_path or 'stdout'}: {exc}")
+
+
+def _discard_stdout():
+    """Point stdout's file descriptor at devnull.  A failed flush keeps its
+    bytes buffered, and the interpreter flushes stdout again at exit; without
+    this that flush fails too, prints `Exception ignored ...` and exits 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor behind stdout: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def cmd_transfer(args):

@@ -1,8 +1,12 @@
 import errno
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import specsing
 from specsing import cli
 from specsing.cli import (
     CliError,
@@ -331,3 +335,23 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on)
     err = capsys.readouterr().err
     assert rc == EXIT_BAD_INPUT
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+# In a real process the interpreter flushes stdout once more at exit, which a
+# monkeypatched stdout never sees: the bytes a failed flush left buffered must
+# not fail again there (that prints `Exception ignored ...` and exits 120).
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["design", "--n", "2000"], ["tables", "--which", "1"]])
+def test_unwritable_stdout_in_a_process_is_one_error_line(argv, unbuffered):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(specsing.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "specsing.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
