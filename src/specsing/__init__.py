@@ -7,11 +7,10 @@ from .barrier import (
     TransferMatrix,
     amplitudes,
     m22_residual,
-    oracle_transfer_matrix,
     scaled_transfer,
     transfer_matrix,
 )
-from .constants import HBAR_C_EV_NM, ev_to_inverse_nm, principal_sqrt_upper
+from .constants import HBAR_C_EV_NM, principal_sqrt_upper
 from .locus import BranchLabel, LocusPoint, solve_sigma, trace_curve
 from .waveguide import (
     GainMedium,

@@ -9,10 +9,6 @@ only statement of the closed form, in the dimensionless chi = alpha k and
 zeta = z/k^2: `scaled_transfer` evaluates it with numpy (it broadcasts),
 `scaled_moduli` takes only the moduli a frequency scan prints from it, and
 `m22_residual`, which certifies singularities, evaluates it with math.
-
-`oracle_transfer_matrix` re-derives the matrix by brute-force plane-wave
-matching (a 4x4 linear solve per basis column) and is kept deliberately
-independent of the closed form for cross-validation.
 """
 
 import cmath
@@ -28,23 +24,16 @@ __all__ = [
     "TransferMatrix",
     "ScatteringAmplitudes",
     "SpectralSingularityError",
-    "NumericalDegeneracyError",
     "scaled_transfer",
     "scaled_moduli",
     "transfer_matrix",
     "amplitudes",
     "m22_residual",
-    "oracle_transfer_matrix",
-    "wavefunction_profile",
 ]
 
 
 class SpectralSingularityError(ArithmeticError):
     """Raised when amplitudes are requested exactly at a zero of m22."""
-
-
-class NumericalDegeneracyError(ArithmeticError):
-    """Raised when a plane-wave matching system is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,6 @@ class TransferMatrix:
 class ScatteringAmplitudes:
     t: complex
     r_left: complex
-    r_right: complex
 
 
 def _check_k(k):
@@ -173,14 +161,10 @@ def transfer_matrix(spec, k):
 
 
 def amplitudes(m):
-    """Transmission and reflection amplitudes t = 1/m22, r = -m21/m22, m12/m22."""
+    """Transmission and reflection amplitudes t = 1/m22 and r = -m21/m22."""
     if m.m22 == 0:
         raise SpectralSingularityError("m22 = 0: amplitudes are infinite")
-    return ScatteringAmplitudes(
-        t=1 / m.m22,
-        r_left=-m.m21 / m.m22,
-        r_right=m.m12 / m.m22,
-    )
+    return ScatteringAmplitudes(t=1 / m.m22, r_left=-m.m21 / m.m22)
 
 
 def m22_residual(spec, k):
@@ -199,88 +183,3 @@ def m22_residual(spec, k):
     _, x, c, t, _ = _scaled_parts(spec.alpha * k, spec.z / k**2, _MATH)
     return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
 
-
-def oracle_transfer_matrix(spec, k):
-    """Transfer matrix by direct plane-wave matching; independent oracle.
-
-    For each prescribed left-side coefficient pair (1,0), (0,1) the interior
-    solution C e^{i k w x} + D e^{-i k w x} is matched (value and derivative)
-    at x = -alpha and x = +alpha and the right-side pair is read off; the two
-    results form the matrix columns.  Uses numpy's standard sqrt branch: the
-    interior basis only spans the same space, so the result is branch-free.
-    """
-    _check_k(k)
-    a = spec.alpha
-    w = np.sqrt(complex(1 - spec.z / k**2))
-    if w == 0:
-        raise NumericalDegeneracyError("degenerate interior (z = k^2)")
-    ep = np.exp(1j * k * a)          # e^{+ika}
-    em = np.exp(-1j * k * a)         # e^{-ika}
-    fp = np.exp(1j * k * w * a)      # e^{+ikwa}
-    fm = np.exp(-1j * k * w * a)     # e^{-ikwa}
-    cols = []
-    for am, bm in ((1.0, 0.0), (0.0, 1.0)):
-        # unknowns: C, D, A+, B+
-        A = np.array([
-            [fm, fp, 0, 0],
-            [w * fm, -w * fp, 0, 0],
-            [fp, fm, -ep, -em],
-            [w * fp, -w * fm, -ep, em],
-        ], dtype=complex)
-        b = np.array([
-            am * em + bm * ep,
-            am * em - bm * ep,
-            0,
-            0,
-        ], dtype=complex)
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError(str(exc)) from exc
-        cols.append((sol[2], sol[3]))
-    return TransferMatrix(m11=cols[0][0], m12=cols[1][0],
-                          m21=cols[0][1], m22=cols[1][1])
-
-
-def wavefunction_profile(spec, k, which, xs):
-    """Scattering wavefunction psi(x) sampled at sorted positions xs (nm).
-
-    which: 'left-incident' (unit wave from x = -inf) or 'right-incident'.
-    psi and psi' are continuous at +-alpha by construction.
-    """
-    _check_k(k)
-    if which not in ("left-incident", "right-incident"):
-        raise ValueError(f"unknown incidence {which!r}")
-    a = spec.alpha
-    amp = amplitudes(transfer_matrix(spec, k))
-    w = np.sqrt(complex(1 - spec.z / k**2))
-    if w == 0:
-        raise NumericalDegeneracyError("degenerate interior (z = k^2)")
-    if which == "left-incident":
-        # x < -a: e^{ikx} + R e^{-ikx};  x > a: T e^{ikx}
-        a_l, b_l = 1.0, amp.r_left
-        a_r, b_r = amp.t, 0.0
-    else:
-        # x > a: e^{-ikx} + R e^{ikx};  x < -a: T e^{-ikx}
-        a_l, b_l = 0.0, amp.t
-        a_r, b_r = amp.r_right, 1.0
-    # interior C e^{ikwx} + D e^{-ikwx} matched at x = -a
-    em = np.exp(-1j * k * a)
-    ep = np.exp(1j * k * a)
-    fm = np.exp(-1j * k * w * a)
-    fp = np.exp(1j * k * w * a)
-    A = np.array([[fm, fp], [w * fm, -w * fp]], dtype=complex)
-    b = np.array([a_l * em + b_l * ep, a_l * em - b_l * ep], dtype=complex)
-    try:
-        c_in, d_in = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(str(exc)) from exc
-    xs = np.asarray(xs, dtype=float)
-    psi = np.empty(xs.shape, dtype=complex)
-    left = xs < -a
-    right = xs > a
-    mid = ~(left | right)
-    psi[left] = a_l * np.exp(1j * k * xs[left]) + b_l * np.exp(-1j * k * xs[left])
-    psi[mid] = c_in * np.exp(1j * k * w * xs[mid]) + d_in * np.exp(-1j * k * w * xs[mid])
-    psi[right] = a_r * np.exp(1j * k * xs[right]) + b_r * np.exp(-1j * k * xs[right])
-    return psi

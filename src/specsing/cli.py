@@ -50,11 +50,12 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Reports bad usage as CliError, and reads a token that starts with '-'
-    and a digit or '.' (-1+0.5i, -1j, -2e-1) as a value, never as an option."""
+    and a digit, '.', 'inf' or 'nan' in any case (-1+0.5i, -1j, -2e-1, -inf,
+    -NaN) as a value, never as an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-[\d.]")
+        self._negative_number_matcher = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise CliError(message)

@@ -5,11 +5,10 @@ in nm^-1.  The single conversion constant is hbar*c in eV*nm.
 """
 
 import cmath
-import math
 
 import numpy as np
 
-__all__ = ["HBAR_C_EV_NM", "principal_sqrt_upper", "ev_to_inverse_nm"]
+__all__ = ["HBAR_C_EV_NM", "principal_sqrt_upper"]
 
 # hbar * c in eV * nm (CODATA 2018)
 HBAR_C_EV_NM = 197.3269804
@@ -37,9 +36,3 @@ def principal_sqrt_upper(u):
     np.negative(s, out=s, where=s.imag < 0)
     return s
 
-
-def ev_to_inverse_nm(omega_ev):
-    """Convert an energy (hbar*omega, eV) to a vacuum wave number omega/c in nm^-1."""
-    if not (omega_ev >= 0 and math.isfinite(omega_ev)):
-        raise ValueError(f"energy must be non-negative and finite, got {omega_ev}")
-    return omega_ev / HBAR_C_EV_NM

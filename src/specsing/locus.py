@@ -6,7 +6,11 @@ one-parameter family of real equations F(n, eps; rho, y) = 0 labeled by an
 integer branch index n and a sign eps, and the product alpha*k at a solution
 is fixed by G(n, eps; rho, y).  Candidate roots of F are certified by
 evaluating the barrier residual on a concrete (k, alpha, z) realization;
-only certified points are reported (eps = -, n >= 1, sigma > 0 survive).
+only points whose residual is below RESIDUAL_TOL are reported.  The gate
+reads the residual alone, not the branch: eps = + candidates certify too
+where 1 - rho is below about 1e-10 (alpha k of 1e7 to 1e10), since there the
+residual's factor min(1 + |x|, 1e3) = 1e3 admits |c - t| up to 1e-6
+(|c| + |t|).
 
 F and the phase in G are computed only in `kernels`, with the stable
 rewrites of the terms that cancel for small y; this module brackets,
@@ -17,6 +21,7 @@ the cell [0, 1e-6] stays open.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +32,6 @@ from .barrier import BarrierSpec, m22_residual
 __all__ = [
     "BranchLabel",
     "LocusPoint",
-    "q_of",
-    "r_of",
     "G_of",
     "brentq",
     "solve_sigma",
@@ -41,6 +44,9 @@ RESIDUAL_TOL = 1e-9
 #: with its y-only pieces of F computed once
 _PER_DECADE = 400
 _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
+#: lowest rho searched: den = (1-rho)^2 y^2 + rho^2 <= 2 (1-rho)^2 y^2 (y >= 1,
+#: rho <= 1/2) stays below the largest double up to the grid's top end
+_RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
 #: cells on which F is enclosed: [0, 1e-6], then the grid in steps of _CELL points
 _CELL = 16
 _CELLS = kernels.Cells(np.concatenate(([0.0], _Y_GRID.y[::_CELL])))
@@ -76,25 +82,10 @@ class LocusPoint:
     residual: float
 
 
-def q_of(rho, y, alpha_k):
-    """alpha_k * sqrt(2|1-rho|(sqrt(y^2+1)-1)) * sgn(y); odd in y."""
-    if rho == 1:
-        raise ValueError("rho = 1")
-    s = math.sqrt(y * y + 1.0)
-    return alpha_k * math.sqrt(2.0 * abs(1.0 - rho) / (s + 1.0)) * y
-
-
-def r_of(rho, y, alpha_k):
-    """alpha_k * sqrt(2|1-rho|(sqrt(y^2+1)+1)); positive for alpha_k > 0."""
-    if rho == 1:
-        raise ValueError("rho = 1")
-    s = math.sqrt(y * y + 1.0)
-    return alpha_k * math.sqrt(2.0 * abs(1.0 - rho) * (s + 1.0))
-
-
 def G_of(branch, rho, y):
     """Value of alpha*k forced at a locus point: R / sqrt(2|1-rho|(s+1))."""
-    return kernels.phase(branch.n, branch.eps, rho, y) / r_of(rho, y, 1.0)
+    s = math.sqrt(y * y + 1.0)
+    return kernels.phase(branch.n, branch.eps, rho, y) / math.sqrt(2.0 * abs(1.0 - rho) * (s + 1.0))
 
 
 class NoSignChange(ValueError):
@@ -251,8 +242,8 @@ def solve_sigma(branch, rho):
     double-precision noise roots in the far F -> 0 tails).  The brackets are
     those of the whole grid, and roots below it (y < 1e-6) are found too.
     """
-    if not rho < 1:
-        raise ValueError(f"rho must be < 1, got {rho}")
+    if not _RHO_MIN < rho < 1:
+        raise ValueError(f"rho must be in ({_RHO_MIN:.6g}, 1), got {rho}")
     n, eps = branch.n, branch.eps
     grid = _window(n, eps, rho)
     if grid is None:

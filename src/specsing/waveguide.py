@@ -28,8 +28,6 @@ __all__ = [
     "SingularitySolution",
     "CutoffError",
     "permittivity",
-    "k_of",
-    "rho_sigma_of",
     "find_singularities",
     "gain_scan",
 ]
@@ -112,47 +110,21 @@ def permittivity(medium, omega):
                                     + 2j * medium.delta * omega)
 
 
-def _checked_cutoff(geom, omega):
-    """The cutoff Omega, once every omega (a float or an array) is checked to
-    be finite and above it."""
-    Om = geom.omega_cutoff
-    if not np.all((omega > Om) & (omega < np.inf)):
-        raise CutoffError(f"omega = {np.min(omega)} eV is not a finite value "
-                          f"above cutoff {Om} eV")
-    return Om
-
-
-def k_of(geom, omega):
-    """Longitudinal wave number k = (omega/hbar c) sqrt(1 - Omega^2/omega^2)
-    at omega, a float or an array of them."""
-    return _k(_checked_cutoff(geom, omega), omega)
-
-
 def _k(Om, omega):
+    """Longitudinal wave number (omega/hbar c) sqrt(1 - Om^2/omega^2) of a
+    float or an array omega above the cutoff Om."""
     # (1-Om/omega)(1+Om/omega) keeps precision just above cutoff
     u = (1 - Om / omega) * (1 + Om / omega)
     return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
 
 
-def rho_sigma_of(medium, geom, omega):
-    """Locus-plane coordinates (rho, sigma) of the drive frequency omega, a
-    float or an array of them."""
-    return _rho_sigma(medium, _checked_cutoff(geom, omega), omega)
-
-
 def _rho_sigma(medium, Om, omega):
+    """Locus-plane point (rho, sigma) = z/k^2 of a float or an array omega."""
     d2 = omega**2 - medium.omega0**2
     den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
     rho = medium.omega_p_sq * d2 / den
     sigma = -2.0 * omega * medium.omega_p_sq * medium.delta / den
     return rho, sigma
-
-
-def coupling_of(medium, geom, omega):
-    """Complex barrier coupling z (nm^-2) at the drive frequency omega, a
-    float or an array of them."""
-    kk = omega / HBAR_C_EV_NM  # vacuum wave number omega/c
-    return kk * kk * (1 - permittivity(medium, omega))
 
 
 def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
@@ -239,7 +211,10 @@ def gain_scan(solution, medium, geom, ratio_grid):
     """
     ratios = np.asarray(ratio_grid, dtype=float)
     omega = ratios * solution.omega
-    Om = _checked_cutoff(geom, omega)
+    Om = geom.omega_cutoff
+    if not np.all((omega > Om) & (omega < np.inf)):
+        raise CutoffError(f"omega = {np.min(omega)} eV is not a finite value "
+                          f"above cutoff {Om} eV")
     scan = np.empty((len(ratios), 2))
     scan[:, 0] = ratios
     for lo in range(0, len(ratios), _SCAN_BLOCK):

@@ -13,17 +13,18 @@ from specsing.barrier import (
     BarrierSpec,
     amplitudes,
     m22_residual,
-    oracle_transfer_matrix,
     transfer_matrix,
 )
 from specsing.cli import compute_table
-from specsing.locus import BranchLabel, q_of, r_of, solve_sigma, trace_curve
+from specsing.locus import BranchLabel, solve_sigma, trace_curve
 from specsing.waveguide import (
     GainMedium,
     WaveguideGeometry,
     find_singularities,
     gain_scan,
 )
+
+from oracles import oracle_transfer_matrix, q_of, r_of
 
 MEDIUM = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
 GEOM_1CM = WaveguideGeometry(beta=5e6, m=1)

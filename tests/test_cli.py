@@ -177,6 +177,13 @@ class TestCurveCommand:
         assert main(["curve", "--n", "0", "--rho-min", "0.7",
                      "--rho-max", "0.9"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("value", ["-inf", "-NaN"])
+    def test_non_finite_rho_min_is_a_value(self, capsys, value):
+        # read as a value, as in the --rho-min=... form, so trace_curve rejects it
+        for argv in (["--rho-min", value], [f"--rho-min={value}"]):
+            assert main(["curve", "--n", "1", *argv, "--rho-max", "0.9"]) == EXIT_BAD_INPUT
+            assert capsys.readouterr().err.startswith("error: need finite rho_min")
+
     def test_negative_rho_min(self, capsys):
         rc = main(["curve", "--n", "1", "--rho-min", "-2e-1", "--rho-max", "0.9"])
         out = capsys.readouterr().out
@@ -271,6 +278,15 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
                  EXIT_BAD_INPUT, id="curve-rho-min-inf"),
     pytest.param(["curve", "--n", "1", "--rho-min", "0.5", "--rho-max", "nan"], None, None,
                  EXIT_BAD_INPUT, id="curve-rho-max-nan"),
+    pytest.param(["curve", "--n", "1", "--rho-min", "-inf", "--rho-max", "0.5"], None, None,
+                 EXIT_BAD_INPUT, id="curve-rho-min-inf-token"),
+    pytest.param(["curve", "--n", "1", "--rho-min", "-NaN", "--rho-max", "0.5"], None, None,
+                 EXIT_BAD_INPUT, id="curve-rho-min-nan-token"),
+    # rho slices so far below 0 that den = (1-rho)^2 y^2 + rho^2 overflows on the
+    # y grid: a numpy overflow warning, a bare (34, ...) OverflowError, or both
+    *(pytest.param(["curve", "--n", "1", "--rho-min", rho_min, "--rho-max", "0.9",
+                    "--samples", "3"], None, None, EXIT_BAD_INPUT, id=f"curve-rho-min{rho_min}")
+      for rho_min in ("-1e150", "-1e160", "-1e308")),
     pytest.param(["curve", "--n", "1", "--rho-min", "0.2", "--rho-max", "0.5", "--samples", "4"],
                  None, None, EXIT_NO_SOLUTIONS, id="curve-empty"),
     pytest.param(["design", "--n", "2000"], "omega_p_sq_eV2 = 0", None, EXIT_BAD_INPUT,

@@ -1,11 +1,10 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from specsing.constants import HBAR_C_EV_NM, ev_to_inverse_nm, principal_sqrt_upper
+from specsing.constants import principal_sqrt_upper
 
 
 class TestPrincipalSqrtUpper:
@@ -79,23 +78,3 @@ class TestPrincipalSqrtUpperArrays:
         zero_d = principal_sqrt_upper(np.array(-4.0))
         assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d == 2j
 
-
-class TestEvToInverseNm:
-    def test_zero(self):
-        assert ev_to_inverse_nm(0) == 0
-
-    def test_hbar_c_maps_to_unity(self):
-        assert ev_to_inverse_nm(HBAR_C_EV_NM) == pytest.approx(1.0)
-
-    def test_direct_arithmetic(self):
-        assert ev_to_inverse_nm(2.15548) == pytest.approx(2.15548 / 197.3269804,
-                                                          rel=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ev_to_inverse_nm(-1.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ev_to_inverse_nm(bad)

@@ -11,6 +11,7 @@ from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
     _CELL,
     _CELLS,
+    _RHO_MIN,
     _Y_GRID,
     BranchLabel,
     G_of,
@@ -19,11 +20,11 @@ from specsing.locus import (
     _excluded,
     _grid_roots,
     brentq,
-    q_of,
-    r_of,
     solve_sigma,
     trace_curve,
 )
+
+from oracles import q_of, r_of
 
 B1 = BranchLabel(n=1, eps=-1)
 B2 = BranchLabel(n=2, eps=-1)
@@ -136,6 +137,14 @@ class TestSolveSigma:
     def test_rho_at_least_one_rejected(self):
         with pytest.raises(ValueError):
             solve_sigma(B1, 1.0)
+
+    def test_lowest_rho_completes_without_warning(self):
+        # den = (1-rho)^2 y^2 + rho^2 stays finite up to the grid's top end,
+        # y = 1e6 (pytest turns numpy's overflow RuntimeWarning into an error);
+        # one step further down is rejected by name
+        assert solve_sigma(B1, math.nextafter(_RHO_MIN, 0.0)) == []
+        with pytest.raises(ValueError, match="rho must be in"):
+            solve_sigma(B1, _RHO_MIN)
 
     @pytest.mark.parametrize("n,rho", [(2, 1 - 1e-12), (3, 1 - 1e-12), (700000, 0.8)])
     def test_root_below_the_grid(self, n, rho):

@@ -1,26 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from specsing import waveguide
-from specsing.barrier import BarrierSpec, oracle_transfer_matrix, scaled_transfer
+from specsing.barrier import BarrierSpec, scaled_transfer
 from specsing.constants import HBAR_C_EV_NM
 from specsing.waveguide import (
     GAIN_CAP,
     CutoffError,
     GainMedium,
     WaveguideGeometry,
-    coupling_of,
+    _k,
+    _rho_sigma,
     find_singularities,
     gain_scan,
-    k_of,
     permittivity,
-    rho_sigma_of,
 )
+
+from oracles import coupling_of, oracle_transfer_matrix
 
 MEDIUM = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
 GEOM_1CM = WaveguideGeometry(beta=5e6, m=1)  # 2 beta / m = 1 cm
+OM_1CM = GEOM_1CM.omega_cutoff
 
 
 class TestPermittivity:
@@ -48,15 +51,17 @@ class TestGeometry:
             math.pi * HBAR_C_EV_NM / 1e7, rel=1e-15)
 
     def test_below_cutoff_raises(self):
-        with pytest.raises(CutoffError):
-            k_of(GEOM_1CM, GEOM_1CM.omega_cutoff)
-        with pytest.raises(CutoffError):
-            rho_sigma_of(MEDIUM, GEOM_1CM, GEOM_1CM.omega_cutoff * 0.5)
+        # a scan that reaches the cutoff itself (k = 0) or goes below it
+        at_cutoff = dataclasses.replace(find_singularities(MEDIUM, GEOM_1CM, 10000)[1],
+                                        omega=GEOM_1CM.omega_cutoff)
+        for ratio in (1.0, 0.5):
+            with pytest.raises(CutoffError):
+                gain_scan(at_cutoff, MEDIUM, GEOM_1CM, [ratio])
 
     def test_k_just_above_cutoff_is_accurate(self):
         Om = GEOM_1CM.omega_cutoff
         om = Om * (1 + 1e-12)
-        k = k_of(GEOM_1CM, om)
+        k = _k(Om, om)
         assert k == pytest.approx((om / HBAR_C_EV_NM) * math.sqrt(2e-12),
                                   rel=1e-3)
 
@@ -82,41 +87,34 @@ class TestGeometry:
 
     def test_k_of_array_matches_floats(self):
         omegas = np.array([0.5, 2.0, 5.0, 40.0])
-        assert list(k_of(GEOM_1CM, omegas)) == [k_of(GEOM_1CM, float(om)) for om in omegas]
+        assert list(_k(OM_1CM, omegas)) == [_k(OM_1CM, float(om)) for om in omegas]
 
 
 class TestRhoSigma:
     @pytest.mark.parametrize("omega", [0.5, 2.0, 4.9, 5.1, 40.0])
     def test_matches_coupling_over_k_squared(self, omega):
-        rho, sigma = rho_sigma_of(MEDIUM, GEOM_1CM, omega)
-        z = coupling_of(MEDIUM, GEOM_1CM, omega)
-        k = k_of(GEOM_1CM, omega)
+        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omega)
+        z = coupling_of(MEDIUM, omega)
+        k = _k(OM_1CM, omega)
         u = z / k**2
         assert rho == pytest.approx(u.real, rel=1e-14)
         assert sigma == pytest.approx(u.imag, rel=1e-14)
 
     def test_rho_changes_sign_at_resonance(self):
-        r_lo, _ = rho_sigma_of(MEDIUM, GEOM_1CM, 4.999)
-        r_hi, _ = rho_sigma_of(MEDIUM, GEOM_1CM, 5.001)
+        r_lo, _ = _rho_sigma(MEDIUM, OM_1CM, 4.999)
+        r_hi, _ = _rho_sigma(MEDIUM, OM_1CM, 5.001)
         assert r_lo > 0 > r_hi
 
     def test_sigma_positive_for_gain(self):
         for om in (1.0, 5.0, 9.0):
-            _, sigma = rho_sigma_of(MEDIUM, GEOM_1CM, om)
+            _, sigma = _rho_sigma(MEDIUM, OM_1CM, om)
             assert sigma > 0
 
     def test_array_matches_floats(self):
         omegas = np.array([0.5, 2.0, 4.999, 5.001, 40.0])
-        rho, sigma = rho_sigma_of(MEDIUM, GEOM_1CM, omegas)
+        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omegas)
         assert [(r, s) for r, s in zip(rho, sigma)] == \
-            [rho_sigma_of(MEDIUM, GEOM_1CM, float(om)) for om in omegas]
-
-    def test_subcutoff_raises(self):
-        Om = GEOM_1CM.omega_cutoff
-        with pytest.raises(CutoffError):
-            rho_sigma_of(MEDIUM, GEOM_1CM, Om * 0.5)
-        with pytest.raises(CutoffError):
-            rho_sigma_of(MEDIUM, GEOM_1CM, np.array([Om * 2, Om * 0.5, 1.0]))
+            [_rho_sigma(MEDIUM, OM_1CM, float(om)) for om in omegas]
 
 
 class TestFindSingularities:
@@ -160,10 +158,10 @@ class TestFindSingularities:
         brentq = pytest.importorskip("scipy.optimize").brentq
         s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
         om = brentq(
-            lambda om: rho_sigma_of(MEDIUM, GEOM_1CM, om)[0] - s2.rho_star,
+            lambda om: _rho_sigma(MEDIUM, OM_1CM, om)[0] - s2.rho_star,
             2.0, 4.0, rtol=1e-15)
         assert om == pytest.approx(s2.omega, rel=1e-6)
-        _, sig = rho_sigma_of(MEDIUM, GEOM_1CM, om)
+        _, sig = _rho_sigma(MEDIUM, OM_1CM, om)
         assert sig == pytest.approx(s2.sigma_star, rel=1e-6)
 
     def test_bad_branch_index(self):
@@ -197,8 +195,8 @@ class TestFindSingularities:
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
     om = ratio * sol.omega
-    m = oracle_transfer_matrix(BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, GEOM_1CM, om)),
-                               k_of(GEOM_1CM, om))
+    m = oracle_transfer_matrix(BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, om)),
+                               _k(OM_1CM, om))
     return math.log10((1 + abs(m.m12) ** 2) / abs(m.m22) ** 2)
 
 
@@ -308,8 +306,8 @@ class TestGainScan:
             sol = find_singularities(MEDIUM, geom, n)[ell - 1]
             ratios = 1.0 + np.array(offsets)
             om = ratios * sol.omega
-            _, m12, m22, b = scaled_transfer(sol.alpha, coupling_of(MEDIUM, geom, om),
-                                             k_of(geom, om))
+            _, m12, m22, b = scaled_transfer(sol.alpha, coupling_of(MEDIUM, om),
+                                             _k(geom.omega_cutoff, om))
             old = np.log10(np.exp(-2 * b) + np.abs(m12) ** 2) - 2 * np.log10(np.abs(m22))
             new = gain_scan(sol, MEDIUM, geom, ratios)[:, 1]
             with mpmath.workdps(50):
