@@ -27,13 +27,14 @@ import numpy as np
 
 from .barrier import BarrierSpec, SpectralSingularityError, amplitudes, m22_residual, transfer_matrix
 from .locus import BranchLabel, trace_curve
-from .waveguide import GainMedium, WaveguideGeometry, find_singularities, gain_scan
+from .waveguide import GAIN_CAP, M22_FLOOR, GainMedium, WaveguideGeometry, find_singularities, gain_scan
 
 EXIT_OK = 0
 EXIT_NO_SOLUTIONS = 2
 EXIT_BAD_INPUT = 3
 
-_LENGTH_UNITS_NM = {"nm": 1.0, "um": 1e3, "mm": 1e6, "cm": 1e7, "m": 1e9}
+#: length suffixes, "m" after the two-letter ones it ends; bare numbers are nm
+_LENGTH_UNITS_NM = {"nm": 1.0, "um": 1e3, "mm": 1e6, "cm": 1e7, "m": 1e9, "": 1.0}
 
 DEFAULT_CONFIG = {
     "omega0_eV": 5.0,
@@ -64,30 +65,30 @@ class _Parser(argparse.ArgumentParser):
 def parse_length_nm(text):
     """Parse a length with optional unit suffix (nm, um, mm, cm, m) to nm."""
     t = str(text).strip()
-    for unit, factor in sorted(_LENGTH_UNITS_NM.items(), key=lambda kv: -len(kv[0])):
-        if t.endswith(unit):
-            body = t[: -len(unit)].strip()
-            try:
-                return float(body) * factor
-            except ValueError:
-                raise CliError(f"bad length {text!r}")
+    unit = next(u for u in _LENGTH_UNITS_NM if t.endswith(u))
     try:
-        return float(t)  # bare numbers are nm
+        return float(t[:len(t) - len(unit)]) * _LENGTH_UNITS_NM[unit]
     except ValueError:
         raise CliError(f"bad length {text!r}")
 
 
 def parse_complex(text):
     """Parse a complex number; both 'i' and 'j' notations are accepted."""
-    t = str(text).strip().replace(" ", "").replace("i", "j")
+    # only a trailing i is the imaginary unit: 'inf' keeps its i
+    t = re.sub(r"i$", "j", str(text).strip().replace(" ", ""))
     try:
         return complex(t)
     except ValueError:
         raise CliError(f"bad complex number {text!r}")
 
 
+#: the parser of each config key that float does not read
+_CONFIG_PARSERS = {"two_beta_over_m": parse_length_nm, "mode_index": int}
+
+
 def load_config(path):
-    """Flat key=value config file; '#' starts a comment, missing keys default."""
+    """Flat key=value config file of DEFAULT_CONFIG's keys, each read by float
+    or its _CONFIG_PARSERS entry; '#' starts a comment, missing keys default."""
     cfg = dict(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -102,20 +103,14 @@ def load_config(path):
             if "=" not in line:
                 raise CliError(f"{path}:{ln}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in ("omega0_eV", "omega_p_sq_eV2", "delta_eV"):
-                try:
-                    cfg[key] = float(val)
-                except ValueError:
-                    raise CliError(f"{path}:{ln}: bad number {val!r}")
-            elif key == "two_beta_over_m":
-                cfg[key] = parse_length_nm(val)
-            elif key == "mode_index":
-                try:
-                    cfg[key] = int(val)
-                except ValueError:
-                    raise CliError(f"{path}:{ln}: bad integer {val!r}")
-            else:
+            if key not in DEFAULT_CONFIG:
                 raise CliError(f"{path}:{ln}: unknown key {key!r}")
+            parse = _CONFIG_PARSERS.get(key, float)
+            try:
+                cfg[key] = parse(val)
+            except ValueError:  # parse_length_nm raises its own CliError
+                kind = "integer" if parse is int else "number"
+                raise CliError(f"{path}:{ln}: bad {kind} {val!r}")
     return cfg
 
 
@@ -232,7 +227,7 @@ def cmd_scan(args):
     scan = gain_scan(sol, medium, geom, ratios)
     rows = [
         f"# solution: {_solution_record(sol)}",
-        "# values with |m22| < 1e-300 are reported as the cap 600",
+        f"# values with |m22| < {M22_FLOOR:g} are reported as the cap {GAIN_CAP:g}",
         "omega_ratio,log10_T2_plus_R2",
     ]
     for ratio, lg in scan.tolist():
@@ -294,37 +289,32 @@ def _table_line(tag, ell_or_n, sol, lam_exp, ta_exp, se_exp):
 
 
 def compute_table(which):
-    """Recompute a reference table; yields (line, max_rel_dev) per row."""
-    medium = GainMedium(omega0=DEFAULT_CONFIG["omega0_eV"],
-                        omega_p_sq=DEFAULT_CONFIG["omega_p_sq_eV2"],
-                        delta=DEFAULT_CONFIG["delta_eV"])
-    out = []
+    """Recompute a reference table: a (line, max_rel_dev) pair per row.
+
+    The designs are solved in `medium_geometry` of DEFAULT_CONFIG at the
+    table's 2beta/m, once per (2beta/m, n): Table 2's ell = 2 and 3 rows
+    share their four solves.
+    """
     if which == 1:
-        for label, tb, rows in TABLE1:
-            geom = WaveguideGeometry(beta=tb / 2.0, m=1)
-            sols = {s.ell: s for s in find_singularities(medium, geom, 10000)}
-            for ell, lam_exp, ta_exp, se_exp in rows:
-                out.append(_table_line(label, f"ell={ell}", sols[ell],
-                                       lam_exp, ta_exp, se_exp))
-    elif which == 2:
-        geom = WaveguideGeometry(beta=5e6, m=1)  # 2beta/m = 1 cm
-        for ell, rows in TABLE2:
-            for n, lam_exp, ta_exp, se_exp in rows:
-                sols = {s.ell: s for s in find_singularities(medium, geom, n)}
-                out.append(_table_line(f"ell={ell}", f"n={n}", sols[ell],
-                                       lam_exp, ta_exp, se_exp))
+        rows = [(label, f"ell={ell}", tb, 10000, ell, expected)
+                for label, tb, table in TABLE1 for ell, *expected in table]
+    elif which == 2:  # 2beta/m = 1 cm
+        rows = [(f"ell={ell}", f"n={n}", 1e7, n, ell, expected)
+                for ell, table in TABLE2 for n, *expected in table]
     else:
         raise CliError(f"table must be 1 or 2, got {which}")
-    return out
+    designs = dict.fromkeys((tb, n) for _, _, tb, n, _, _ in rows)
+    for tb, n in designs:
+        cfg = {**DEFAULT_CONFIG, "two_beta_over_m": tb}
+        designs[tb, n] = {s.ell: s for s in find_singularities(*medium_geometry(cfg), n)}
+    return [_table_line(tag, ell_or_n, designs[tb, n][ell], *expected)
+            for tag, ell_or_n, tb, n, ell, expected in rows]
 
 
 def cmd_tables(args):
-    lines = []
-    worst = 0.0
-    for line, dev in compute_table(args.which):
-        lines.append(line)
-        worst = max(worst, dev)
-    lines.append(f"worst relative deviation: {worst:.2e}")
+    rows = compute_table(args.which)
+    worst = max(dev for _, dev in rows)
+    lines = [line for line, _ in rows] + [f"worst relative deviation: {worst:.2e}"]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

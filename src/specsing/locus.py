@@ -250,10 +250,9 @@ def solve_sigma(branch, rho):
         return []
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
                         grid.y, kernels.f_grid(n, eps, rho, grid), 1e-6)
-    points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
-                            for y in roots) if pt is not None]
-    points.sort(key=lambda p: p.sigma)
-    return points
+    # sigma = (1-rho) y rises with y, and the roots come in ascending y
+    return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
+                          for y in roots) if pt is not None]
 
 
 def trace_curve(branch, rho_min, rho_max, samples):
@@ -261,13 +260,15 @@ def trace_curve(branch, rho_min, rho_max, samples):
 
     The rho grid is uniform in log(1 - rho).  Output is ordered by
     descending rho, then ascending sigma; empty rho slices are skipped.
+    The range is checked before any slice is solved, at the lowest slice.
     """
-    if not (-math.inf < rho_min < rho_max < 1):
-        raise ValueError(f"need finite rho_min < rho_max < 1, got [{rho_min}, {rho_max}]")
+    def rho_of(u):
+        return 1.0 - math.exp(u)
+
+    if not (rho_min < rho_max < 1 and _RHO_MIN < rho_of(math.log(1.0 - rho_min))):
+        raise ValueError(f"need finite rho_min < rho_max < 1 and rho_min > {_RHO_MIN:.6g}, "
+                         f"got [{rho_min}, {rho_max}]")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     us = np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)
-    points = []
-    for u in us:
-        points.extend(solve_sigma(branch, 1.0 - math.exp(u)))
-    return points
+    return [pt for u in us for pt in solve_sigma(branch, rho_of(u))]

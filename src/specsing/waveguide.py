@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 20000
+M22_FLOOR = 1e-300  # |m22| below which gain_scan reports GAIN_CAP
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
 _LOG10_E = math.log10(math.e)
 # gain_scan points per vectorized block: enough to spread numpy's per-call
@@ -168,26 +169,24 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_))
 
     roots = _grid_roots(brentq, mismatch, us, g, 1e-9, omega_of)
-    sols = []
     branch = BranchLabel(n=n, eps=-1)
+    found = []  # (omega, k, certified locus point)
     for om in roots:
         r_, s_ = _rho_sigma(medium, Om, om)
-        if r_ >= 1:
-            continue
         k = _k(Om, om)
-        pt = _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)
-        if pt is None:
-            continue
+        if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)):
+            found.append((om, k, pt))
+    found.sort(key=lambda c: (-c[2].rho, c[2].sigma))
+    sols = []
+    for ell, (om, k, pt) in enumerate(found, start=1):
         eps_r = permittivity(medium, om)
         sols.append(SingularitySolution(
-            branch=branch, ell=0, omega=om, k=k, alpha=pt.alpha_k / k,
+            branch=branch, ell=ell, omega=om, k=k, alpha=pt.alpha_k / k,
             lam=2.0 * math.pi * HBAR_C_EV_NM / om,
             epsilon=eps_r, refractive_index=cmath.sqrt(eps_r),
-            residual=pt.residual, rho_star=r_, sigma_star=s_,
+            residual=pt.residual, rho_star=pt.rho, sigma_star=pt.sigma,
         ))
-    sols.sort(key=lambda s: (-s.rho_star, s.sigma_star))
-    return [SingularitySolution(**{**vars(s), "ell": i})
-            for i, s in enumerate(sols, start=1)]
+    return sols
 
 
 def gain_scan(solution, medium, geom, ratio_grid):
@@ -203,8 +202,8 @@ def gain_scan(solution, medium, geom, ratio_grid):
     of omega (at ratio 1 the design's own rho_star + i sigma_star).  With
     M = e^b M~, |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log
     space as log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite
-    however large the entries grow.  Where |m22| = e^b |m~22| < 1e-300 (at a
-    singularity) the value is GAIN_CAP.  Raises CutoffError, before the
+    however large the entries grow.  Where |m22| = e^b |m~22| < M22_FLOOR
+    (at a singularity) the value is GAIN_CAP.  Raises CutoffError, before the
     matrix is evaluated, if any ratio puts omega at or below the cutoff (or
     is not finite).  Within |ratio - 1| < 1e-5 of the design, m~22 = c - t
     cancels, and the values there carry few correct digits.
@@ -225,7 +224,7 @@ def gain_scan(solution, medium, geom, ratio_grid):
         zeta.imag = sigma
         a12, a22, b = scaled_moduli(solution.alpha * _k(Om, om), zeta)
         lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
-        capped = lg22 + b * _LOG10_E < -300.0  # |m22| < 1e-300
+        capped = lg22 + b * _LOG10_E < math.log10(M22_FLOOR)  # |m22| < M22_FLOOR
         values = np.log10(np.exp(-2.0 * b) + a12 * a12) - 2.0 * lg22
         scan[block, 1] = np.where(capped, GAIN_CAP, values)
     return scan

@@ -1,5 +1,7 @@
 import errno
+import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -8,16 +10,19 @@ import pytest
 
 import specsing
 from specsing import cli
+from specsing.barrier import SpectralSingularityError
 from specsing.cli import (
     CliError,
     EXIT_BAD_INPUT,
     EXIT_NO_SOLUTIONS,
     EXIT_OK,
+    compute_table,
     load_config,
     main,
     parse_complex,
     parse_length_nm,
 )
+from specsing.waveguide import find_singularities
 
 
 class TestParsers:
@@ -33,11 +38,19 @@ class TestParsers:
         assert parse_length_nm(text) == pytest.approx(nm)
 
     def test_bad_length(self):
-        with pytest.raises(CliError):
+        with pytest.raises(CliError, match="^bad length 'five nm'$"):
             parse_length_nm("five nm")
+
+    @pytest.mark.parametrize("text", ["five", "5xm", ""])
+    def test_bad_length_is_named(self, text):
+        # bare numbers fail with the message of suffixed ones
+        with pytest.raises(CliError) as info:
+            parse_length_nm(text)
+        assert str(info.value) == f"bad length {text!r}"
 
     @pytest.mark.parametrize("text,val", [
         ("1+0.5i", 1 + 0.5j),
+        ("-inf+2i", complex(-math.inf, 2.0)),
         ("1+0.5j", 1 + 0.5j),
         ("-2i", -2j),
         ("3", 3 + 0j),
@@ -69,12 +82,32 @@ class TestConfig:
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "wg.cfg"
         p.write_text("betta = 3\n")
-        with pytest.raises(CliError):
+        with pytest.raises(CliError) as info:
             load_config(p)
+        assert str(info.value) == f"{p}:1: unknown key 'betta'"
 
     def test_missing_file(self):
         with pytest.raises(CliError):
             load_config("/nonexistent/wg.cfg")
+
+    def test_mode_index_is_an_integer(self, tmp_path):
+        p = tmp_path / "wg.cfg"
+        p.write_text("mode_index = 2\n")
+        cfg = load_config(p)
+        assert cfg["mode_index"] == 2 and type(cfg["mode_index"]) is int
+
+    @pytest.mark.parametrize("line,message", [
+        ("delta_eV 3", "{path}:2: expected key = value"),
+        ("delta_eV = abc", "{path}:2: bad number 'abc'"),
+        ("mode_index = 1.5", "{path}:2: bad integer '1.5'"),
+        ("two_beta_over_m = 3xm", "bad length '3xm'"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, line, message):
+        p = tmp_path / "wg.cfg"
+        p.write_text("# medium\n" + line + "\n")
+        with pytest.raises(CliError) as info:
+            load_config(p)
+        assert str(info.value) == message.format(path=p)
 
 
 class TestTransferCommand:
@@ -118,6 +151,18 @@ class TestTransferCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_singular_matrix_prints_infinite_amplitudes(self, capsys, monkeypatch):
+        def singular(m):
+            raise SpectralSingularityError("m22 = 0")
+
+        monkeypatch.setattr(cli, "amplitudes", singular)
+        rc = main(["transfer", "--z", "1+0.5i", "--alpha", "2nm", "--k", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK
+        assert [ln.split("=", 1)[0] for ln in lines[:5]] == ["m11", "m12", "m21", "m22", "det"]
+        assert lines[5:8] == ["T=inf", "R=inf", "T2_plus_R2=inf"]
+        assert lines[8].startswith("residual=") and len(lines) == 9
+
     @pytest.mark.parametrize("z", ["-1+0.5i", "-1j", "-.5-2i", "-2e-1"])
     def test_negative_value_is_not_an_option(self, capsys, z):
         # a value that starts with '-' and a digit or '.' is read as a value,
@@ -128,15 +173,25 @@ class TestTransferCommand:
         assert main(["transfer", f"--z={z}", "--alpha", "2nm", "--k", "1"]) == EXIT_OK
         assert capsys.readouterr().out == out
 
-    @pytest.mark.parametrize("option,value", [
-        ("--z", "nan"), ("--z", "1+infi"), ("--k", "inf"), ("--k", "nan"), ("--alpha", "inf"),
+    # 'inf' is parsed as a number, not read as 'jnf': only a trailing i is the unit
+    @pytest.mark.parametrize("option,value,message", [
+        pytest.param(option, value, message, id=f"{option}-{value}")
+        for option, value, message in [
+            ("--z", "nan", "z must be finite, got (nan+0j)"),
+            ("--z", "inf", "z must be finite, got (inf+0j)"),
+            ("--z", "1+infi", "z must be finite, got (1+infj)"),
+            ("--z", "infj", "z must be finite, got infj"),
+            ("--k", "inf", "k must be positive and finite with 0 < k^2 < inf, got inf"),
+            ("--k", "nan", "k must be positive and finite with 0 < k^2 < inf, got nan"),
+            ("--alpha", "inf", "alpha must be positive and finite, got inf"),
+        ]
     ])
-    def test_non_finite_input_is_input_error(self, capsys, option, value):
+    def test_non_finite_input_is_input_error(self, capsys, option, value, message):
         args = {"--z": "1i", "--alpha": "1", "--k": "1", option: value}
         rc = main(["transfer"] + [x for kv in args.items() for x in kv])
         captured = capsys.readouterr()
         assert rc == EXIT_BAD_INPUT
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestCurveCommand:
@@ -252,6 +307,12 @@ class TestScanCommand:
         assert rc == EXIT_BAD_INPUT
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_missing_design_is_no_solution(self, capsys):
+        rc = main(["scan", "--n", "2000", "--ell", "9"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NO_SOLUTIONS
+        assert captured.out == "" and captured.err == ""
+
 
 class TestTablesCommand:
     def test_table2_deviations(self, capsys):
@@ -261,6 +322,47 @@ class TestTablesCommand:
         assert out.count("\n") == 9  # 8 rows + worst line
         worst = float(out.rsplit(":", 1)[1])
         assert worst < 1e-4
+
+    def test_unknown_table(self):
+        with pytest.raises(CliError, match="table must be 1 or 2, got 3"):
+            compute_table(3)
+
+    @pytest.mark.parametrize("which,rows,solves", [(1, 9, 3), (2, 8, 4)])
+    def test_each_design_problem_is_solved_once(self, monkeypatch, which, rows, solves):
+        # Table 1 has one (2beta/m, n) per geometry; Table 2's ell = 2 and
+        # ell = 3 rows share their four n
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_singularities(*args)
+
+        monkeypatch.setattr(cli, "find_singularities", counted)
+        assert len(compute_table(which)) == rows
+        assert len(calls) == solves
+
+
+def _readme_commands():
+    """The `specsing ...` lines of the README's "Command line" block."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("specsing ")]
+
+
+def test_readme_lists_every_subcommand():
+    assert sorted(line.split()[1] for line in _readme_commands()) == [
+        "curve", "design", "scan", "tables", "transfer"]
+
+
+# the README transfer example overflows a double and exits 3; every other
+# example produces results
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_exits_as_documented(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # --out files land here
+    argv = shlex.split(line)[1:]
+    assert main(argv) == (EXIT_BAD_INPUT if argv[0] == "transfer" else EXIT_OK)
 
 
 def _out_of_memory(*args, **kwargs):
@@ -282,8 +384,9 @@ SCAN = ["scan", "--n", "2000", "--ell", "2", "--points", "11"]
                  EXIT_BAD_INPUT, id="curve-rho-min-inf-token"),
     pytest.param(["curve", "--n", "1", "--rho-min", "-NaN", "--rho-max", "0.5"], None, None,
                  EXIT_BAD_INPUT, id="curve-rho-min-nan-token"),
-    # rho slices so far below 0 that den = (1-rho)^2 y^2 + rho^2 overflows on the
-    # y grid: a numpy overflow warning, a bare (34, ...) OverflowError, or both
+    # rho_min so far below 0 that den = (1-rho)^2 y^2 + rho^2 would overflow on
+    # the y grid (once a numpy overflow warning, a bare (34, ...) OverflowError,
+    # or both): rejected by name before any slice is solved
     *(pytest.param(["curve", "--n", "1", "--rho-min", rho_min, "--rho-max", "0.9",
                     "--samples", "3"], None, None, EXIT_BAD_INPUT, id=f"curve-rho-min{rho_min}")
       for rho_min in ("-1e150", "-1e160", "-1e308")),

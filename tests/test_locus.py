@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from specsing import kernels
+from specsing import kernels, locus
 from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
     _CELL,
@@ -178,6 +178,34 @@ class TestTraceCurve:
         for rho_min, rho_max in ((-math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan)):
             with pytest.raises(ValueError):
                 trace_curve(B1, rho_min, rho_max, 5)
+
+    def test_rho_min_below_the_kernel_bound_fails_before_solving(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(locus, "solve_sigma", lambda *args: calls.append(args) or [])
+        with pytest.raises(ValueError, match=r"^need finite rho_min < rho_max < 1.*-1e\+150"):
+            trace_curve(B1, -1e150, 0.9, 3)
+        assert calls == []
+
+    def test_lowest_slice_is_checked(self, monkeypatch):
+        # rho_min a few ulps above _RHO_MIN: the slice 1 - exp(log(1 - rho_min))
+        # rounds below the bound for some of them, and then trace_curve rejects
+        # rho_min by name before it solves any slice
+        solved = []
+        monkeypatch.setattr(locus, "solve_sigma", lambda b, rho: solved.append(rho) or [])
+        rho_min, outcomes = _RHO_MIN, set()
+        for _ in range(256):
+            rho_min = math.nextafter(rho_min, 0.0)
+            solved.clear()
+            try:
+                trace_curve(B1, rho_min, 0.9, 2)
+            except ValueError as exc:
+                assert str(exc).startswith("need finite rho_min < rho_max < 1")
+                assert repr(rho_min) in str(exc) and solved == []
+                outcomes.add("rejected")
+            else:
+                assert len(solved) == 2 and min(solved) > _RHO_MIN
+                outcomes.add("solved")
+        assert outcomes == {"rejected", "solved"}
 
 
 class TestTrigConsistency:
