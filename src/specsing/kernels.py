@@ -190,7 +190,14 @@ class Cells:
 
 def f_bounds(n, eps, rho, cells):
     """Bounds lo <= F <= hi on each of ``cells`` (a Cells), for rho < 1 and
-    a branch with R >= 0 (n >= 1, or n = 0 with eps = +1); rows lo and hi.
+    a branch with R >= 0 (n >= 1, or n = 0 with eps = +1).
+
+    rho is a float or a 1-d array of them.  The bounds are rows lo and hi on
+    axis -2, one column per cell: shape (2, cells) for a float rho and
+    (rho.size, 2, cells) for an array, whose row pair i is that of rho[i].
+    The masks lo > 0 and hi < 0 are those of each rho on its own; a bound
+    may differ from the float rho's in its last bit, where numpy's vector
+    loops round differently from its scalar ones.
 
     Each of F's two terms is moved outward by at least the relative margin
     _MARGIN, far above the rounding error of f_grid, so a cell with lo > 0
@@ -203,7 +210,10 @@ def f_bounds(n, eps, rho, cells):
     extremes at the cell's corners, x lies in [R_lo |y0|/(s0+1),
     R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0].
     """
-    ends, up, down = cells.ends, slice(0, 2), slice(1, 3)  # rows [y0; y1] and [y1; y0]
+    if isinstance(rho, np.ndarray):
+        rho = rho[:, None, None]  # a row of ends per rho
+    ends = cells.ends
+    up, down = np.s_[..., 0:2, :], np.s_[..., 1:3, :]  # rows [y0; y1] and [y1; y0]
     sin_a = _sin2_a(rho, ends.y, ends.sp, True)
     np.sqrt(sin_a, out=sin_a)
     c = _num_a(rho, ends.s, ends.sm, True)
@@ -212,8 +222,9 @@ def f_bounds(n, eps, rho, cells):
     c = c[up] if eps < 0 else c[down]  # C at its lower end, at its higher end
     x = np.arctan2(sin_a[down], c)  # the corners (S1, C_lo) and (S0, C_hi)
     other = np.arctan2(sin_a[up], c)  # (S0, C_lo) and (S1, C_hi)
-    np.maximum(x[0], other[0], out=x[0])
-    np.minimum(x[1], other[1], out=x[1])
+    hi, lo = x[..., 0, :], x[..., 1, :]
+    np.maximum(hi, other[..., 0, :], out=hi)
+    np.minimum(lo, other[..., 1, :], out=lo)
     x += math.pi * (n + (eps - 1) // 2)  # R_hi, R_lo
     x *= cells.q  # x_hi, x_lo
     np.minimum(x, _OVERFLOW, out=x)  # as in f_grid: sinh stays finite
@@ -221,11 +232,10 @@ def f_bounds(n, eps, rho, cells):
     half_sh2 *= half_sh2
     half_sh2 *= 0.5
     den = _den(rho, ends.y[down])
-    unbounded = den[1, 0] < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
-    if unbounded:
-        den[1, 0] = 1.0
+    den0 = den[..., 1, :1]  # den at y0 of the first cell, one element per rho
+    unbounded = den0 < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
+    den0[unbounded] = 1.0
     bounds = _term1(rho, ends.y[up], cells.sp, den, True)  # at (sp0, den1), (sp1, den0)
-    if unbounded:
-        bounds[1, 0] = math.inf
+    bounds[..., 1, :1][unbounded] = math.inf
     bounds -= half_sh2
     return bounds

@@ -16,8 +16,10 @@ F and the phase in G are computed only in `kernels`, with the stable
 rewrites of the terms that cancel for small y; this module brackets,
 polishes and certifies their roots.  A root is bracketed on a fixed y grid,
 but F is evaluated only where an enclosure of F on coarse cells of that
-grid (`kernels.f_bounds`) cannot rule a root out, and below the grid while
-the cell [0, 1e-6] stays open.
+grid (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot
+rule a root out, and below the grid while the cell [0, 1e-6] stays open.
+`trace_curve` encloses F for 64 rho slices in one `f_bounds` call, then
+solves each slice in its window.
 """
 
 import math
@@ -47,9 +49,12 @@ _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
 #: lowest rho searched: den = (1-rho)^2 y^2 + rho^2 <= 2 (1-rho)^2 y^2 (y >= 1,
 #: rho <= 1/2) stays below the largest double up to the grid's top end
 _RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
-#: cells on which F is enclosed: [0, 1e-6], then the grid in steps of _CELL points
-_CELL = 16
+#: cells on which F is enclosed: [0, 1e-6], then the grid in steps of _CELL
+#: points (_CELL divides the grid's 4,800 steps, so the cells end at 1e6)
+_CELL = 160
 _CELLS = kernels.Cells(np.concatenate(([0.0], _Y_GRID.y[::_CELL])))
+#: rho slices whose enclosures trace_curve computes in one f_bounds call
+_BLOCK = 64
 #: the lowest decade searched below the grid ends here
 _Y_FLOOR = 1e-300
 #: brentq tolerances (absolute, relative) and iteration cap
@@ -201,27 +206,39 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
 
 def _excluded(n, eps, rho, cells):
     """Cells where the enclosure of F excludes a root (NaN bounds exclude
-    nothing)."""
+    nothing); one row per rho for an array rho."""
     bounds = kernels.f_bounds(n, eps, rho, cells)
-    return (bounds[0] > 0.0) | (bounds[1] < 0.0)
+    return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
 
 
-def _window(n, eps, rho):
-    """The part of the bracketing grid that holds every sign change of F.
+def _windows(n, eps, rhos):
+    """For each of rhos, the part of the bracketing grid that holds every
+    sign change of F, or None if every cell is excluded.
 
     Cells the enclosure excludes hold none, so the grid from the first open
     cell to the last one brackets the roots that the whole grid brackets.
     While the cell [0, y_min] stays open, a decade of the grid's density is
-    put below it.  None if every cell is excluded.
+    put below it.  The enclosure is computed for _BLOCK rhos at a time, so
+    the memory used does not grow with the number of rhos.
     """
-    excluded = _excluded(n, eps, rho, _CELLS)
-    first = excluded.argmin()
-    if excluded[first]:
-        return None
-    last = excluded.size - 1 - excluded[::-1].argmin()
-    window = _Y_GRID[max(first - 1, 0) * _CELL:last * _CELL + 1]
-    if first > 0:
-        return window
+    for start in range(0, len(rhos), _BLOCK):
+        block = rhos[start:start + _BLOCK]
+        open_cells = ~_excluded(n, eps, np.asarray(block, dtype=float), _CELLS)
+        last_cell = open_cells.shape[1] - 1
+        firsts = open_cells.argmax(axis=1)
+        lasts = last_cell - open_cells[:, ::-1].argmax(axis=1)
+        for rho, cells, first, last in zip(block, open_cells, firsts, lasts):
+            if not cells[first]:
+                yield None
+            elif first > 0:
+                yield _Y_GRID[(first - 1) * _CELL:last * _CELL + 1]
+            else:
+                yield _below_grid(n, eps, rho, _Y_GRID[:last * _CELL + 1])
+
+
+def _below_grid(n, eps, rho, window):
+    """window with decades of the grid's density put below it, down to the
+    first decade [0, y_min] the enclosure excludes (or to _Y_FLOOR)."""
     decades, y_min = 0, _Y_GRID.y[0]
     while y_min > _Y_FLOOR:
         decades += 1
@@ -232,24 +249,30 @@ def _window(n, eps, rho):
     return kernels.YGrid(np.concatenate((below, window.y)))
 
 
-def solve_sigma(branch, rho):
+_WINDOW = object()  # solve_sigma's window argument was not given
+
+
+def solve_sigma(branch, rho, *, window=_WINDOW):
     """All certified sigma > 0 singularity points above rho, sorted by sigma.
 
     Roots of F are bracketed on a geometric y grid, in the window of it that
-    the enclosure of F leaves open (``_window``), and polished by Brent's
+    the enclosure of F leaves open (``_windows``), and polished by Brent's
     method to relative 1e-14; each candidate is then certified against the
     barrier residual, which weeds out spurious zeros of F (including the
     double-precision noise roots in the far F -> 0 tails).  The brackets are
     those of the whole grid, and roots below it (y < 1e-6) are found too.
+    ``window`` is that window (None: no window) when the caller has already
+    computed it, as ``trace_curve`` does for a block of slices at once.
     """
     if not _RHO_MIN < rho < 1:
         raise ValueError(f"rho must be in ({_RHO_MIN:.6g}, 1), got {rho}")
     n, eps = branch.n, branch.eps
-    grid = _window(n, eps, rho)
-    if grid is None:
+    if window is _WINDOW:
+        window, = _windows(n, eps, [rho])
+    if window is None:
         return []
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
-                        grid.y, kernels.f_grid(n, eps, rho, grid), 1e-6)
+                        window.y, kernels.f_grid(n, eps, rho, window), 1e-6)
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
     return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                           for y in roots) if pt is not None]
@@ -271,4 +294,7 @@ def trace_curve(branch, rho_min, rho_max, samples):
     if samples < 2:
         raise ValueError("samples must be >= 2")
     us = np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)
-    return [pt for u in us for pt in solve_sigma(branch, rho_of(u))]
+    rhos = [rho_of(u) for u in us]
+    windows = _windows(branch.n, branch.eps, rhos)
+    return [pt for rho, window in zip(rhos, windows)
+            for pt in solve_sigma(branch, rho, window=window)]

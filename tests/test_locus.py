@@ -1,6 +1,8 @@
+import collections
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from specsing import kernels, locus
 from specsing.barrier import BarrierSpec, m22_residual
 from specsing.locus import (
+    _BLOCK,
     _CELL,
     _CELLS,
     _RHO_MIN,
@@ -19,6 +22,7 @@ from specsing.locus import (
     _certify,
     _excluded,
     _grid_roots,
+    _windows,
     brentq,
     solve_sigma,
     trace_curve,
@@ -191,7 +195,7 @@ class TestTraceCurve:
         # rounds below the bound for some of them, and then trace_curve rejects
         # rho_min by name before it solves any slice
         solved = []
-        monkeypatch.setattr(locus, "solve_sigma", lambda b, rho: solved.append(rho) or [])
+        monkeypatch.setattr(locus, "solve_sigma", lambda b, rho, **_: solved.append(rho) or [])
         rho_min, outcomes = _RHO_MIN, set()
         for _ in range(256):
             rho_min = math.nextafter(rho_min, 0.0)
@@ -372,8 +376,9 @@ class TestHotPath:
         assert len(built) == 1
 
     def test_f_grid_sees_at_most_two_cells(self, counted):
-        # the enclosure leaves F to evaluate on at most two cells of 16 grid
-        # steps (33 points) per sample for n = 2...50
+        # the enclosure leaves F to evaluate on at most two cells of _CELL
+        # grid steps (2 _CELL + 1 points) per sample for n = 2...50; wider
+        # cells make the enclosure cheaper and this window larger
         built, points = counted
         for n in range(2, 51):
             trace_curve(BranchLabel(n=n, eps=-1), -3.0, 0.999, 8)
@@ -483,9 +488,29 @@ class TestRootPipeline:
         assert _certify(lambda spec, k: math.nan, B1, p.rho, p.sigma, p.y) is None
 
 
+#: rows an array rho puts around each tested one: rho = 0 and 1e-170, whose
+#: bounds are unbounded at y = 0, among ordinary rows
+_NEIGHBOURS = (0.45, 0.0, -2.5, 1e-170)
+
+
+def _bounds_both_ways(n, eps, rhos):
+    """The enclosure on _CELLS for each of rhos, (len(rhos), 2, cells), from
+    a float rho per call and from one array of rhos among _NEIGHBOURS rows."""
+    one_by_one = np.array([kernels.f_bounds(n, eps, rho, _CELLS) for rho in rhos])
+    rows = np.array([r for rho in rhos for r in (*_NEIGHBOURS[:3], rho, _NEIGHBOURS[3])])
+    batched = kernels.f_bounds(n, eps, rows, _CELLS)[3::len(_NEIGHBOURS) + 1]
+    return one_by_one, batched
+
+
+def _mask(bounds):
+    """The cells that bounds (rows lo, hi on axis -2) exclude."""
+    return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
+
+
 def _cell_bounds(n, eps, rho, cell):
-    """(lo, hi) of the enclosure on one cell of the locus grid."""
-    return kernels.f_bounds(n, eps, rho, _CELLS)[:, cell]
+    """(lo, hi) of the enclosure on one cell of the locus grid, from a float
+    rho and from an array rho."""
+    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho])]
 
 
 def _full_grid_solve(branch, rho):
@@ -499,9 +524,10 @@ def _full_grid_solve(branch, rho):
     return sorted(points, key=lambda p: p.sigma)
 
 
-def _seeded_slices():
-    """(branch, rho) of seeded traces: n in [1, 50] over windows inside
-    (0.3, 0.99), and both signs with rho from -3 and n up to 1e4."""
+def _seeded_traces():
+    """(branch, rho_min, rho_max) of seeded traces of 15 slices: n in
+    [1, 50] over windows inside (0.3, 0.99), and both signs with rho from -3
+    and n up to 1e4."""
     rng = random.Random(7)
     traces = []
     for _ in range(12):
@@ -511,8 +537,18 @@ def _seeded_slices():
         eps, lo = rng.choice((1, -1)), rng.uniform(-3.0, 0.98)
         n = rng.choice((rng.randint(1, 10), rng.randint(1, 10_000)))
         traces.append((BranchLabel(n=n, eps=eps), lo, rng.uniform(lo + 1e-3, 0.999999)))
-    return [(branch, 1.0 - math.exp(u)) for branch, lo, hi in traces
-            for u in np.linspace(math.log(1.0 - hi), math.log(1.0 - lo), 15)]
+    return traces
+
+
+def _slices(rho_min, rho_max, samples):
+    """The rho slices of trace_curve(branch, rho_min, rho_max, samples)."""
+    return [1.0 - math.exp(u)
+            for u in np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)]
+
+
+def _seeded_slices():
+    """(branch, rho) of the slices of _seeded_traces."""
+    return [(branch, rho) for branch, lo, hi in _seeded_traces() for rho in _slices(lo, hi, 15)]
 
 
 class TestEnclosure:
@@ -528,13 +564,14 @@ class TestEnclosure:
         # which lies above hi only where hi < -1e300; cell 0 is [0, 1e-6]
         mpmath = pytest.importorskip("mpmath")
         assume(rho < 1.0 and (n >= 1 or eps == 1))
-        lo, hi = _cell_bounds(n, eps, rho, cell)
         y0, y1 = _CELLS.ends.y[:2, cell]
         for t in ts:
             y = y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1)
-            assert lo <= kernels.f_scalar(n, eps, rho, y) <= max(hi, -1e300), (y, lo, hi)
+            f = kernels.f_scalar(n, eps, rho, y)
             with mpmath.workdps(50):
                 want, _, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+            for lo, hi in _cell_bounds(n, eps, rho, cell):
+                assert lo <= f <= max(hi, -1e300), (y, lo, hi)
                 if x <= 350:
                     assert lo <= want <= hi, (y, lo, hi)
 
@@ -568,19 +605,108 @@ class TestEnclosure:
         # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): F is unbounded
         # above there, and the cell [0, 1e-6] still excludes a root
         for rho in (0.0, 1e-170):
-            lo, hi = _cell_bounds(2, -1, rho, 0)
-            assert hi == math.inf and lo > 0.0
+            for lo, hi in _cell_bounds(2, -1, rho, 0):
+                assert hi == math.inf and lo > 0.0
 
     def test_excluded_cells_hold_no_sign_change(self):
         # on the full grid, every cell the enclosure excludes keeps one sign
+        # (a float rho, and an array of a trace's rhos, give the bounds)
         cells = (np.arange(1, _CELLS.ends.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
-        for branch, rho in _seeded_slices():
+        for branch, rho_min, rho_max in _seeded_traces():
             n, eps = branch.n, branch.eps
-            lo, hi = kernels.f_bounds(n, eps, rho, _CELLS)[:, 1:]
-            f = kernels.f_grid(n, eps, rho, _Y_GRID)[cells]
-            assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
-            assert _excluded(n, eps, rho, _CELLS)[0]  # no root below the grid here
+            rhos = _slices(rho_min, rho_max, 15)
+            both_ways = _bounds_both_ways(n, eps, rhos)
+            for i, rho in enumerate(rhos):
+                f = kernels.f_grid(n, eps, rho, _Y_GRID)[cells]
+                for bounds in both_ways:
+                    lo, hi = bounds[i, :, 1:]
+                    assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
+                assert _excluded(n, eps, rho, _CELLS)[0]  # no root below the grid here
 
     def test_solve_sigma_matches_the_full_grid(self):
         for branch, rho in _seeded_slices():
             assert solve_sigma(branch, rho) == _full_grid_solve(branch, rho)
+
+    def test_array_rho_gives_the_one_row_masks(self):
+        # each row of an array rho excludes the cells its float rho
+        # excludes; a bound may differ in its last bit (numpy's vector loops
+        # round differently from its scalar ones), far inside the width
+        # hi - lo >= 2e-9 (|term1| + sinh(x)^2/2) that the margin gives a cell
+        traces = [(b.n, b.eps, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
+        for n, eps, rhos in traces + [(2, -1, _NEIGHBOURS)]:
+            one_by_one, batched = _bounds_both_ways(n, eps, rhos)
+            assert np.array_equal(_mask(batched), _mask(one_by_one))
+            assert np.array_equal(np.isinf(batched), np.isinf(one_by_one))
+            batched, one_by_one = (np.where(np.isinf(b), 0.0, b) for b in (batched, one_by_one))
+            width = np.abs(one_by_one).sum(axis=1, keepdims=True)
+            assert (np.abs(batched - one_by_one) <= 1e-6 * width).all()
+        # only the rows rho = 0 and 1e-170 are unbounded, at y = 0
+        batched = _bounds_both_ways(2, -1, _NEIGHBOURS)[1]
+        unbounded = [rho in (0.0, 1e-170) for rho in _NEIGHBOURS]
+        assert list(np.isinf(batched[:, 1, 0])) == unbounded
+        assert np.count_nonzero(np.isinf(batched)) == sum(unbounded)
+
+
+class TestBlocks:
+    """trace_curve encloses F for _BLOCK slices at a time, on _CELLS."""
+
+    def test_cells_cover_the_grid(self):
+        # a width that does not divide the grid's steps (128 or 256) would
+        # end the cells at y[4736] and leave [y[4736], 1e6] unsearched
+        assert (_Y_GRID.y.size - 1) % _CELL == 0
+        assert _CELLS.ends.y[1, -1] == _Y_GRID.y[-1] == 1e6
+
+    @staticmethod
+    def _assert_trace_is_its_slices(branch, rho_min, rho_max, samples):
+        """trace_curve gives what solve_sigma gives slice by slice; return it."""
+        points = trace_curve(branch, rho_min, rho_max, samples)
+        assert points == [pt for rho in _slices(rho_min, rho_max, samples)
+                          for pt in solve_sigma(branch, rho)]
+        return points
+
+    def test_trace_equals_its_slices(self):
+        for trace in _seeded_traces():
+            self._assert_trace_is_its_slices(*trace, 15)
+        # three blocks, the last one short
+        assert len(self._assert_trace_is_its_slices(B2, 0.3, 0.99, 2 * _BLOCK + 7)) > 2 * _BLOCK
+
+    @pytest.mark.parametrize("n,rho_min,rho_max", [(2, 1 - 1e-11, 1 - 1e-12),
+                                                   (700000, 0.79, 0.81)])
+    def test_trace_below_the_grid_equals_its_slices(self, n, rho_min, rho_max):
+        # these traces hold the rows (2, 1 - 1e-12) and (700000, 0.8), whose
+        # roots lie below the grid, found by the decade search
+        points = self._assert_trace_is_its_slices(BranchLabel(n=n, eps=-1), rho_min, rho_max, 5)
+        assert any(p.y < _Y_GRID.y[0] for p in points)
+
+    def test_trace_with_every_cell_excluded(self, monkeypatch):
+        # no input found leaves every cell excluded (none of 800,000 random
+        # rows over n, eps and rho did), so an enclosure that excludes every
+        # cell stands in: each slice is still solved, with no F evaluated
+        f_bounds, solved, grids = kernels.f_bounds, [], []
+
+        def excluding(*args):
+            bounds = f_bounds(*args)
+            bounds[..., 0, :] = 1.0
+            return bounds
+
+        def counted_solve(*args, **kwargs):
+            solved.append(kwargs)
+            return solve_sigma(*args, **kwargs)
+        monkeypatch.setattr(kernels, "f_bounds", excluding)
+        monkeypatch.setattr(kernels, "f_grid", lambda *args: grids.append(args))
+        monkeypatch.setattr(locus, "solve_sigma", counted_solve)
+        assert self._assert_trace_is_its_slices(B2, 0.3, 0.99, _BLOCK + 1) == []
+        assert solved == [{"window": None}] * (_BLOCK + 1) and grids == []
+
+    def test_window_memory_is_bounded_by_the_block(self):
+        # the windows of 20 blocks of slices peak within 1.2x of one block's;
+        # one f_bounds call over all 1280 slices peaks about 16x higher
+        def peak(samples):
+            rhos = _slices(0.3, 0.99, samples)
+            tracemalloc.start()
+            try:
+                collections.deque(_windows(2, -1, rhos), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(20 * _BLOCK) <= 1.2 * peak(_BLOCK)
