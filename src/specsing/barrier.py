@@ -78,7 +78,8 @@ def _scaled_parts(chi, zeta, ops):
     """(w, x, c, t, sr) at chi = alpha k and zeta = z/k^2: w = sqrt(1 - zeta)
     on the upper-half-plane branch, x = 2 chi w = a + ib (b >= 0) and the
     scaled c = e^{-b} cos x, sr = e^{-b} sin(x)/(2w) = chi e^{-b} sinc x and
-    t = i(1 + w^2) sr.  ``ops`` = (exp, expm1, cos, sin, where, any, finite):
+    t = i(1 + w^2) sr.  ``ops`` = (exp, expm1, cos, sin, where, any, finite,
+    complex), where complex(re, im) builds re + i im from its two real parts:
     ``_NUMPY`` broadcasts, ``_MATH`` is faster on one point of floats.
 
     e^{-b} cos x = cos a p - i sin a q and e^{-b} sin x = sin a p + i cos a q
@@ -86,30 +87,63 @@ def _scaled_parts(chi, zeta, ops):
     however large b grows; the sinc (by its series where |x| < 1e-4) removes
     the w = 0 (zeta = 1) removable point.  Raises OverflowError where x is
     not finite (chi or zeta does not fit in a double).
+
+    Each part is formed once, in place where numpy allows, with the
+    operations and operand order of the plain complex expressions, so its
+    doubles are theirs.  numpy rounds a complex a*b and b*a differently, and
+    an in-place complex product of one element differently from one into a
+    new array, so complex products keep their order and go into new arrays.
     """
-    exp, expm1, cos, sin, where, any, finite = ops
+    exp, expm1, cos, sin, where, any, finite, complex_ = ops
     w = principal_sqrt_upper(1 - zeta)
     x = 2 * chi * w
     if not finite(x):
         raise OverflowError("alpha k, z/k^2 or 2 alpha k w does not fit in a double")
     a, b = x.real, x.imag
-    p = 0.5 + 0.5 * exp(-2 * b)
-    q = -0.5 * expm1(-2 * b)
+    m2b = -2 * b
+    p = exp(m2b)
+    p *= 0.5
+    p += 0.5
+    q = expm1(m2b)
+    q *= -0.5
     cos_a, sin_a = cos(a), sin(a)
-    c = cos_a * p - 1j * (sin_a * q)
+    # the parts of cos_a p - 1j (sin_a q): cos_a p is never 0, and 0.0 - turns
+    # a -0.0 imaginary part into 0.0 as the complex difference does
+    c = complex_(cos_a * p, 0.0 - sin_a * q)
+    cos_a *= q
+    sin_a *= p
+    # sin_a p + 1j (cos_a q) may carry the other sign of a zero part, but only
+    # where the product with chi > 0 below gives that zero one sign
+    sr = complex_(sin_a, cos_a)
     small = abs(x) < 1e-4
-    sinc = (sin_a * p + 1j * (cos_a * q)) / where(small, 1.0, x)
     if any(small):
         x2 = x * x
-        sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
-    sr = chi * sinc
-    return w, x, c, 1j * (1 + w * w) * sr, sr
+        sr = chi * where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0),
+                         sr / where(small, 1.0, x))
+    else:
+        # sr / x, not sr /= x: on one point of floats sr is a 0-d array, and
+        # sr / x a numpy scalar, so the products below round as the plain
+        # expressions' do
+        sr = sr / x
+        sr *= chi
+    t = w * w
+    t += 1
+    t *= 1j
+    return w, x, c, t * sr, sr
+
+
+def _complex_array(re, im):
+    """re + i im with numpy: a new array of re's shape (0-d for floats)."""
+    z = np.empty_like(re, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
 
 
 _NUMPY = (np.exp, np.expm1, np.cos, np.sin, np.where, np.any,
-          lambda v: np.isfinite(v).all())
+          lambda v: np.isfinite(v).all(), _complex_array)
 _MATH = (math.exp, math.expm1, math.cos, math.sin,
-         lambda cond, a, b: a if cond else b, bool, cmath.isfinite)
+         lambda cond, a, b: a if cond else b, bool, cmath.isfinite, complex)
 
 
 def scaled_transfer(alpha, z, k):
@@ -139,7 +173,12 @@ def scaled_moduli(chi, zeta):
     phase factors and m11 are never formed.
     """
     w, x, c, t, sr = _scaled_parts(chi, zeta, _NUMPY)
-    return np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag
+    w = w * w
+    w -= 1
+    a12 = np.abs(w)
+    a12 *= np.abs(sr)
+    c -= t
+    return a12, np.abs(c), x.imag
 
 
 def transfer_matrix(spec, k):

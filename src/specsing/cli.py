@@ -73,9 +73,9 @@ def parse_length_nm(text):
 
 
 def parse_complex(text):
-    """Parse a complex number; both 'i' and 'j' notations are accepted."""
-    # only a trailing i is the imaginary unit: 'inf' keeps its i
-    t = re.sub(r"i$", "j", str(text).strip().replace(" ", ""))
+    """Parse a complex number; 'i', 'I', 'j' and 'J' notations are accepted."""
+    # only a trailing i or I is the imaginary unit: 'inf' keeps its i
+    t = re.sub(r"[iI]$", "j", str(text).strip().replace(" ", ""))
     try:
         return complex(t)
     except ValueError:
@@ -225,14 +225,11 @@ def cmd_scan(args):
     sol = sols[0]
     ratios = np.linspace(1.0 - args.span, 1.0 + args.span, args.points)
     scan = gain_scan(sol, medium, geom, ratios)
-    rows = [
-        f"# solution: {_solution_record(sol)}",
-        f"# values with |m22| < {M22_FLOOR:g} are reported as the cap {GAIN_CAP:g}",
-        "omega_ratio,log10_T2_plus_R2",
-    ]
-    for ratio, lg in scan.tolist():
-        rows.append(f"{ratio:.12e},{lg:.12e}")
-    _write(args.out, "\n".join(rows) + "\n")
+    header = (f"# solution: {_solution_record(sol)}\n"
+              f"# values with |m22| < {M22_FLOOR:g} are reported as the cap {GAIN_CAP:g}\n"
+              "omega_ratio,log10_T2_plus_R2\n")
+    # one %-format of all rows: the bytes of a per-row f"{r:.12e},{v:.12e}"
+    _write(args.out, header + ("%.12e,%.12e\n" * len(scan)) % tuple(scan.ravel().tolist()))
     return EXIT_OK
 
 

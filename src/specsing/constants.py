@@ -25,7 +25,7 @@ def principal_sqrt_upper(u):
 
     Accepts scalars or arrays; u = 0 returns 0.
     """
-    if np.isscalar(u) or isinstance(u, complex):
+    if isinstance(u, complex) or np.isscalar(u):  # the cheaper test first
         s = cmath.sqrt(u)
         if s.imag > 0 or (s.imag == 0 and s.real >= 0):
             return s

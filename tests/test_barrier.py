@@ -214,7 +214,7 @@ class TestScaledTransfer:
 def _alpha_z_k_parts(alpha, z, k, ops):
     """`_scaled_parts` as written on (alpha, z, k), before it took
     chi = alpha k and zeta = z/k^2: (chi, w, x, c, t, sr)."""
-    exp, expm1, cos, sin, where, any, finite = ops
+    exp, expm1, cos, sin, where, any, finite, _ = ops
     chi = alpha * k
     w = principal_sqrt_upper(1 - z / k**2)
     x = 2 * chi * w
@@ -283,6 +283,50 @@ class TestChiZetaForm:
             spec = BarrierSpec(alpha=float(alpha), z=complex(z))
             assert m22_residual(spec, float(k)) == _alpha_z_k_residual(
                 float(alpha), complex(z), float(k))
+
+
+class TestPartsFromRealParts:
+    """`_scaled_parts` builds c and the sinc numerator from their real and
+    imaginary parts and works in place; each part keeps the doubles of the
+    complex arithmetic of `_alpha_z_k_parts`, signed zeros included."""
+
+    @staticmethod
+    def _signed_zero_barriers():
+        # real zeta < 1 gives b = 0 (q = 0.0) with a in all four quadrants, so
+        # sin a q and cos a q are 0.0 or -0.0; zeta = 5 + 5e-324j rounds the
+        # real part of w to -0.0, so a = -0.0 where b = 4 chi
+        chi = np.linspace(0.05, 4.0, 80)
+        zeta = np.array([0.5, complex(0.5, -0.0), -3.0, 5.0, 5 + 5e-324j, 5 - 5e-324j])
+        chi, zeta = (v.ravel() for v in np.meshgrid(chi, zeta))
+        return chi, zeta
+
+    def test_arrays_keep_every_part(self):
+        chi, zeta = self._signed_zero_barriers()
+        want = _alpha_z_k_parts(chi, zeta, 1.0, _NUMPY)[1:]
+        got = _scaled_parts(chi, zeta, _NUMPY)
+        assert _bits(got) == _bits(want)
+        x = want[1]
+        assert (np.signbit(x.real) & (x.real == 0)).any()           # a = -0.0
+        assert ((x.imag == 0) & (np.cos(x.real) < 0)).any()          # sin a q, cos a q = +-0.0
+
+    @pytest.mark.parametrize("ops", [_NUMPY, _MATH], ids=["numpy", "math"])
+    def test_floats_keep_every_part(self, ops):
+        for chi, zeta in zip(*self._signed_zero_barriers()):
+            want = _alpha_z_k_parts(float(chi), complex(zeta), 1.0, ops)[1:]
+            assert _bits(_scaled_parts(float(chi), complex(zeta), ops)) == _bits(want)
+
+    @pytest.mark.parametrize("size,count", [(1, 64), (2, 32), (5, 16), (4096, 2)])
+    def test_arrays_of_any_length_keep_every_part(self, size, count):
+        # numpy rounds an in-place complex product of one element differently
+        # from the product into a new array, for about a quarter of these
+        alpha, z, k = _seeded_barriers(count * size, seed=14)
+        for lo in range(0, count * size, size):
+            part = slice(lo, lo + size)
+            chi, zeta = alpha[part] * k[part], z[part] / k[part] ** 2
+            w, x, c, t, sr = want = _alpha_z_k_parts(alpha[part], z[part], k[part], _NUMPY)[1:]
+            assert _bits(_scaled_parts(chi, zeta, _NUMPY)) == _bits(want)
+            assert _bits(scaled_moduli(chi, zeta)) == _bits(
+                [np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag])
 
 
 class TestScaledModuli:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import specsing
@@ -22,7 +23,7 @@ from specsing.cli import (
     parse_complex,
     parse_length_nm,
 )
-from specsing.waveguide import find_singularities
+from specsing.waveguide import GAIN_CAP, find_singularities, gain_scan
 
 
 class TestParsers:
@@ -54,6 +55,8 @@ class TestParsers:
         ("1+0.5j", 1 + 0.5j),
         ("-2i", -2j),
         ("3", 3 + 0j),
+        ("1+2I", 1 + 2j),
+        ("-infI", complex(0.0, -math.inf)),
     ])
     def test_complex(self, text, val):
         assert parse_complex(text) == val
@@ -298,6 +301,22 @@ class TestScanCommand:
         assert len(lines) == 24
         center = dict(tuple(map(float, ln.split(","))) for ln in lines[3:])
         assert center[1.0] > 10
+
+    # the README scan, and one whose centre row is capped
+    @pytest.mark.parametrize("n,ell,span,points", [(2000, 2, 5e-4, 2001), (10000, 2, 1e-4, 21)])
+    def test_scan_csv_bytes(self, capsys, n, ell, span, points):
+        rc = main(["scan", "--n", str(n), "--ell", str(ell), "--span", str(span),
+                   "--points", str(points)])
+        out = capsys.readouterr().out
+        medium, geom = cli.medium_geometry(cli.DEFAULT_CONFIG)
+        sol = find_singularities(medium, geom, n)[ell - 1]
+        scan = gain_scan(sol, medium, geom, np.linspace(1.0 - span, 1.0 + span, points))
+        header = (f"# solution: {cli._solution_record(sol)}\n"
+                  "# values with |m22| < 1e-300 are reported as the cap 600\n"
+                  "omega_ratio,log10_T2_plus_R2\n")
+        assert rc == EXIT_OK
+        assert out == header + "".join(f"{r:.12e},{v:.12e}\n" for r, v in scan.tolist())
+        assert (scan[:, 1] == GAIN_CAP).any() == (n == 10000)
 
     @pytest.mark.parametrize("span,points", [("nan", "5"), ("inf", "5"), ("1.5", "5"),
                                              ("1e-4", "0")])

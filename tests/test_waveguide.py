@@ -6,9 +6,10 @@ import pytest
 
 from specsing import waveguide
 from specsing.barrier import BarrierSpec, scaled_transfer
-from specsing.constants import HBAR_C_EV_NM
+from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import (
     GAIN_CAP,
+    M22_FLOOR,
     CutoffError,
     GainMedium,
     WaveguideGeometry,
@@ -24,6 +25,56 @@ from oracles import coupling_of, oracle_transfer_matrix
 MEDIUM = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
 GEOM_1CM = WaveguideGeometry(beta=5e6, m=1)  # 2 beta / m = 1 cm
 OM_1CM = GEOM_1CM.omega_cutoff
+
+
+def _bits(a):
+    """The bits of each double, so -0.0 != 0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+# The frequency-scan arithmetic as plain expressions on fresh arrays;
+# gain_scan forms the same products, sums and quotients in the same order,
+# in place.
+def _expr_k(Om, omega):
+    u = (1 - Om / omega) * (1 + Om / omega)
+    return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
+
+
+def _expr_rho_sigma(medium, Om, omega):
+    d2 = omega**2 - medium.omega0**2
+    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
+    return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den
+
+
+def _expr_scaled_moduli(chi, zeta):
+    w = principal_sqrt_upper(1 - zeta)
+    x = 2 * chi * w
+    a, b = x.real, x.imag
+    p = 0.5 + 0.5 * np.exp(-2 * b)
+    q = -0.5 * np.expm1(-2 * b)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    c = cos_a * p - 1j * (sin_a * q)
+    small = abs(x) < 1e-4
+    sinc = (sin_a * p + 1j * (cos_a * q)) / np.where(small, 1.0, x)
+    if np.any(small):
+        x2 = x * x
+        sinc = np.where(small, np.exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
+    sr = chi * sinc
+    t = 1j * (1 + w * w) * sr
+    return np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag
+
+
+def _expr_scan_values(solution, medium, geom, ratios):
+    """The scan's values in one block: its arithmetic is elementwise."""
+    om = np.asarray(ratios) * solution.omega
+    rho, sigma = _expr_rho_sigma(medium, geom.omega_cutoff, om)
+    zeta = rho.astype(complex)
+    zeta.imag = sigma
+    a12, a22, b = _expr_scaled_moduli(solution.alpha * _expr_k(geom.omega_cutoff, om), zeta)
+    lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
+    capped = lg22 + b * math.log10(math.e) < math.log10(M22_FLOOR)
+    values = np.log10(np.exp(-2.0 * b) + a12 * a12) - 2.0 * lg22
+    return np.where(capped, GAIN_CAP, values)
 
 
 class TestPermittivity:
@@ -115,6 +166,15 @@ class TestRhoSigma:
         rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omegas)
         assert [(r, s) for r, s in zip(rho, sigma)] == \
             [_rho_sigma(MEDIUM, OM_1CM, float(om)) for om in omegas]
+
+    def test_floats_keep_the_doubles_of_the_expression_form(self):
+        # the float path serves the design solver's polish and certification
+        rng = np.random.default_rng(21)
+        omegas = OM_1CM * (1 + 10 ** rng.uniform(-9, 1.5, 2000))
+        omegas[:200] = 5.0 + rng.uniform(-1e-3, 1e-3, 200)  # rho changes sign here
+        for om in omegas.tolist():
+            assert _bits(_rho_sigma(MEDIUM, OM_1CM, om)) == _bits(_expr_rho_sigma(MEDIUM, OM_1CM, om))
+            assert _bits(_k(OM_1CM, om)) == _bits(_expr_k(OM_1CM, om))
 
 
 class TestFindSingularities:
@@ -224,6 +284,24 @@ class TestGainScan:
         assert scan.shape == (3, 2) and scan.dtype == np.float64
         assert list(scan[:, 0]) == ratios
         assert len(scan) == 3 and list(dict(scan)) == ratios
+
+    def test_rows_keep_the_doubles_of_the_expression_form(self):
+        # gain_scan works in place, block by block; each row is the double the
+        # expressions give, sign bits included, across block edges and at the
+        # capped rows
+        designs = capped = 0
+        for geom in (WaveguideGeometry(beta=500.0), WaveguideGeometry(beta=5e5), GEOM_1CM):
+            for n in (2, 2000, 10000):
+                for sol in find_singularities(MEDIUM, geom, n):
+                    span = min(5e-4, 0.5 * (sol.omega / geom.omega_cutoff - 1))
+                    ratios = np.linspace(1 - span, 1 + span, 2 * waveguide._SCAN_BLOCK + 1)
+                    scan = gain_scan(sol, MEDIUM, geom, ratios)
+                    want = _expr_scan_values(sol, MEDIUM, geom, ratios)
+                    assert _bits(scan[:, 0]) == _bits(ratios)
+                    assert _bits(scan[:, 1]) == _bits(want)
+                    designs += 1
+                    capped += int((want == GAIN_CAP).sum())
+        assert designs >= 20 and capped >= 1
 
     def test_blocks_match_pointwise_scans(self):
         # long grids are evaluated in blocks; rows at block edges must match
