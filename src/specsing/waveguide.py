@@ -79,10 +79,11 @@ class WaveguideGeometry:
     m: int = 1
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        # m first: the CLI derives beta from m, so a bad m would read as a bad beta
         if self.m < 1:
             raise ValueError(f"mode index must be >= 1, got {self.m}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
 
     @property
     def omega_cutoff(self):

@@ -1,4 +1,5 @@
 import errno
+import gc
 import math
 import os
 import shlex
@@ -288,6 +289,14 @@ class TestDesignCommand:
         p.write_text(line + "\n")
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
 
+    # beta is derived from the mode index, so the error names the index
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_bad_mode_index_is_named(self, tmp_path, capsys, index):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"mode_index = {index}\n")
+        assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: mode index must be >= 1, got {index}\n"
+
 
 class TestScanCommand:
     def test_scan_csv(self, tmp_path):
@@ -475,6 +484,15 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on)
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+def _process_env():
+    """The environment of a child interpreter that imports this specsing."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = os.path.dirname(os.path.dirname(specsing.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 # In a real process the interpreter flushes stdout once more at exit, which a
 # monkeypatched stdout never sees: the bytes a failed flush left buffered must
 # not fail again there (that prints `Exception ignored ...` and exits 120).
@@ -482,14 +500,34 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on)
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [["design", "--n", "2000"], ["tables", "--which", "1"]])
 def test_unwritable_stdout_in_a_process_is_one_error_line(argv, unbuffered):
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
+    env = _process_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    src = os.path.dirname(os.path.dirname(specsing.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "specsing.cli", *argv], stdout=full,
                               stderr=subprocess.PIPE, env=env, text=True, timeout=120)
     assert proc.returncode == EXIT_BAD_INPUT
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+# `python -m specsing.cli` runs the module as __main__; an atexit hook reports
+# the freeze count once the command has exited
+_ENTRY_PROBE = ("import atexit, gc, runpy, sys; "
+                "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+                "runpy.run_module('specsing.cli', run_name='__main__')")
+
+
+def test_process_entry_freezes_the_import_heap(capsys):
+    argv = ["design", "--n", "2000"]
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], capture_output=True,
+                          env=_process_env(), text=True, timeout=120)
+    frozen = gc.get_freeze_count()
+    rc = main(argv)
+    assert gc.get_freeze_count() == frozen  # main leaves the caller's collector alone
+    assert int(proc.stderr) > 0
+    assert (proc.stdout, proc.returncode) == (capsys.readouterr().out, rc)
+
+
+def test_console_script_is_the_process_entry():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as fh:
+        assert 'specsing = "specsing.cli:run"\n' in fh.read()
