@@ -29,7 +29,8 @@ import numpy as np
 
 from .barrier import BarrierSpec, SpectralSingularityError, amplitudes, m22_residual, transfer_matrix
 from .locus import BranchLabel, trace_curve
-from .waveguide import GAIN_CAP, M22_FLOOR, GainMedium, WaveguideGeometry, find_singularities, gain_scan
+from .waveguide import (BLOCK, GAIN_CAP, M22_FLOOR, GainMedium, WaveguideGeometry,
+                        find_singularities, gain_scan)
 
 EXIT_OK = 0
 EXIT_NO_SOLUTIONS = 2
@@ -128,14 +129,18 @@ def _fmt_c(c):
     return f"{c.real:.12e}{c.imag:+.12e}i"
 
 
-def _write(out_path, text):
+def _write(out_path, parts):
+    """Write the strings of ``parts`` in order to out_path, or to stdout if it
+    is None; a failed write or flush is CliError (exit 3)."""
     try:
         if out_path is None:
-            sys.stdout.write(text)
+            for part in parts:
+                sys.stdout.write(part)
             sys.stdout.flush()  # a full disk or closed pipe fails here
         else:
             with open(out_path, "w", newline="") as fh:
-                fh.write(text)
+                for part in parts:
+                    fh.write(part)
     except OSError as exc:
         if out_path is None:
             _discard_stdout()
@@ -176,7 +181,7 @@ def cmd_transfer(args):
     except SpectralSingularityError:
         lines += ["T=inf", "R=inf", "T2_plus_R2=inf"]
     lines.append(f"residual={m22_residual(spec, args.k):.12e}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -188,7 +193,7 @@ def cmd_curve(args):
     rows = ["rho,sigma,alpha_k,residual"]
     for p in points:
         rows.append(f"{p.rho:.12e},{p.sigma:.12e},{p.alpha_k:.12e},{p.residual:.12e}")
-    _write(args.out, "\n".join(rows) + "\n")
+    _write(args.out, ["\n".join(rows) + "\n"])
     return EXIT_OK if points else EXIT_NO_SOLUTIONS
 
 
@@ -212,7 +217,7 @@ def _solve_design(args, cfg):
 
 def cmd_design(args):
     _, _, sols = _solve_design(args, load_config(args.config))
-    _write(args.out, "".join(_solution_record(s) + "\n" for s in sols))
+    _write(args.out, ["".join(_solution_record(s) + "\n" for s in sols)])
     return EXIT_OK if sols else EXIT_NO_SOLUTIONS
 
 
@@ -230,8 +235,16 @@ def cmd_scan(args):
     header = (f"# solution: {_solution_record(sol)}\n"
               f"# values with |m22| < {M22_FLOOR:g} are reported as the cap {GAIN_CAP:g}\n"
               "omega_ratio,log10_T2_plus_R2\n")
-    # one %-format of all rows: the bytes of a per-row f"{r:.12e},{v:.12e}"
-    _write(args.out, header + ("%.12e,%.12e\n" * len(scan)) % tuple(scan.ravel().tolist()))
+
+    def parts():
+        # the header, then one %-format per BLOCK rows: the bytes of a per-row
+        # f"{r:.12e},{v:.12e}", with one block's tuple and string alive at a time
+        yield header
+        for lo in range(0, len(scan), BLOCK):
+            rows = scan[lo:lo + BLOCK]
+            yield ("%.12e,%.12e\n" * len(rows)) % tuple(rows.ravel().tolist())
+
+    _write(args.out, parts())
     return EXIT_OK
 
 
@@ -314,7 +327,7 @@ def cmd_tables(args):
     rows = compute_table(args.which)
     worst = max(dev for _, dev in rows)
     lines = [line for line, _ in rows] + [f"worst relative deviation: {worst:.2e}"]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 

@@ -36,12 +36,13 @@ DEFAULT_GRID_POINTS = 20000
 M22_FLOOR = 1e-300  # |m22| below which gain_scan reports GAIN_CAP
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
 _LOG10_E = math.log10(math.e)
-# gain_scan points per vectorized block: enough to spread numpy's per-call
-# cost thin, while a block's temporaries do not grow with the grid (at most
-# 0.87 MB of them alive at once, by tracemalloc; 0.94 MB before the block
-# worked in place).  On a 2-core Xeon, 1024, 2048, 8192 and 20001-point
-# blocks all scanned 20001 points more slowly.
-_SCAN_BLOCK = 4096
+# Points per vectorized block of find_singularities' omega grid and of
+# gain_scan (and rows per formatted block of the CLI's scan CSV): enough to
+# spread numpy's per-call cost thin, while a block's temporaries do not grow
+# with the grid (for gain_scan at most 0.87 MB of them alive at once, by
+# tracemalloc).  On a 2-core Xeon, 1024, 2048, 8192 and 20001-point blocks
+# all scanned 20001 points more slowly.
+BLOCK = 4096
 
 
 class CutoffError(ValueError):
@@ -159,11 +160,15 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     residual.  Solutions are labeled ell = 1, 2, ... by descending rho
     (ties by ascending sigma) to match the count-down-from-rho=1 convention.
 
-    The window is checked once, here: it must be non-empty (CutoffError), and
-    the map from omega to (rho, sigma) must evaluate on its grid without
-    overflow, division by zero or NaN (OverflowError otherwise, as where
-    omega0^2 or 10 omega0 exceeds a double).  Every polish step and every
-    root lies inside the grid, so none is checked again.
+    The grid is evaluated BLOCK points at a time into one array of F, so
+    the temporaries of rho, sigma and F do not grow with grid_points; each
+    value is the double of the whole-grid form, as the arithmetic is
+    elementwise.  The window is checked once, here, on every block before
+    any root is polished: it must be non-empty (CutoffError), and the map
+    from omega to (rho, sigma) must evaluate on its grid without overflow,
+    division by zero or NaN (OverflowError otherwise, as where omega0^2 or
+    10 omega0 exceeds a double).  Every polish step and every root lies
+    inside the grid, so none is checked again.
     """
     if n < 1:
         raise ValueError(f"branch index must be >= 1, got {n}")
@@ -174,12 +179,17 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-            rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
+        g = np.empty_like(us)
+        for start in range(0, len(us), BLOCK):
+            block = slice(start, start + BLOCK)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                rho, y = _rho_sigma(medium, Om, Om + np.exp(us[block]))
+            with np.errstate(over="ignore"):
+                y /= 1.0 - rho  # sigma / (1 - rho)
+                g[block] = kernels.f_grid(n, -1, rho, y)
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
                             f"double on the window ({lo}, {hi}) eV") from None
-    with np.errstate(over="ignore"):
-        g = kernels.f_grid(n, -1, rho, sigma / (1.0 - rho))
 
     def omega_of(u):
         return Om + math.exp(u)
@@ -217,7 +227,7 @@ def gain_scan(solution, medium, geom, ratio_grid):
     moves.  Returns an (N, 2) float64 array of (ratio, value) rows; iterating
     it, dict() and len() behave as on a list of pairs.
 
-    Each vectorized block of _SCAN_BLOCK points is fed to `scaled_moduli`
+    Each vectorized block of BLOCK points is fed to `scaled_moduli`
     at chi = alpha k(omega) and zeta = z/k^2 = rho + i sigma, the locus point
     of omega (at ratio 1 the design's own rho_star + i sigma_star).  With
     M = e^b M~, |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log
@@ -236,8 +246,8 @@ def gain_scan(solution, medium, geom, ratio_grid):
                           f"above cutoff {Om} eV")
     scan = np.empty((len(ratios), 2))
     scan[:, 0] = ratios
-    for lo in range(0, len(ratios), _SCAN_BLOCK):
-        block = slice(lo, lo + _SCAN_BLOCK)
+    for lo in range(0, len(ratios), BLOCK):
+        block = slice(lo, lo + BLOCK)
         om = omega[block]
         rho, sigma = _rho_sigma(medium, Om, om)
         zeta = rho.astype(complex)

@@ -298,6 +298,10 @@ class TestDesignCommand:
         assert capsys.readouterr().err == f"error: mode index must be >= 1, got {index}\n"
 
 
+_SCAN_CASES = [(2000, 2, 5e-4, 2001), (10000, 2, 1e-4, 21), (2000, 2, 5e-4, 1),
+               (2000, 2, 5e-4, 4096), (2000, 2, 5e-4, 4097), (2000, 2, 5e-4, 20001)]
+
+
 class TestScanCommand:
     def test_scan_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -311,21 +315,37 @@ class TestScanCommand:
         center = dict(tuple(map(float, ln.split(","))) for ln in lines[3:])
         assert center[1.0] > 10
 
-    # the README scan, and one whose centre row is capped
-    @pytest.mark.parametrize("n,ell,span,points", [(2000, 2, 5e-4, 2001), (10000, 2, 1e-4, 21)])
-    def test_scan_csv_bytes(self, capsys, n, ell, span, points):
-        rc = main(["scan", "--n", str(n), "--ell", str(ell), "--span", str(span),
-                   "--points", str(points)])
-        out = capsys.readouterr().out
+    @staticmethod
+    def _expected_csv(n, ell, span, points):
+        """The scan CSV as one string of per-row f-strings, and whether a row is capped."""
         medium, geom = cli.medium_geometry(cli.DEFAULT_CONFIG)
         sol = find_singularities(medium, geom, n)[ell - 1]
         scan = gain_scan(sol, medium, geom, np.linspace(1.0 - span, 1.0 + span, points))
         header = (f"# solution: {cli._solution_record(sol)}\n"
                   "# values with |m22| < 1e-300 are reported as the cap 600\n"
                   "omega_ratio,log10_T2_plus_R2\n")
+        rows = "".join(f"{r:.12e},{v:.12e}\n" for r, v in scan.tolist())
+        return header + rows, (scan[:, 1] == GAIN_CAP).any()
+
+    # the README scan, one whose centre row is capped, and scans of one point,
+    # one whole block of rows, a block and one row, and several blocks
+    @pytest.mark.parametrize("n,ell,span,points", _SCAN_CASES)
+    def test_scan_csv_bytes(self, capsys, n, ell, span, points):
+        rc = main(["scan", "--n", str(n), "--ell", str(ell), "--span", str(span),
+                   "--points", str(points)])
+        out = capsys.readouterr().out
+        expected, capped = self._expected_csv(n, ell, span, points)
         assert rc == EXIT_OK
-        assert out == header + "".join(f"{r:.12e},{v:.12e}\n" for r, v in scan.tolist())
-        assert (scan[:, 1] == GAIN_CAP).any() == (n == 10000)
+        assert out == expected
+        assert capped == (n == 10000)
+
+    @pytest.mark.parametrize("n,ell,span,points", _SCAN_CASES)
+    def test_scan_csv_file_bytes(self, tmp_path, n, ell, span, points):
+        out = tmp_path / "scan.csv"
+        rc = main(["scan", "--n", str(n), "--ell", str(ell), "--span", str(span),
+                   "--points", str(points), "--out", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_bytes() == self._expected_csv(n, ell, span, points)[0].encode()
 
     @pytest.mark.parametrize("span,points", [("nan", "5"), ("inf", "5"), ("1.5", "5"),
                                              ("1e-4", "0")])
@@ -459,13 +479,16 @@ def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, c
 
 
 class _FullStdout:
-    """A stdout on a full disk: every write and flush fails."""
+    """A stdout on a full disk: every flush fails, and every write ("write"),
+    none ("flush") or every write after the first ("partway")."""
 
     def __init__(self, fail_on):
         self.fail_on = fail_on
+        self.writes = 0
 
     def write(self, text):
-        if self.fail_on == "write":
+        self.writes += 1
+        if self.fail_on == "write" or (self.fail_on == "partway" and self.writes > 1):
             raise OSError(errno.ENOSPC, "No space left on device")
         return len(text)
 
@@ -473,9 +496,15 @@ class _FullStdout:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-# a buffered stdout fails at the flush, an unbuffered one at the write
-@pytest.mark.parametrize("fail_on", ["write", "flush"])
-@pytest.mark.parametrize("argv", [["design", "--n", "2000"], ["tables", "--which", "1"]])
+# stdout commands, the last of which writes its CSV in several parts
+_STDOUT_ARGVS = [["design", "--n", "2000"], ["tables", "--which", "1"],
+                 ["scan", "--n", "2000", "--ell", "2", "--points", "20001"]]
+
+
+# a buffered stdout fails at the flush, an unbuffered one at the write, and
+# one that fills up during a scan at a later part's write
+@pytest.mark.parametrize("fail_on", ["write", "flush", "partway"])
+@pytest.mark.parametrize("argv", _STDOUT_ARGVS)
 def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on):
     monkeypatch.setattr("sys.stdout", _FullStdout(fail_on))
     rc = main(argv)
@@ -498,7 +527,7 @@ def _process_env():
 # not fail again there (that prints `Exception ignored ...` and exits 120).
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [["design", "--n", "2000"], ["tables", "--which", "1"]])
+@pytest.mark.parametrize("argv", _STDOUT_ARGVS)
 def test_unwritable_stdout_in_a_process_is_one_error_line(argv, unbuffered):
     env = _process_env()
     if unbuffered:

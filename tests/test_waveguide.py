@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from specsing import waveguide
+from specsing import kernels, waveguide
 from specsing.barrier import BarrierSpec, scaled_transfer
 from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import (
@@ -252,6 +253,98 @@ class TestFindSingularities:
                 assert s.alpha == pytest.approx(r.alpha, rel=1e-13, abs=0)
 
 
+def _one_array_grid(medium, geom, n, points):
+    """u, rho and F of find_singularities' grid, each computed on the whole grid at once."""
+    Om = geom.omega_cutoff
+    us = np.linspace(math.log(Om * (1 + 1e-9) - Om), math.log(10.0 * medium.omega0 - Om), points)
+    rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
+    with np.errstate(over="ignore"):
+        return us, rho, kernels.f_grid(n, -1, rho, sigma / (1.0 - rho))
+
+
+class TestDesignGridBlocks:
+    """find_singularities evaluates its grid waveguide.BLOCK points at a time."""
+
+    @staticmethod
+    def _grid_of(monkeypatch, *problem, **kwargs):
+        """The designs, and the (u, F) grid find_singularities brackets its roots on."""
+        seen = []
+        grid_roots = waveguide._grid_roots
+
+        def spy(polish, f, xs, fv, *args):
+            seen.append((xs, fv))
+            return grid_roots(polish, f, xs, fv, *args)
+        with monkeypatch.context() as m:
+            m.setattr(waveguide, "_grid_roots", spy)
+            sols = find_singularities(*problem, **kwargs)
+        return sols, seen[0]
+
+    # the README design, Table 1's 1 um problem, and a 1 um problem at n = 2000
+    @pytest.mark.parametrize("points", [4095, 4096, 4097, 8193, 20000])
+    @pytest.mark.parametrize("beta,n", [(5e6, 2000), (500.0, 10000), (500.0, 2000)])
+    def test_grid_and_designs_keep_the_doubles_of_the_one_array_form(
+            self, monkeypatch, beta, n, points):
+        geom = WaveguideGeometry(beta=beta)
+        sols, (us, g) = self._grid_of(monkeypatch, MEDIUM, geom, n, grid_points=points)
+        ref_us, rho, ref_g = _one_array_grid(MEDIUM, geom, n, points)
+        assert _bits(us) == _bits(ref_us) and _bits(g) == _bits(ref_g)
+        # rho(omega) crosses 1 inside a block, where F changes its side of rho = 1
+        crossing = np.flatnonzero(np.diff(rho < 1.0))
+        assert any(i % waveguide.BLOCK != waveguide.BLOCK - 1 for i in crossing)
+        monkeypatch.setattr(waveguide, "BLOCK", points)  # one block: the one-array form
+        assert sols == find_singularities(MEDIUM, geom, n, grid_points=points)
+        assert len(sols) >= 2
+
+    def test_f_grid_is_called_once_per_block(self, monkeypatch):
+        sizes, f_grid = [], kernels.f_grid
+
+        def counted(n, eps, rho, y):
+            sizes.append(len(rho))
+            return f_grid(n, eps, rho, y)
+        monkeypatch.setattr(kernels, "f_grid", counted)
+        find_singularities(MEDIUM, GEOM_1CM, 2000)
+        assert sizes == [waveguide.BLOCK] * 4 + [20000 - 4 * waveguide.BLOCK]
+
+    def test_overflow_in_the_last_block_raises_before_any_polish(self, monkeypatch):
+        # (omega^2 - omega0^2)^2 overflows only in the grid's top 0.4 %, past
+        # omega = 1.2e77 eV; F changes sign at every point of the other blocks,
+        # so a polish before the last block is evaluated would show
+        medium = GainMedium(omega0=3e76, omega_p_sq=-0.04, delta=1.25)
+        blocks, polished = [], []
+
+        def alternating(n, eps, rho, y):
+            blocks.append(len(rho))
+            return np.resize([-1.0, 1.0], rho.shape)
+
+        def polish(f, a, b):
+            polished.append((a, b))
+            return a
+        monkeypatch.setattr(kernels, "f_grid", alternating)
+        monkeypatch.setattr(waveguide, "brentq", polish)
+        with pytest.raises(OverflowError, match="does not fit in a double"):
+            find_singularities(medium, GEOM_1CM, 2000)
+        assert blocks == [waveguide.BLOCK] * 4 and polished == []
+
+    def test_grid_temporaries_are_bounded_by_the_block(self, monkeypatch):
+        # what the grid's evaluation leaves as its traced peak, beyond the u
+        # grid and F themselves, is within 1.2x at 200,000 points of its value
+        # at 20,000; evaluated in one piece it grew about tenfold
+        def peak(points):
+            def at_brackets(polish, f, xs, fv, *args):
+                peaks.append(tracemalloc.get_traced_memory()[1] - xs.nbytes - fv.nbytes)
+                return []
+            peaks = []
+            monkeypatch.setattr(waveguide, "_grid_roots", at_brackets)
+            tracemalloc.start()
+            try:
+                find_singularities(MEDIUM, GEOM_1CM, 2000, grid_points=points)
+            finally:
+                tracemalloc.stop()
+            return peaks[0]
+        find_singularities(MEDIUM, GEOM_1CM, 2000)
+        assert peak(200_000) <= 1.2 * peak(20_000)
+
+
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
     om = ratio * sol.omega
@@ -294,7 +387,7 @@ class TestGainScan:
             for n in (2, 2000, 10000):
                 for sol in find_singularities(MEDIUM, geom, n):
                     span = min(5e-4, 0.5 * (sol.omega / geom.omega_cutoff - 1))
-                    ratios = np.linspace(1 - span, 1 + span, 2 * waveguide._SCAN_BLOCK + 1)
+                    ratios = np.linspace(1 - span, 1 + span, 2 * waveguide.BLOCK + 1)
                     scan = gain_scan(sol, MEDIUM, geom, ratios)
                     want = _expr_scan_values(sol, MEDIUM, geom, ratios)
                     assert _bits(scan[:, 0]) == _bits(ratios)
