@@ -1,15 +1,7 @@
 """Spectral singularities of the complex barrier potential and the
 resonating-waveguide designs built on them."""
 
-from .barrier import (
-    BarrierSpec,
-    ScatteringAmplitudes,
-    TransferMatrix,
-    amplitudes,
-    m22_residual,
-    scaled_transfer,
-    transfer_matrix,
-)
+from .barrier import BarrierSpec, m22_residual, transfer_matrix
 from .constants import HBAR_C_EV_NM, principal_sqrt_upper
 from .locus import BranchLabel, LocusPoint, solve_sigma, trace_curve
 from .waveguide import (

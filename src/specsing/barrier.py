@@ -1,4 +1,4 @@
-"""Transfer matrix and scattering amplitudes of the complex barrier potential.
+"""Transfer matrix of the complex barrier potential.
 
 The potential is v(x) = z for |x| < alpha and 0 elsewhere, with a complex
 coupling z.  The closed-form transfer matrix is expressed through
@@ -6,9 +6,12 @@ w = sqrt(1 - z/k^2) taken on the upper-half-plane branch; a spectral
 singularity is a real k at which the m22 entry vanishes, making the
 reflection and transmission coefficients blow up.  `_scaled_parts` is the
 only statement of the closed form, in the dimensionless chi = alpha k and
-zeta = z/k^2: `scaled_transfer` evaluates it with numpy (it broadcasts),
-`scaled_moduli` takes only the moduli a frequency scan prints from it, and
-`m22_residual`, which certifies singularities, evaluates it with math.
+zeta = z/k^2, with the growth factor e^b of the entries taken out.
+`transfer_matrix` and `m22_residual`, which certifies singularities,
+evaluate it at one point with math; `scaled_moduli` evaluates it with numpy
+(it broadcasts) and takes only the moduli a frequency scan prints from it.
+`transfer_matrix` returns the scaled entries and b, never M itself, whose
+entries overflow a double once b passes about 709.
 """
 
 import cmath
@@ -19,21 +22,7 @@ import numpy as np
 
 from .constants import principal_sqrt_upper
 
-__all__ = [
-    "BarrierSpec",
-    "TransferMatrix",
-    "ScatteringAmplitudes",
-    "SpectralSingularityError",
-    "scaled_transfer",
-    "scaled_moduli",
-    "transfer_matrix",
-    "amplitudes",
-    "m22_residual",
-]
-
-
-class SpectralSingularityError(ArithmeticError):
-    """Raised when amplitudes are requested exactly at a zero of m22."""
+__all__ = ["BarrierSpec", "scaled_moduli", "transfer_matrix", "m22_residual"]
 
 
 @dataclass(frozen=True)
@@ -48,24 +37,6 @@ class BarrierSpec:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not cmath.isfinite(self.z):
             raise ValueError(f"z must be finite, got {self.z}")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @property
-    def det(self):
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    t: complex
-    r_left: complex
 
 
 def _check_k(k):
@@ -146,27 +117,8 @@ _MATH = (math.exp, math.expm1, math.cos, math.sin,
          lambda cond, a, b: a if cond else b, bool, cmath.isfinite, complex)
 
 
-def scaled_transfer(alpha, z, k):
-    """Closed-form transfer matrix with its growth factor e^b taken out.
-
-    Broadcasts over alpha, z and k (k > 0).  Returns (m11, m12, m22, b) with
-    M = e^b [[m11, m12], [-m12, m22]], where m11 = e^{-2i chi}(c + t),
-    m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr from `_scaled_parts` at
-    chi = alpha k and zeta = z/k^2, so no entry is formed unscaled.  At w = 0
-    the analytic limits m11 -> e^{-2i chi}(1 + i chi),
-    m22 -> e^{2i chi}(1 - i chi), m12 -> -i chi come out automatically.
-    Raises OverflowError where alpha k or z/k^2 does not fit in a double.
-    """
-    chi = alpha * k
-    w, x, c, t, sr = _scaled_parts(chi, z / k**2, _NUMPY)
-    m11 = np.exp(-2j * chi) * (c + t)
-    m22 = np.exp(2j * chi) * (c - t)
-    m12 = 1j * (w * w - 1) * sr
-    return m11, m12, m22, np.imag(x)
-
-
 def scaled_moduli(chi, zeta):
-    """(|m12|, |m22|, b) of `scaled_transfer` at real chi = alpha k and
+    """(|m12|, |m22|, b) of `transfer_matrix` at real chi = alpha k and
     zeta = z/k^2 (numpy arrays, broadcast).
 
     |e^{+-2i chi}| = 1, so |m22| = |c - t| and |m12| = |w^2 - 1| |sr|: the
@@ -182,28 +134,23 @@ def scaled_moduli(chi, zeta):
 
 
 def transfer_matrix(spec, k):
-    """Closed-form transfer matrix of the barrier at wave number k (nm^-1).
+    """Closed-form transfer matrix of the barrier at wave number k (nm^-1),
+    with its growth factor e^b taken out.
 
-    The entries of `scaled_transfer` times e^b; raises OverflowError where
-    they do not fit in a double.
+    Returns (m11, m12, m22, b) with M = e^b [[m11, m12], [-m12, m22]], where
+    m11 = e^{-2i chi}(c + t), m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr
+    from `_scaled_parts` at chi = alpha k and zeta = z/k^2, so no entry is
+    formed unscaled and none overflows.  det M = 1, so
+    m11 m22 + m12^2 = e^{-2b}; t = e^{-b}/m22 and r = m12/m22.  At w = 0 the
+    analytic limits m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
+    m12 -> -i chi come out automatically.  Raises OverflowError where alpha k
+    or z/k^2 does not fit in a double.
     """
     _check_k(k)
-    m11, m12, m22, b = scaled_transfer(spec.alpha, spec.z, k)
-    try:
-        g = math.exp(b)
-    except OverflowError:
-        raise OverflowError(f"transfer-matrix entries grow like e^{float(b):.6g} "
-                            f"and do not fit in a double") from None
-    m12 = complex(m12) * g
-    return TransferMatrix(m11=complex(m11) * g, m12=m12, m21=-m12,
-                          m22=complex(m22) * g)
-
-
-def amplitudes(m):
-    """Transmission and reflection amplitudes t = 1/m22 and r = -m21/m22."""
-    if m.m22 == 0:
-        raise SpectralSingularityError("m22 = 0: amplitudes are infinite")
-    return ScatteringAmplitudes(t=1 / m.m22, r_left=-m.m21 / m.m22)
+    chi = spec.alpha * k
+    w, x, c, t, sr = _scaled_parts(chi, spec.z / k**2, _MATH)
+    return (cmath.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
+            cmath.exp(2j * chi) * (c - t), x.imag)
 
 
 def m22_residual(spec, k):

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  transfer  -- transfer matrix / amplitudes for one (z, alpha, k)
+  transfer  -- transfer matrix, T and R for one (z, alpha, k)
   curve     -- trace a singularity branch to CSV
   design    -- solve waveguide singularity designs for a branch index
   scan      -- frequency scan of log10(|T|^2+|R|^2) around a design, to CSV
@@ -16,6 +16,18 @@ an `error:` line and exit code 3.  `run` is the process entry of
 
 Numeric CSV fields use %.12e and LF line endings so output is
 byte-deterministic for fixed inputs.
+
+`transfer` prints M, det M, T, R, |T|^2 + |R|^2 and the certification
+residual from the scaled closed form (m11, m12, m22, b) of
+`barrier.transfer_matrix`, with M = e^b [[m11, m12], [-m12, m22]]:
+R = m12/m22 and |T|^2 + |R|^2 = (e^{-2b} + |m12|^2)/|m22|^2 never overflow.
+Where e^b M and T = e^{-b}/m22 fit in normal doubles they are printed as
+they are; otherwise a `log_scale=b` line comes first and the entries and T
+are printed scaled, M = e^{log_scale} * printed and
+T = e^{-log_scale} * printed.  det M = 1 identically; its product form is
+printed only where 2^-49 |M|^2 (Frobenius norm), a bound on its rounding,
+is below 1e-12.  m11 and m22 carry rounding relative to the larger of them,
+so |m11||m22| + |m12|^2 does not bound it where m22 is small.
 """
 
 import argparse
@@ -27,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .barrier import BarrierSpec, SpectralSingularityError, amplitudes, m22_residual, transfer_matrix
+from .barrier import BarrierSpec, m22_residual, transfer_matrix
 from .locus import BranchLabel, trace_curve
 from .waveguide import (BLOCK, GAIN_CAP, M22_FLOOR, GainMedium, WaveguideGeometry,
                         find_singularities, gain_scan)
@@ -160,26 +172,46 @@ def _discard_stdout():
     os.close(devnull)
 
 
+def _unscaled(m, b):
+    """The entries m = (m11, m12, m22) of the scaled form times e^b and
+    T = e^{-b}/m22 (None where m22 = 0), or None unless each part of them is
+    0 or a finite normal double."""
+    try:
+        g = math.exp(b)
+    except OverflowError:
+        return None
+    m = [v * g for v in m]
+    t = 1 / m[2] if m[2] != 0 else None
+    values = m if t is None else m + [t]
+    if all(p == 0 or sys.float_info.min <= abs(p) < math.inf
+           for v in values for p in (v.real, v.imag)):
+        return m, t
+    return None
+
+
 def cmd_transfer(args):
     spec = BarrierSpec(alpha=parse_length_nm(args.alpha), z=parse_complex(args.z))
-    m = transfer_matrix(spec, args.k)
-    lines = [
-        f"m11={_fmt_c(m.m11)}",
-        f"m12={_fmt_c(m.m12)}",
-        f"m21={_fmt_c(m.m21)}",
-        f"m22={_fmt_c(m.m22)}",
-        f"det={_fmt_c(m.det)}",
-    ]
-    try:
-        amp = amplitudes(m)
-        t2r2 = abs(amp.t) ** 2 + abs(amp.r_left) ** 2
-        lines += [
-            f"T={_fmt_c(amp.t)}",
-            f"R={_fmt_c(amp.r_left)}",
-            f"T2_plus_R2={t2r2:.12e}",
-        ]
-    except SpectralSingularityError:
+    m11, m12, m22, b = transfer_matrix(spec, args.k)
+    plain = _unscaled([m11, m12, m22], b)
+    if plain:
+        (e11, e12, e22), t = plain
+        lines = []
+    else:
+        e11, e12, e22 = m11, m12, m22
+        t = 1 / m22 if m22 != 0 else None
+        lines = [f"log_scale={b:.16e}"]
+    e21 = -e12
+    lines += [f"m11={_fmt_c(e11)}", f"m12={_fmt_c(e12)}", f"m21={_fmt_c(e21)}",
+              f"m22={_fmt_c(e22)}"]
+    norm = math.hypot(abs(e11), abs(e12), abs(e21), abs(e22))  # Frobenius
+    if plain and 2.0**-49 * norm * norm < 1e-12:
+        lines.append(f"det={_fmt_c(e11 * e22 - e12 * e21)}")
+    if t is None:
         lines += ["T=inf", "R=inf", "T2_plus_R2=inf"]
+    else:
+        t2r2 = math.hypot(math.exp(-b), abs(m12)) / abs(m22)
+        lines += [f"T={_fmt_c(t)}", f"R={_fmt_c(m12 / m22)}",
+                  f"T2_plus_R2={t2r2 * t2r2:.12e}"]
     lines.append(f"residual={m22_residual(spec, args.k):.12e}")
     _write(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK

@@ -4,17 +4,20 @@ A check is independent only if the code it checks cannot reach it, so these
 live beside the tests: nothing in ``specsing``, its command line or its
 benchmark calls them, and CI fails if importing ``specsing.cli`` loads this
 module.  ``oracle_transfer_matrix`` re-derives M by plane-wave matching,
-``wavefunction_profile`` builds psi from the package's amplitudes,
-``coupling_of`` gives z from the permittivity rather than from (rho, sigma),
-and ``q_of`` and ``r_of`` are the textbook q and r of the trig identities.
+``mp_scaled_transfer`` evaluates the textbook entries at mpmath precision,
+``alpha_z_k_transfer`` is the numpy closed form as first written on
+(alpha, z, k), ``wavefunction_profile`` builds psi from the package's
+amplitudes (``amplitudes_of``), ``coupling_of`` gives z from the
+permittivity rather than from (rho, sigma), and ``q_of`` and ``r_of`` are
+the textbook q and r of the trig identities.
 """
 
 import math
 
 import numpy as np
 
-from specsing.barrier import TransferMatrix, _check_k, amplitudes, transfer_matrix
-from specsing.constants import HBAR_C_EV_NM
+from specsing.barrier import _NUMPY, _check_k, transfer_matrix
+from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import permittivity
 
 
@@ -55,8 +58,61 @@ def oracle_transfer_matrix(spec, k):
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(str(exc)) from exc
         cols.append((sol[2], sol[3]))
-    return TransferMatrix(m11=cols[0][0], m12=cols[1][0],
-                          m21=cols[0][1], m22=cols[1][1])
+    return cols[0][0], cols[1][0], cols[0][1], cols[1][1]  # m11, m12, m21, m22
+
+
+def mp_scaled_transfer(mp, alpha, z, k):
+    """((m11, m12, m22) e^{-b}, x) at mpmath precision, from the textbook
+    entries cos(x) +- i(1 + w^2) sin(x)/(2w), x = 2 alpha k w = a + ib."""
+    alpha, z, k = mp.mpf(alpha), mp.mpc(z), mp.mpf(k)
+    w = mp.sqrt(1 - z / k**2)
+    if w.imag < 0 or (w.imag == 0 and w.real < 0):
+        w = -w
+    chi = alpha * k
+    x = 2 * chi * w
+    c, sr = mp.cos(x), chi * mp.sinc(x)
+    scale = mp.exp(-x.imag)
+    return ((scale * mp.exp(-2j * chi) * (c + 1j * (1 + w * w) * sr),
+             scale * 1j * (w * w - 1) * sr,
+             scale * mp.exp(2j * chi) * (c - 1j * (1 + w * w) * sr)), x)
+
+
+def alpha_z_k_parts(alpha, z, k, ops):
+    """`_scaled_parts` as written on (alpha, z, k), before it took
+    chi = alpha k and zeta = z/k^2: (chi, w, x, c, t, sr)."""
+    exp, expm1, cos, sin, where, any, finite, _ = ops
+    chi = alpha * k
+    w = principal_sqrt_upper(1 - z / k**2)
+    x = 2 * chi * w
+    assert finite(x)
+    a, b = x.real, x.imag
+    p = 0.5 + 0.5 * exp(-2 * b)
+    q = -0.5 * expm1(-2 * b)
+    cos_a, sin_a = cos(a), sin(a)
+    c = cos_a * p - 1j * (sin_a * q)
+    small = abs(x) < 1e-4
+    sinc = (sin_a * p + 1j * (cos_a * q)) / where(small, 1.0, x)
+    if any(small):
+        x2 = x * x
+        sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
+    sr = chi * sinc
+    return chi, w, x, c, 1j * (1 + w * w) * sr, sr
+
+
+def alpha_z_k_transfer(alpha, z, k):
+    """The scaled (m11, m12, m22, b) on numpy arrays (it broadcasts), from
+    `alpha_z_k_parts`."""
+    chi, w, x, c, t, sr = alpha_z_k_parts(alpha, z, k, _NUMPY)
+    return (np.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
+            np.exp(2j * chi) * (c - t), np.imag(x))
+
+
+def amplitudes_of(spec, k):
+    """t = e^{-b}/m22 and r = m12/m22 from the package's scaled transfer
+    matrix; the barrier is symmetric, so r is both the left- and the
+    right-incident reflection amplitude."""
+    _, m12, m22, b = transfer_matrix(spec, k)
+    return math.exp(-b) / m22, m12 / m22
 
 
 def wavefunction_profile(spec, k, which, xs):
@@ -64,24 +120,24 @@ def wavefunction_profile(spec, k, which, xs):
 
     which: 'left-incident' (unit wave from x = -inf) or 'right-incident'.
     psi and psi' are continuous at +-alpha by construction.  The barrier is
-    symmetric (m21 = -m12), so both incidences reflect with r_left.
+    symmetric (m21 = -m12), so both incidences reflect with the same r.
     """
     _check_k(k)
     if which not in ("left-incident", "right-incident"):
         raise ValueError(f"unknown incidence {which!r}")
     a = spec.alpha
-    amp = amplitudes(transfer_matrix(spec, k))
+    t, r = amplitudes_of(spec, k)
     w = np.sqrt(complex(1 - spec.z / k**2))
     if w == 0:
         raise NumericalDegeneracyError("degenerate interior (z = k^2)")
     if which == "left-incident":
         # x < -a: e^{ikx} + R e^{-ikx};  x > a: T e^{ikx}
-        a_l, b_l = 1.0, amp.r_left
-        a_r, b_r = amp.t, 0.0
+        a_l, b_l = 1.0, r
+        a_r, b_r = t, 0.0
     else:
         # x > a: e^{-ikx} + R e^{ikx};  x < -a: T e^{-ikx}
-        a_l, b_l = 0.0, amp.t
-        a_r, b_r = amp.r_left, 1.0
+        a_l, b_l = 0.0, t
+        a_r, b_r = r, 1.0
     # interior C e^{ikwx} + D e^{-ikwx} matched at x = -a
     em = np.exp(-1j * k * a)
     ep = np.exp(1j * k * a)

@@ -8,49 +8,61 @@ from hypothesis import given, settings, strategies as st
 
 from specsing.barrier import (
     BarrierSpec,
-    SpectralSingularityError,
     _MATH,
     _NUMPY,
     _scaled_parts,
-    amplitudes,
     m22_residual,
     scaled_moduli,
-    scaled_transfer,
     transfer_matrix,
 )
 from specsing.cli import TABLE1, TABLE2
-from specsing.constants import principal_sqrt_upper
 from specsing.locus import RESIDUAL_TOL, BranchLabel, trace_curve
 from specsing.waveguide import GainMedium, WaveguideGeometry, find_singularities
 
-from oracles import oracle_transfer_matrix, wavefunction_profile
+from oracles import (
+    alpha_z_k_parts,
+    alpha_z_k_transfer,
+    amplitudes_of,
+    mp_scaled_transfer,
+    oracle_transfer_matrix,
+    wavefunction_profile,
+)
 
 NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
+def _unscaled(spec, k):
+    """M's (m11, m12, m21, m22): the scaled entries times e^b."""
+    m11, m12, m22, b = transfer_matrix(spec, k)
+    g = math.exp(b)
+    return m11 * g, m12 * g, -m12 * g, m22 * g
+
+
 class TestTransferMatrix:
     def test_free_case_is_identity(self):
-        m = transfer_matrix(BarrierSpec(alpha=1.3, z=0), 2.0)
-        assert m.m11 == pytest.approx(1)
-        assert m.m22 == pytest.approx(1)
-        assert abs(m.m12) < 1e-15 and abs(m.m21) < 1e-15
+        m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=1.3, z=0), 2.0)
+        assert b == 0
+        assert m11 == pytest.approx(1)
+        assert m22 == pytest.approx(1)
+        assert abs(m12) < 1e-15
 
     def test_removable_point_analytic_limit(self):
         # z = k^2 makes w = 0; entries must hit the analytic limits
         alpha, k = 0.8, 1.5
         chi = alpha * k
-        m = transfer_matrix(BarrierSpec(alpha=alpha, z=k * k), k)
-        assert m.m11 == pytest.approx(cmath.exp(-2j * chi) * (1 + 1j * chi),
-                                      rel=1e-12)
-        assert m.m22 == pytest.approx(cmath.exp(2j * chi) * (1 - 1j * chi),
-                                      rel=1e-12)
-        assert m.m12 == pytest.approx(-1j * chi, rel=1e-12)
+        m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=alpha, z=k * k), k)
+        assert b == 0
+        assert m11 == pytest.approx(cmath.exp(-2j * chi) * (1 + 1j * chi),
+                                    rel=1e-12)
+        assert m22 == pytest.approx(cmath.exp(2j * chi) * (1 - 1j * chi),
+                                    rel=1e-12)
+        assert m12 == pytest.approx(-1j * chi, rel=1e-12)
 
     def test_near_removable_point_is_continuous(self):
         alpha, k = 0.8, 1.5
-        m0 = transfer_matrix(BarrierSpec(alpha=alpha, z=k * k), k)
-        m1 = transfer_matrix(BarrierSpec(alpha=alpha, z=k * k * (1 + 1e-9)), k)
-        assert m1.m22 == pytest.approx(m0.m22, rel=1e-7)
+        m0 = _unscaled(BarrierSpec(alpha=alpha, z=k * k), k)
+        m1 = _unscaled(BarrierSpec(alpha=alpha, z=k * k * (1 + 1e-9)), k)
+        assert m1[3] == pytest.approx(m0[3], rel=1e-7)
 
     @pytest.mark.parametrize("z,alpha,k", [
         (0.5 + 0.3j, 1.0, 1.0),
@@ -59,8 +71,10 @@ class TestTransferMatrix:
         (0.9, 5.0, 1.0),
     ])
     def test_unit_determinant(self, z, alpha, k):
-        m = transfer_matrix(BarrierSpec(alpha=alpha, z=z), k)
-        assert abs(m.det - 1) < 1e-12
+        # det M = e^{2b}(m11 m22 + m12^2) of the scaled entries: rescaling each
+        # entry first would add four roundings of the test's own
+        m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=alpha, z=z), k)
+        assert abs((m11 * m22 + m12 * m12) * math.exp(2 * b) - 1) < 1e-12
 
     @pytest.mark.parametrize("z,alpha,k", [
         (0.5 + 0.3j, 1.0, 1.0),
@@ -70,17 +84,14 @@ class TestTransferMatrix:
     ])
     def test_matches_plane_wave_oracle(self, z, alpha, k):
         spec = BarrierSpec(alpha=alpha, z=z)
-        m = transfer_matrix(spec, k)
-        o = oracle_transfer_matrix(spec, k)
-        for name in ("m11", "m12", "m21", "m22"):
-            a, b = getattr(m, name), getattr(o, name)
+        for a, b in zip(_unscaled(spec, k), oracle_transfer_matrix(spec, k)):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
     def test_real_z_unitarity(self):
         # real potential: |T|^2 + |R|^2 = 1
         for z in (0.4, -1.7, 2.9):
-            amp = amplitudes(transfer_matrix(BarrierSpec(alpha=1.1, z=z), 1.3))
-            assert abs(amp.t) ** 2 + abs(amp.r_left) ** 2 == pytest.approx(1, abs=1e-12)
+            t, r = amplitudes_of(BarrierSpec(alpha=1.1, z=z), 1.3)
+            assert abs(t) ** 2 + abs(r) ** 2 == pytest.approx(1, abs=1e-12)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
@@ -120,26 +131,12 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             fn(BarrierSpec(alpha=1.0, z=1 + 1j), k)
 
-    def test_overflow_raises_where_entries_exceed_a_double(self):
-        # README example: 2 chi Im w ~ 4116, entries ~ e^4116
-        with pytest.raises(OverflowError):
-            transfer_matrix(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01)
-
-
-def _mp_scaled_transfer(mp, alpha, z, k):
-    """((m11, m12, m22) e^{-b}, x) at mpmath precision, from the textbook
-    entries cos(x) +- i(1 + w^2) sin(x)/(2w), x = 2 alpha k w = a + ib."""
-    alpha, z, k = mp.mpf(alpha), mp.mpc(z), mp.mpf(k)
-    w = mp.sqrt(1 - z / k**2)
-    if w.imag < 0 or (w.imag == 0 and w.real < 0):
-        w = -w
-    chi = alpha * k
-    x = 2 * chi * w
-    c, sr = mp.cos(x), chi * mp.sinc(x)
-    scale = mp.exp(-x.imag)
-    return ((scale * mp.exp(-2j * chi) * (c + 1j * (1 + w * w) * sr),
-             scale * 1j * (w * w - 1) * sr,
-             scale * mp.exp(2j * chi) * (c - 1j * (1 + w * w) * sr)), x)
+    def test_entries_stay_finite_where_e_b_overflows(self):
+        # README example: 2 chi Im w ~ 4116, so M's entries ~ e^4116 exceed a
+        # double; the scaled ones do not
+        *entries, b = transfer_matrix(BarrierSpec(alpha=2000.0, z=1 + 0.5j), 0.01)
+        assert b == pytest.approx(4116.16, abs=0.01)
+        assert all(cmath.isfinite(v) and 1 < abs(v) < 1e2 for v in entries)
 
 
 # (alpha, z, k): b = 2 chi Im w from 0 to 1e4, w -> 0, and both sides of the
@@ -166,8 +163,8 @@ class TestScaledTransfer:
     def test_matches_50_digit_evaluation(self, alpha, z, k):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
-            want, x = _mp_scaled_transfer(mpmath.mp, alpha, z, k)
-            m11, m12, m22, b = scaled_transfer(alpha, z, k)
+            want, x = mp_scaled_transfer(mpmath.mp, alpha, z, k)
+            m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=alpha, z=z), k)
             assert b >= 0
             # x = 2 chi w carries rounding of |x| eps, and cos/sin pass it on
             tol = 1e-15 * (16 + abs(x))
@@ -176,21 +173,14 @@ class TestScaledTransfer:
             for got, ref in zip((m11, m12, m22), want):
                 assert abs(mpmath.mpc(complex(got)) - ref) <= tol * scale
 
-    def test_broadcasts_like_scalar_calls(self):
-        zs = np.array([0.5 + 0.3j, 1.5**2, 1 + 0.5j, -150.0 + 40.0j])
-        ks = np.array([1.0, 1.5, 0.01, 1.0])
-        arrays = scaled_transfer(2.0, zs, ks)
-        for i, (z, k) in enumerate(zip(zs, ks)):
-            for got, want in zip(arrays, scaled_transfer(2.0, complex(z), float(k))):
-                assert got[i] == pytest.approx(want, rel=1e-15, abs=1e-300)
-
-    def test_transfer_matrix_is_its_rescaling(self):
-        spec = BarrierSpec(alpha=2.0, z=3.0 - 0.8j)
-        m11, m12, m22, b = scaled_transfer(spec.alpha, spec.z, 1.3)
-        m = transfer_matrix(spec, 1.3)
-        assert (m.m11, m.m12, m.m21, m.m22) == (
-            complex(m11) * math.exp(b), complex(m12) * math.exp(b),
-            -complex(m12) * math.exp(b), complex(m22) * math.exp(b))
+    @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
+    def test_hard_barriers_keep_determinant_and_flux(self, alpha, z, k):
+        # the bounds of the two property tests below
+        m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=alpha, z=z), k)
+        scale = max(abs(m11), abs(m22)) ** 2 + abs(m12) ** 2
+        assert abs(m11 * m22 + m12 * m12 - math.exp(-2 * b)) <= 1e-13 * scale
+        if complex(z).imag == 0:
+            assert math.exp(-2 * b) + abs(m12) ** 2 == pytest.approx(abs(m22) ** 2, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(chi=st.floats(1e-3, 1e4), k=st.floats(1e-3, 1e2),
@@ -198,7 +188,7 @@ class TestScaledTransfer:
     def test_scaled_determinant(self, chi, k, u):
         # det M = 1, so m11 m22 - m12 m21 = e^{-2b} for the scaled entries;
         # m11 and m22 are c + t and c - t, so rounding scales with the larger
-        m11, m12, m22, b = scaled_transfer(chi / k, u * k * k, k)
+        m11, m12, m22, b = transfer_matrix(BarrierSpec(alpha=chi / k, z=u * k * k), k)
         det = m11 * m22 + m12 * m12
         scale = max(abs(m11), abs(m22)) ** 2 + abs(m12) ** 2
         assert abs(det - math.exp(-2 * b)) <= 1e-13 * scale
@@ -207,40 +197,19 @@ class TestScaledTransfer:
     @given(chi=st.floats(1e-3, 1e4), k=st.floats(1e-3, 1e2), u=st.floats(-1e3, 1e3))
     def test_real_coupling_conserves_flux(self, chi, k, u):
         # |T|^2 + |R|^2 = (e^{-2b} + |m12|^2) / |m22|^2 = 1 for real z
-        _, m12, m22, b = scaled_transfer(chi / k, u * k * k, k)
+        _, m12, m22, b = transfer_matrix(BarrierSpec(alpha=chi / k, z=u * k * k), k)
         assert math.exp(-2 * b) + abs(m12) ** 2 == pytest.approx(abs(m22) ** 2, rel=1e-12)
 
 
-def _alpha_z_k_parts(alpha, z, k, ops):
-    """`_scaled_parts` as written on (alpha, z, k), before it took
-    chi = alpha k and zeta = z/k^2: (chi, w, x, c, t, sr)."""
-    exp, expm1, cos, sin, where, any, finite, _ = ops
-    chi = alpha * k
-    w = principal_sqrt_upper(1 - z / k**2)
-    x = 2 * chi * w
-    assert finite(x)
-    a, b = x.real, x.imag
-    p = 0.5 + 0.5 * exp(-2 * b)
-    q = -0.5 * expm1(-2 * b)
-    cos_a, sin_a = cos(a), sin(a)
-    c = cos_a * p - 1j * (sin_a * q)
-    small = abs(x) < 1e-4
-    sinc = (sin_a * p + 1j * (cos_a * q)) / where(small, 1.0, x)
-    if any(small):
-        x2 = x * x
-        sinc = where(small, exp(-b) * (1.0 - x2 / 6.0 + x2 * x2 / 120.0), sinc)
-    sr = chi * sinc
-    return chi, w, x, c, 1j * (1 + w * w) * sr, sr
-
-
-def _alpha_z_k_transfer(alpha, z, k):
-    chi, w, x, c, t, sr = _alpha_z_k_parts(alpha, z, k, _NUMPY)
-    return (np.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
-            np.exp(2j * chi) * (c - t), np.imag(x))
+def _alpha_z_k_matrix(alpha, z, k):
+    """`alpha_z_k_transfer` on math, as `transfer_matrix` evaluates it."""
+    chi, w, x, c, t, sr = alpha_z_k_parts(alpha, z, k, _MATH)
+    return (cmath.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
+            cmath.exp(2j * chi) * (c - t), x.imag)
 
 
 def _alpha_z_k_residual(alpha, z, k):
-    _, _, x, c, t, _ = _alpha_z_k_parts(alpha, z, k, _MATH)
+    _, _, x, c, t, _ = alpha_z_k_parts(alpha, z, k, _MATH)
     return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
 
 
@@ -266,17 +235,19 @@ def _seeded_barriers(count, seed=11):
 class TestChiZetaForm:
     """`_scaled_parts` takes chi = alpha k and zeta = z/k^2; its callers form
     them with the operations the (alpha, z, k) form did, so every double of
-    the certified and unscaled paths is unchanged."""
+    the certified and scaled paths is unchanged."""
 
     @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
     def test_hard_barriers_give_the_same_doubles(self, alpha, z, k):
         spec = BarrierSpec(alpha=alpha, z=z)
-        assert _bits(scaled_transfer(alpha, z, k)) == _bits(_alpha_z_k_transfer(alpha, z, k))
+        assert _bits(transfer_matrix(spec, k)) == _bits(_alpha_z_k_matrix(alpha, z, k))
         assert _bits([m22_residual(spec, k)]) == _bits([_alpha_z_k_residual(alpha, z, k)])
 
-    def test_seeded_arrays_give_the_same_doubles(self):
-        alpha, z, k = _seeded_barriers(4000)
-        assert _bits(scaled_transfer(alpha, z, k)) == _bits(_alpha_z_k_transfer(alpha, z, k))
+    def test_seeded_matrices_give_the_same_doubles(self):
+        for alpha, z, k in zip(*_seeded_barriers(2000)):
+            alpha, z, k = float(alpha), complex(z), float(k)
+            assert _bits(transfer_matrix(BarrierSpec(alpha=alpha, z=z), k)) == _bits(
+                _alpha_z_k_matrix(alpha, z, k))
 
     def test_seeded_residuals_give_the_same_doubles(self):
         for alpha, z, k in zip(*_seeded_barriers(2000, seed=12)):
@@ -288,7 +259,7 @@ class TestChiZetaForm:
 class TestPartsFromRealParts:
     """`_scaled_parts` builds c and the sinc numerator from their real and
     imaginary parts and works in place; each part keeps the doubles of the
-    complex arithmetic of `_alpha_z_k_parts`, signed zeros included."""
+    complex arithmetic of `alpha_z_k_parts`, signed zeros included."""
 
     @staticmethod
     def _signed_zero_barriers():
@@ -302,7 +273,7 @@ class TestPartsFromRealParts:
 
     def test_arrays_keep_every_part(self):
         chi, zeta = self._signed_zero_barriers()
-        want = _alpha_z_k_parts(chi, zeta, 1.0, _NUMPY)[1:]
+        want = alpha_z_k_parts(chi, zeta, 1.0, _NUMPY)[1:]
         got = _scaled_parts(chi, zeta, _NUMPY)
         assert _bits(got) == _bits(want)
         x = want[1]
@@ -312,7 +283,7 @@ class TestPartsFromRealParts:
     @pytest.mark.parametrize("ops", [_NUMPY, _MATH], ids=["numpy", "math"])
     def test_floats_keep_every_part(self, ops):
         for chi, zeta in zip(*self._signed_zero_barriers()):
-            want = _alpha_z_k_parts(float(chi), complex(zeta), 1.0, ops)[1:]
+            want = alpha_z_k_parts(float(chi), complex(zeta), 1.0, ops)[1:]
             assert _bits(_scaled_parts(float(chi), complex(zeta), ops)) == _bits(want)
 
     @pytest.mark.parametrize("size,count", [(1, 64), (2, 32), (5, 16), (4096, 2)])
@@ -323,7 +294,7 @@ class TestPartsFromRealParts:
         for lo in range(0, count * size, size):
             part = slice(lo, lo + size)
             chi, zeta = alpha[part] * k[part], z[part] / k[part] ** 2
-            w, x, c, t, sr = want = _alpha_z_k_parts(alpha[part], z[part], k[part], _NUMPY)[1:]
+            w, x, c, t, sr = want = alpha_z_k_parts(alpha[part], z[part], k[part], _NUMPY)[1:]
             assert _bits(_scaled_parts(chi, zeta, _NUMPY)) == _bits(want)
             assert _bits(scaled_moduli(chi, zeta)) == _bits(
                 [np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag])
@@ -334,7 +305,7 @@ class TestScaledModuli:
     def test_moduli_of_the_scaled_entries(self, alpha, z, k):
         # |e^{+-2i chi}| = 1 up to rounding, so the moduli agree to a few ulp
         a12, a22, b = scaled_moduli(alpha * k, z / k**2)
-        _, m12, m22, b_ref = scaled_transfer(alpha, z, k)
+        _, m12, m22, b_ref = alpha_z_k_transfer(alpha, z, k)
         assert b == b_ref
         assert a12 == pytest.approx(abs(m12), rel=1e-15, abs=1e-300)
         assert a22 == pytest.approx(abs(m22), rel=1e-15, abs=1e-300)
@@ -342,24 +313,10 @@ class TestScaledModuli:
     def test_seeded_arrays(self):
         alpha, z, k = _seeded_barriers(4000, seed=13)
         a12, a22, b = scaled_moduli(alpha * k, z / k**2)
-        _, m12, m22, b_ref = scaled_transfer(alpha, z, k)
+        _, m12, m22, b_ref = alpha_z_k_transfer(alpha, z, k)
         assert (b == b_ref).all()
         np.testing.assert_allclose(a12, np.abs(m12), rtol=1e-15, atol=1e-300)
         np.testing.assert_allclose(a22, np.abs(m22), rtol=1e-15, atol=1e-300)
-
-
-class TestAmplitudes:
-    def test_transmission_is_inverse_m22(self):
-        m = transfer_matrix(BarrierSpec(alpha=1.0, z=0.5 + 0.2j), 1.0)
-        amp = amplitudes(m)
-        assert amp.t == pytest.approx(1 / m.m22)
-        assert amp.r_left == pytest.approx(-m.m21 / m.m22)
-        assert m.m21 == -m.m12  # so m12/m22, the right-incident r, is r_left
-
-    def test_singular_matrix_raises(self):
-        from specsing.barrier import TransferMatrix
-        with pytest.raises(SpectralSingularityError):
-            amplitudes(TransferMatrix(m11=1, m12=0, m21=0, m22=0))
 
 
 def _f_form_residual(alpha, z, k):
@@ -414,16 +371,18 @@ class TestResidual:
     @pytest.mark.parametrize("z,alpha,k", [(1.0, 2.0, 1.0), (4.0, 1000.0, 2.0), (2.25, 0.8, 1.5)])
     def test_removable_point_value(self, z, alpha, k):
         # w = 0: c = 1, t = i chi and x = 0, so the residual is |1 - i chi| / (1 + chi);
-        # |m22| = |1 - i chi| >= 1, so no singularity is there
+        # |m22| = |1 - i chi| >= 1 (b = 0: m22 is not scaled), so no singularity is there
         chi = alpha * k
         spec = BarrierSpec(alpha=alpha, z=z)
         assert 1 - z / k**2 == 0
-        assert abs(transfer_matrix(spec, k).m22) == pytest.approx(math.hypot(1.0, chi), rel=1e-12)
+        _, _, m22, b = transfer_matrix(spec, k)
+        assert b == 0 and abs(m22) == pytest.approx(math.hypot(1.0, chi), rel=1e-12)
         assert m22_residual(spec, k) == pytest.approx(math.hypot(1.0, chi) / (1 + chi), rel=1e-14)
 
     @pytest.mark.parametrize("alpha,z,k", HARD_BARRIERS)
     def test_float_and_array_tables_agree(self, alpha, z, k):
-        # m22_residual runs the closed form on math, scaled_transfer on numpy
+        # transfer_matrix and m22_residual run the closed form on math,
+        # scaled_moduli on numpy
         chi, zeta = alpha * k, z / k**2
         for got, want in zip(_scaled_parts(chi, zeta, _MATH),
                              _scaled_parts(chi, zeta, _NUMPY)):
@@ -488,7 +447,7 @@ class TestWavefunction:
     def test_left_incident_transmitted_side(self):
         spec = BarrierSpec(alpha=1.0, z=0.8 + 0.3j)
         k = 1.2
-        amp = amplitudes(transfer_matrix(spec, k))
+        t, _ = amplitudes_of(spec, k)
         x = 3.0
         (psi,) = wavefunction_profile(spec, k, "left-incident", [x])
-        assert psi == pytest.approx(amp.t * cmath.exp(1j * k * x))
+        assert psi == pytest.approx(t * cmath.exp(1j * k * x))

@@ -12,7 +12,6 @@ import pytest
 
 import specsing
 from specsing import cli
-from specsing.barrier import SpectralSingularityError
 from specsing.cli import (
     CliError,
     EXIT_BAD_INPUT,
@@ -25,6 +24,8 @@ from specsing.cli import (
     parse_length_nm,
 )
 from specsing.waveguide import GAIN_CAP, find_singularities, gain_scan
+
+from oracles import mp_scaled_transfer
 
 
 class TestParsers:
@@ -147,19 +148,32 @@ class TestTransferCommand:
         rc = main(["transfer", "--z", "1i", "--k", "1"])
         assert rc == EXIT_BAD_INPUT
 
-    def test_overflow_is_reported_not_raised(self, capsys):
-        # README example: the entries grow like e^4116
+    def test_readme_example_prints_the_scaled_form(self, capsys):
+        # the entries grow like e^4116: printed scaled, after one log_scale line
         rc = main(["transfer", "--z", "1+0.5i", "--alpha", "2um", "--k", "0.01"])
-        captured = capsys.readouterr()
-        assert rc == EXIT_BAD_INPUT
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK
+        assert [ln.split("=", 1)[0] for ln in lines] == [
+            "log_scale", "m11", "m12", "m21", "m22", "T", "R", "T2_plus_R2", "residual"]
+        assert lines[0] == "log_scale=4.1161579628826621e+03"
+        assert lines[6:8] == ["R=6.559535330336e-01+7.605620838738e-01i",
+                              "T2_plus_R2=1.008729720926e+00"]
+
+    def test_det_is_left_out_where_it_has_no_digits(self, capsys):
+        # e^b ~ e^412 fits, so M and T print as they are; det's product form
+        # would cancel entries of ~1e180 and read nan
+        rc = main(["transfer", "--z", "1+0.5i", "--alpha", "200nm", "--k", "0.01"])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert [ln.split("=", 1)[0] for ln in out.splitlines()] == [
+            "m11", "m12", "m21", "m22", "T", "R", "T2_plus_R2", "residual"]
+        assert "nan" not in out and "m11=-1.122973482329e+180" in out
 
     def test_singular_matrix_prints_infinite_amplitudes(self, capsys, monkeypatch):
-        def singular(m):
-            raise SpectralSingularityError("m22 = 0")
+        def singular(spec, k):
+            return 1 + 0j, 0j, 0j, 0.0  # m11, m12, m22 = 0, b
 
-        monkeypatch.setattr(cli, "amplitudes", singular)
+        monkeypatch.setattr(cli, "transfer_matrix", singular)
         rc = main(["transfer", "--z", "1+0.5i", "--alpha", "2nm", "--k", "1"])
         lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_OK
@@ -196,6 +210,82 @@ class TestTransferCommand:
         captured = capsys.readouterr()
         assert rc == EXIT_BAD_INPUT
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def _transfer_deck(count, seed):
+    """(argv, alpha, z, k) of `transfer` runs: Re z and Im z uniform in
+    [-2, 2], alpha log-uniform in [0.1, 1e4] nm and k log-uniform in
+    [1e-4, 10].  Each double is written with 17 digits, so it parses back to
+    itself."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.uniform(-2, 2, (2, count))
+    alpha = 10 ** rng.uniform(-1, 4, count)
+    k = 10 ** rng.uniform(-4, 1, count)
+    for i in range(count):
+        z = complex(re[i], im[i])
+        yield (["transfer", "--z", f"{z.real:.17g}{z.imag:+.17g}i",
+                "--alpha", f"{alpha[i]:.17g}", "--k", f"{k[i]:.17g}"],
+               float(alpha[i]), z, float(k[i]))
+
+
+def _printed(mp, text):
+    """A printed %.12e field as an mpc, and the most its rounding moved it:
+    half a unit in the last digit of each part."""
+    v = parse_complex(text)
+    return mp.mpc(v), 5e-13 * (abs(v.real) + abs(v.imag))
+
+
+def _check_transfer_fields(mp, fields, alpha, z, k):
+    """Every field of one `transfer` stdout against the closed form at the
+    working precision of ``mp``, for the doubles alpha, z and k."""
+    (m11, m12, m22), x = mp_scaled_transfer(mp, alpha, z, k)
+    b = x.imag
+    # the closed form's own error, as in the 50-digit check of the barrier
+    tol = 1e-15 * (16 + abs(x))
+    scale = max(abs(m11), abs(m12), abs(m22))
+    # M = e^s times the printed entries and T = e^-s times the printed T,
+    # so those print e^{b-s} times the scaled entries and e^{s-b}/m22
+    f = mp.exp(b - mp.mpf(fields.get("log_scale", "0")))
+    for key, want in (("m11", m11), ("m12", m12), ("m21", -m12), ("m22", m22)):
+        got, rounding = _printed(mp, fields[key])
+        assert abs(got - f * want) <= f * tol * scale + rounding
+    got, rounding = _printed(mp, fields["T"])
+    want = 1 / (f * m22)
+    assert abs(got - want) <= abs(want) * tol * scale / abs(m22) + rounding
+    # R and |T|^2 + |R|^2 to 1e-11 relative, or to what a few ulps can move
+    # them by where m22 = e^{2i chi}(c - t) cancels (|c| + |t| <= |m11| + |m22|)
+    # or m12's factor w^2 - 1 = -zeta does
+    zeta = mp.mpc(z) / mp.mpf(k) ** 2
+    rel = 1e-11 + 2.0**-50 * ((abs(m11) + abs(m22)) / abs(m22) + abs(1 - zeta) / abs(zeta))
+    got, _ = _printed(mp, fields["R"])
+    assert abs(got - m12 / m22) <= rel * abs(m12 / m22)
+    want = (mp.exp(-2 * b) + abs(m12) ** 2) / abs(m22) ** 2
+    assert abs(mp.mpf(fields["T2_plus_R2"]) - want) <= rel * want
+    if "det" in fields:
+        assert abs(parse_complex(fields["det"]) - 1) <= 1e-12
+    # residual = |c - t| / ((|c| + |t|) min(1 + |x|, 1e3)), where
+    # c -+ t = e^{-+2i chi} (m22, m11): c - t errs by tol (|c| + |t|) at most
+    chi = mp.mpf(alpha) * mp.mpf(k)
+    c_minus_t, c_plus_t = mp.exp(-2j * chi) * m22, mp.exp(2j * chi) * m11
+    cap = min(1 + abs(x), 1000)
+    want = abs(c_minus_t) / ((abs(c_plus_t + c_minus_t) + abs(c_plus_t - c_minus_t)) / 2 * cap)
+    assert abs(mp.mpf(fields["residual"]) - want) <= tol / cap + 1e-12 * want
+
+
+def test_transfer_stdout_matches_50_digit_evaluation(capsys):
+    """Differential check of every printed `transfer` field on a seeded deck
+    that reaches b = 2 alpha k Im w ~ 1e4, far past where e^b overflows."""
+    mpmath = pytest.importorskip("mpmath")
+    scaled = 0
+    for argv, alpha, z, k in _transfer_deck(300, seed=1):
+        assert main(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        assert "nan" not in out, argv
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        scaled += "log_scale" in fields
+        with mpmath.workdps(50):
+            _check_transfer_fields(mpmath.mp, fields, alpha, z, k)
+    assert 30 <= scaled <= 270  # both forms are exercised
 
 
 class TestCurveCommand:
@@ -404,13 +494,10 @@ def test_readme_lists_every_subcommand():
         "curve", "design", "scan", "tables", "transfer"]
 
 
-# the README transfer example overflows a double and exits 3; every other
-# example produces results
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_command_exits_as_documented(tmp_path, monkeypatch, capsys, line):
     monkeypatch.chdir(tmp_path)  # --out files land here
-    argv = shlex.split(line)[1:]
-    assert main(argv) == (EXIT_BAD_INPUT if argv[0] == "transfer" else EXIT_OK)
+    assert main(shlex.split(line)[1:]) == EXIT_OK
 
 
 def _out_of_memory(*args, **kwargs):

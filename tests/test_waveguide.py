@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specsing import kernels, waveguide
-from specsing.barrier import BarrierSpec, scaled_transfer
+from specsing.barrier import BarrierSpec
 from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import (
     GAIN_CAP,
@@ -21,7 +21,7 @@ from specsing.waveguide import (
     permittivity,
 )
 
-from oracles import coupling_of, oracle_transfer_matrix
+from oracles import alpha_z_k_transfer, coupling_of, oracle_transfer_matrix
 
 MEDIUM = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
 GEOM_1CM = WaveguideGeometry(beta=5e6, m=1)  # 2 beta / m = 1 cm
@@ -348,9 +348,9 @@ class TestDesignGridBlocks:
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
     om = ratio * sol.omega
-    m = oracle_transfer_matrix(BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, om)),
-                               _k(OM_1CM, om))
-    return math.log10((1 + abs(m.m12) ** 2) / abs(m.m22) ** 2)
+    spec = BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, om))
+    _, m12, _, m22 = oracle_transfer_matrix(spec, _k(OM_1CM, om))
+    return math.log10((1 + abs(m12) ** 2) / abs(m22) ** 2)
 
 
 def _mp_gain(mp, sol, geom, omega):
@@ -477,8 +477,8 @@ class TestGainScan:
             sol = find_singularities(MEDIUM, geom, n)[ell - 1]
             ratios = 1.0 + np.array(offsets)
             om = ratios * sol.omega
-            _, m12, m22, b = scaled_transfer(sol.alpha, coupling_of(MEDIUM, om),
-                                             _k(geom.omega_cutoff, om))
+            _, m12, m22, b = alpha_z_k_transfer(sol.alpha, coupling_of(MEDIUM, om),
+                                                _k(geom.omega_cutoff, om))
             old = np.log10(np.exp(-2 * b) + np.abs(m12) ** 2) - 2 * np.log10(np.abs(m22))
             new = gain_scan(sol, MEDIUM, geom, ratios)[:, 1]
             with mpmath.workdps(50):
