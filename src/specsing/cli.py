@@ -143,7 +143,9 @@ def _fmt_c(c):
 
 def _write(out_path, parts):
     """Write the strings of ``parts`` in order to out_path, or to stdout if it
-    is None; a failed write or flush is CliError (exit 3)."""
+    is None; a failed write or flush, or a closed stdout, is CliError (exit 3)."""
+    if out_path is None and sys.stdout is None:  # started with its descriptor closed
+        raise CliError("cannot write stdout: it is closed")
     try:
         if out_path is None:
             for part in parts:
@@ -155,18 +157,19 @@ def _write(out_path, parts):
                     fh.write(part)
     except OSError as exc:
         if out_path is None:
-            _discard_stdout()
+            _discard(sys.stdout)
         raise CliError(f"cannot write {out_path or 'stdout'}: {exc}")
 
 
-def _discard_stdout():
-    """Point stdout's file descriptor at devnull.  A failed flush keeps its
-    bytes buffered, and the interpreter flushes stdout again at exit; without
-    this that flush fails too, prints `Exception ignored ...` and exits 120."""
+def _discard(stream):
+    """Point stream's file descriptor at devnull.  A failed flush keeps its
+    bytes buffered, and the interpreter flushes stdout and stderr again at
+    exit; without this that flush fails too, prints `Exception ignored ...`
+    and exits 120."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
-        return  # no file descriptor behind stdout: nothing is flushed at exit
+        return  # no file descriptor behind the stream: nothing is flushed at exit
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
@@ -218,8 +221,6 @@ def cmd_transfer(args):
 
 
 def cmd_curve(args):
-    if args.n < 1:
-        raise CliError(f"branch index must be >= 1, got {args.n}")
     points = trace_curve(BranchLabel(n=args.n, eps=-1),
                          args.rho_min, args.rho_max, args.samples)
     rows = ["rho,sigma,alpha_k,residual"]
@@ -413,7 +414,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        try:  # the line is written where stderr can take it; else stderr is discarded
+            sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):  # AttributeError: stderr is None
+            _discard(sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -1,5 +1,5 @@
 """The reduction of m22 = 0 to F(n, eps; rho, y) = 0, the only place it is
-written: the locus function F and the phase R that fixes alpha*k.
+written: the locus function F, its enclosure and G = alpha*k at a root.
 
     F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n + eps arccos a,
 
@@ -18,9 +18,10 @@ s - 1 and |y|), so a bracketing grid built once (``locus`` keeps one from
 import) pays for them once, not on every call.  The per-side helpers
 ``_num_a``, ``_sin2_a`` and ``_term1`` are the only statement of the stable
 forms; they are written with augmented assignment, so the same lines serve
-floats (``f_scalar`` for the root polish, ``phase`` for R) and arrays, which
-they allocate once and then update in place (``f_grid``, with rho and y
-broadcast against each other).  The float and array paths agree up to the
+floats (``f_scalar`` for the root polish, ``alpha_k`` for G) and arrays,
+which they allocate once and then update in place (``f_grid``, with rho and
+y broadcast against each other, and rho on one side of 1 per call, so each
+point is computed once).  The float and array paths agree up to the
 last-place differences between numpy's and libm's atan2 and sinh.
 
 ``f_bounds`` encloses F on cells [y0, y1] (y >= 0, rho < 1) in the sense of
@@ -36,7 +37,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["Cells", "YGrid", "f_bounds", "f_grid", "f_scalar", "phase"]
+__all__ = ["Cells", "YGrid", "alpha_k", "f_bounds", "f_grid", "f_scalar"]
 
 _OVERFLOW = 350.0
 _SENTINEL = -1e300
@@ -112,45 +113,42 @@ def _sin2_a(rho, y, sp, below):
     return 2.0 * (rho - 1.0) * sp
 
 
-def _side(below, part, *args):
-    """``part`` on the side of rho = 1 where ``below`` puts each element."""
-    if not isinstance(below, np.ndarray):
-        return part(*args, below)
-    return np.where(below, part(*args, True), part(*args, False))
-
-
 def _phase(n, eps, rho, y, s, sp, sm, below):
-    """R at one point, from the pieces f_scalar shares."""
+    """R at one point, from the pieces f_scalar and alpha_k share."""
     sin_a = math.sqrt(_sin2_a(rho, y, sp, below))
     return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, s, sm, below))
 
 
-def phase(n, eps, rho, y):
-    """R = pi n + eps arccos a at one point (floats); alpha*k = R/sqrt(2|1-rho|(s+1))."""
+def alpha_k(n, eps, rho, y):
+    """G = alpha*k = R / sqrt(2|1-rho|(s+1)) at one point (floats)."""
     s, sp, sm, _ = _y_pieces(y)
-    return _phase(n, eps, rho, y, s, sp, sm, rho < 1.0)
+    return _phase(n, eps, rho, y, s, sp, sm, rho < 1.0) / math.sqrt(2.0 * abs(1.0 - rho) * sp)
 
 
 def f_scalar(n, eps, rho, y):
     """F at one point (floats)."""
     s, sp, sm, ay = _y_pieces(y)
-    den = _den(rho, y)
     below = rho < 1.0
     x = ay * _phase(n, eps, rho, y, s, sp, sm, below) / sp
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)
-    return _term1(rho, y, sp, den, below) - 0.5 * sh * sh
+    return _term1(rho, y, sp, _den(rho, y), below) - 0.5 * sh * sh
 
 
 def f_grid(n, eps, rho, y):
     """F on arrays; rho and y (an array or a YGrid of one) broadcast against
-    each other.  Each helper allocates its result once; the rest is in place."""
+    each other, with every rho below 1 or none (else ValueError).  Each
+    helper allocates its result once; the rest is in place."""
     g = y if isinstance(y, YGrid) else YGrid(y)
     below = rho < 1.0
-    x = _side(below, _sin2_a, rho, g.y, g.sp)
+    if isinstance(below, np.ndarray):
+        if below.any() and not below.all():
+            raise ValueError("rho must lie on one side of 1 in one f_grid call")
+        below = below.all()
+    x = _sin2_a(rho, g.y, g.sp, below)
     np.sqrt(x, out=x)
-    num_a = _side(below, _num_a, rho, g.s, g.sm)
+    num_a = _num_a(rho, g.s, g.sm, below)
     if eps < 0:
         np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
@@ -162,7 +160,7 @@ def f_grid(n, eps, rho, y):
     sh = np.sinh(x, out=x)
     half_sh2 = np.multiply(sh, 0.5, out=num_a)
     half_sh2 *= sh
-    f = _side(below, _term1, rho, g.y, g.sp, _den(rho, g.y))
+    f = _term1(rho, g.y, g.sp, _den(rho, g.y), below)
     f -= half_sh2
     f[over] = _SENTINEL
     return f
@@ -192,12 +190,11 @@ def f_bounds(n, eps, rho, cells):
     """Bounds lo <= F <= hi on each of ``cells`` (a Cells), for rho < 1 and
     a branch with R >= 0 (n >= 1, or n = 0 with eps = +1).
 
-    rho is a float or a 1-d array of them.  The bounds are rows lo and hi on
-    axis -2, one column per cell: shape (2, cells) for a float rho and
-    (rho.size, 2, cells) for an array, whose row pair i is that of rho[i].
-    The masks lo > 0 and hi < 0 are those of each rho on its own; a bound
-    may differ from the float rho's in its last bit, where numpy's vector
-    loops round differently from its scalar ones.
+    rho is a 1-d array.  The bounds have shape (rho.size, 2, cells): for
+    rho[i], rows lo and hi with one column per cell.  The masks lo > 0 and
+    hi < 0 of a row are those of its rho alone (a one-element array); a
+    bound may differ from that one's in its last bit, where numpy's vector
+    loops round differently for different layouts.
 
     Each of F's two terms is moved outward by at least the relative margin
     _MARGIN, far above the rounding error of f_grid, so a cell with lo > 0
@@ -210,8 +207,7 @@ def f_bounds(n, eps, rho, cells):
     extremes at the cell's corners, x lies in [R_lo |y0|/(s0+1),
     R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0].
     """
-    if isinstance(rho, np.ndarray):
-        rho = rho[:, None, None]  # a row of ends per rho
+    rho = rho[:, None, None]  # a row of ends per rho
     ends = cells.ends
     up, down = np.s_[..., 0:2, :], np.s_[..., 1:3, :]  # rows [y0; y1] and [y1; y0]
     sin_a = _sin2_a(rho, ends.y, ends.sp, True)

@@ -12,9 +12,9 @@ where 1 - rho is below about 1e-10 (alpha k of 1e7 to 1e10), since there the
 residual's factor min(1 + |x|, 1e3) = 1e3 admits |c - t| up to 1e-6
 (|c| + |t|).
 
-F and the phase in G are computed only in `kernels`, with the stable
-rewrites of the terms that cancel for small y; this module brackets,
-polishes and certifies their roots.  A root is bracketed on a fixed y grid,
+F and G are computed only in `kernels`, with the stable rewrites of the
+terms that cancel for small y; this module brackets, polishes and
+certifies the roots of F.  A root is bracketed on a fixed y grid,
 but F is evaluated only where an enclosure of F on coarse cells of that
 grid (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot
 rule a root out, and below the grid while the cell [0, 1e-6] stays open.
@@ -34,7 +34,6 @@ from .barrier import BarrierSpec, m22_residual
 __all__ = [
     "BranchLabel",
     "LocusPoint",
-    "G_of",
     "brentq",
     "solve_sigma",
     "trace_curve",
@@ -63,7 +62,7 @@ _XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
 @dataclass(frozen=True)
 class BranchLabel:
-    """Branch index n >= 0 and sign eps (+1 or -1); n = 0 forces eps = +1."""
+    """Branch index n >= 0 (>= 1 for eps = -1) and sign eps (+1 or -1)."""
 
     n: int
     eps: int
@@ -71,8 +70,11 @@ class BranchLabel:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-        if self.n < 0 or (self.n == 0 and self.eps != 1):
-            raise ValueError(f"invalid branch (n={self.n}, eps={self.eps})")
+        lowest = 1 if self.eps < 0 else 0
+        if self.n < lowest:
+            raise ValueError(f"branch index must be >= {lowest}, got {self.n}")
+        if self.n > sys.float_info.max:  # not printed: str() may refuse its digits
+            raise ValueError("branch index n does not fit in a double")
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,6 @@ class LocusPoint:
     alpha_k: float
     branch: BranchLabel
     residual: float
-
-
-def G_of(branch, rho, y):
-    """Value of alpha*k forced at a locus point: R / sqrt(2|1-rho|(s+1))."""
-    s = math.sqrt(y * y + 1.0)
-    return kernels.phase(branch.n, branch.eps, rho, y) / math.sqrt(2.0 * abs(1.0 - rho) * (s + 1.0))
 
 
 class NoSignChange(ValueError):
@@ -194,7 +190,7 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
     ``residual`` (the caller's binding of m22_residual), is below
     RESIDUAL_TOL.
     """
-    alpha_k = G_of(branch, rho, y)
+    alpha_k = kernels.alpha_k(branch.n, branch.eps, rho, y)
     if alpha_k <= 0:
         return None
     res = residual(BarrierSpec(alpha=alpha_k / k, z=k * k * complex(rho, sigma)), k)
@@ -204,10 +200,10 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
                       branch=branch, residual=res)
 
 
-def _excluded(n, eps, rho, cells):
+def _excluded(n, eps, rhos, cells):
     """Cells where the enclosure of F excludes a root (NaN bounds exclude
-    nothing); one row per rho for an array rho."""
-    bounds = kernels.f_bounds(n, eps, rho, cells)
+    nothing), one row per element of the array rhos."""
+    bounds = kernels.f_bounds(n, eps, rhos, cells)
     return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
 
 
@@ -243,7 +239,7 @@ def _below_grid(n, eps, rho, window):
     while y_min > _Y_FLOOR:
         decades += 1
         y_min = _Y_GRID.y[0] * 10.0 ** -decades
-        if _excluded(n, eps, rho, kernels.Cells([0.0, y_min]))[0]:
+        if _excluded(n, eps, np.array([rho]), kernels.Cells([0.0, y_min]))[0, 0]:
             break
     below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
     return kernels.YGrid(np.concatenate((below, window.y)))

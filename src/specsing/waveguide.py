@@ -163,15 +163,15 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     The grid is evaluated BLOCK points at a time into one array of F, so
     the temporaries of rho, sigma and F do not grow with grid_points; each
     value is the double of the whole-grid form, as the arithmetic is
-    elementwise.  The window is checked once, here, on every block before
-    any root is polished: it must be non-empty (CutoffError), and the map
-    from omega to (rho, sigma) must evaluate on its grid without overflow,
-    division by zero or NaN (OverflowError otherwise, as where omega0^2 or
-    10 omega0 exceeds a double).  Every polish step and every root lies
-    inside the grid, so none is checked again.
+    elementwise.  A block that crosses rho = 1 is split by a mask into one
+    f_grid call per side.  The window is checked once, here, on every block
+    before any root is polished: it must be non-empty (CutoffError), and the
+    map from omega to (rho, sigma) must evaluate on its grid without
+    overflow, division by zero or NaN (OverflowError otherwise, as where
+    omega0^2 or 10 omega0 exceeds a double).  Every polish step and every
+    root lies inside the grid, so none is checked again.
     """
-    if n < 1:
-        raise ValueError(f"branch index must be >= 1, got {n}")
+    branch = BranchLabel(n=n, eps=-1)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
     lo, hi = Om * (1 + 1e-9), 10.0 * medium.omega0
     if not lo < hi:
@@ -186,7 +186,10 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
                 rho, y = _rho_sigma(medium, Om, Om + np.exp(us[block]))
             with np.errstate(over="ignore"):
                 y /= 1.0 - rho  # sigma / (1 - rho)
-                g[block] = kernels.f_grid(n, -1, rho, y)
+                below = rho < 1.0
+                sides = (below, ~below) if below.any() and not below.all() else (slice(None),)
+                for side in sides:
+                    g[block][side] = kernels.f_grid(n, -1, rho[side], y[side])
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
                             f"double on the window ({lo}, {hi}) eV") from None
@@ -199,7 +202,6 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_))
 
     roots = _grid_roots(brentq, mismatch, us, g, 1e-9, omega_of)
-    branch = BranchLabel(n=n, eps=-1)
     found = []  # (omega, k, certified locus point)
     for om in roots:
         r_, s_ = _rho_sigma(medium, Om, om)

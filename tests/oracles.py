@@ -6,10 +6,12 @@ benchmark calls them, and CI fails if importing ``specsing.cli`` loads this
 module.  ``oracle_transfer_matrix`` re-derives M by plane-wave matching,
 ``mp_scaled_transfer`` evaluates the textbook entries at mpmath precision,
 ``alpha_z_k_transfer`` is the numpy closed form as first written on
-(alpha, z, k), ``wavefunction_profile`` builds psi from the package's
-amplitudes (``amplitudes_of``), ``coupling_of`` gives z from the
-permittivity rather than from (rho, sigma), and ``q_of`` and ``r_of`` are
-the textbook q and r of the trig identities.
+(alpha, z, k), ``f_grid_both_sides`` is F on arrays as first written, with
+both sides of rho = 1 evaluated at every point and one kept,
+``wavefunction_profile`` builds psi from the package's amplitudes
+(``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
+than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
+of the trig identities.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from specsing.barrier import _NUMPY, _check_k, transfer_matrix
+from specsing.kernels import _OVERFLOW, _SENTINEL, YGrid, _den, _num_a, _sin2_a, _term1
 from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import permittivity
 
@@ -105,6 +108,38 @@ def alpha_z_k_transfer(alpha, z, k):
     chi, w, x, c, t, sr = alpha_z_k_parts(alpha, z, k, _NUMPY)
     return (np.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
             np.exp(2j * chi) * (c - t), np.imag(x))
+
+
+def _side(below, part, *args):
+    """``part`` on the side of rho = 1 where ``below`` puts each element."""
+    if not isinstance(below, np.ndarray):
+        return part(*args, below)
+    return np.where(below, part(*args, True), part(*args, False))
+
+
+def f_grid_both_sides(n, eps, rho, y):
+    """`kernels.f_grid` as it was when one call took rho on both sides of 1:
+    each piece is evaluated on both sides at every point and one is kept."""
+    g = y if isinstance(y, YGrid) else YGrid(y)
+    below = rho < 1.0
+    x = _side(below, _sin2_a, rho, g.y, g.sp)
+    np.sqrt(x, out=x)
+    num_a = _side(below, _num_a, rho, g.s, g.sm)
+    if eps < 0:
+        np.negative(num_a, out=num_a)
+    np.arctan2(x, num_a, out=x)
+    x += math.pi * (n + (eps - 1) // 2)  # R
+    x *= g.ay
+    x /= g.sp
+    over = ~(x <= _OVERFLOW)  # x > 350, or NaN
+    np.minimum(x, _OVERFLOW, out=x)  # sinh stays finite; these points read -1e300
+    sh = np.sinh(x, out=x)
+    half_sh2 = np.multiply(sh, 0.5, out=num_a)
+    half_sh2 *= sh
+    f = _side(below, _term1, rho, g.y, g.sp, _den(rho, g.y))
+    f -= half_sh2
+    f[over] = _SENTINEL
+    return f
 
 
 def amplitudes_of(spec, k):

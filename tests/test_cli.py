@@ -626,6 +626,42 @@ def test_unwritable_stdout_in_a_process_is_one_error_line(argv, unbuffered):
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+# A process that cannot write its error line, or starts with a descriptor
+# closed, still exits 3: the stream that fails is discarded, so neither the
+# handler nor the interpreter's flush at exit turns that into exit 1 or 120.
+# (argv, stdout, stderr): each stream is "full" (/dev/full), "closed" or a pipe
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,stdout,stderr", [
+    (["design", "--n", "2000"], "full", "full"),
+    (["design", "--n", "0"], "pipe", "full"),
+    (["design", "--n", "0"], "pipe", "closed"),
+    (["curve", "--n", "1", "--rho-min", "0.7", "--rho-max", "0.9", "--samples", "3"],
+     "closed", "pipe"),
+])
+def test_unwritable_streams_in_a_process_exit_3(argv, stdout, stderr):
+    closed = [fd for fd, how in ((1, stdout), (2, stderr)) if how == "closed"]
+    with open("/dev/full", "w") as full:
+        streams = {"full": full, "pipe": subprocess.PIPE, "closed": None}
+        proc = subprocess.run([sys.executable, "-m", "specsing.cli", *argv],
+                              stdout=streams[stdout], stderr=streams[stderr],
+                              preexec_fn=lambda: [os.close(fd) for fd in closed],
+                              env=_process_env(), text=True, timeout=120)
+    assert proc.returncode == EXIT_BAD_INPUT
+    if stdout == "pipe":
+        assert proc.stdout == ""
+    if stderr == "pipe":
+        assert proc.stderr == "error: cannot write stdout: it is closed\n"
+
+
+@pytest.mark.parametrize("argv", [["design"], ["curve", "--rho-min", "0.7", "--rho-max", "0.9"]])
+def test_branch_index_too_large_for_a_double_is_named(capsys, monkeypatch, argv):
+    # rejected before F is evaluated, where n would overflow unnamed
+    monkeypatch.setattr(specsing.kernels, "f_grid", None)
+    monkeypatch.setattr(specsing.kernels, "f_bounds", None)
+    assert main([argv[0], "--n", str(10**309), *argv[1:]]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: branch index n does not fit in a double\n"
+
+
 # `python -m specsing.cli` runs the module as __main__; an atexit hook reports
 # the freeze count once the command has exited
 _ENTRY_PROBE = ("import atexit, gc, runpy, sys; "

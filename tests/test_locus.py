@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from specsing.locus import (
     _RHO_MIN,
     _Y_GRID,
     BranchLabel,
-    G_of,
     NoSignChange,
     _certify,
     _excluded,
@@ -49,6 +49,14 @@ class TestBranchLabel:
         with pytest.raises(ValueError):
             BranchLabel(n=-1, eps=1)
 
+    def test_n_too_large_for_a_double(self):
+        # float(10**309) overflows: such an n is named before F is evaluated
+        largest = int(sys.float_info.max)
+        for n in (10**309, largest + 1):
+            with pytest.raises(ValueError, match="branch index n does not fit in a double"):
+                BranchLabel(n=n, eps=-1)
+        BranchLabel(n=largest, eps=-1)
+
 
 class TestClosedForms:
     def test_q_frozen(self):
@@ -62,21 +70,22 @@ class TestClosedForms:
         assert r_of(0.0, 0.75, 2.0) == pytest.approx(3 * math.sqrt(2), rel=1e-14)
 
     def test_R_frozen(self):
-        # rho=0.5, y=0: arccos argument is exactly 1
-        assert kernels.phase(1, -1, 0.5, 0.0) == pytest.approx(math.pi, rel=1e-14)
-        assert kernels.phase(0, 1, 0.5, 0.0) == 0.0
-        assert G_of(BranchLabel(n=0, eps=1), 0.5, 0.0) == 0.0
+        # rho=0.5, y=0: arccos argument is exactly 1, so R = pi (n = 1, eps = -1)
+        # or 0 (n = 0, eps = +1), and sqrt(2|1-rho|(s+1)) = sqrt(2)
+        assert kernels.alpha_k(1, -1, 0.5, 0.0) * math.sqrt(2) == pytest.approx(math.pi, rel=1e-14)
+        assert kernels.alpha_k(0, 1, 0.5, 0.0) == 0.0
 
     def test_G_frozen(self):
-        assert G_of(B1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
+        assert kernels.alpha_k(1, -1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
 
     def test_small_y_stability(self):
         # the naive sqrt(y^2+1)-1 forms lose ~8 digits here, and arccos a
         # with a = 1 - O(y^2) loses half of them; at rho = 0.5,
         # G = pi/sqrt(2) - |y| + O(y^2) (a 50-digit evaluation agrees)
         for y in (1e-9, 2e-9):
-            assert G_of(B1, 0.5, y) == pytest.approx(math.pi / math.sqrt(2) - y, rel=1e-14)
-            assert G_of(B1, 0.5, -y) == G_of(B1, 0.5, y)
+            assert kernels.alpha_k(1, -1, 0.5, y) == pytest.approx(math.pi / math.sqrt(2) - y,
+                                                                   rel=1e-14)
+            assert kernels.alpha_k(1, -1, 0.5, -y) == kernels.alpha_k(1, -1, 0.5, y)
 
 
 class TestLocusFunction:
@@ -256,6 +265,19 @@ def _assert_close_to_scale(got, want, rho, y, rtol):
     assert np.all(np.abs(got - want) <= rtol * (2.0 * term1 - want))
 
 
+def _phase(n, eps, rho, y):
+    """R = pi n + eps arccos a at one point, as f_scalar and alpha_k form it."""
+    s, sp, sm, _ = kernels._y_pieces(y)
+    return kernels._phase(n, eps, rho, y, s, sp, sm, rho < 1.0)
+
+
+def _by_side(n, eps, column, ys):
+    """f_grid of an ascending rho column that spans 1, one call per side."""
+    below = column[:, 0] < 1.0
+    return np.concatenate([kernels.f_grid(n, eps, column[below], ys),
+                           kernels.f_grid(n, eps, column[~below], ys)])
+
+
 class TestKernels:
     # numpy's arccos and sinh may differ from libm's by an ulp or so, and F
     # cancels near its roots, so f_grid and f_scalar are compared relative to
@@ -276,7 +298,7 @@ class TestKernels:
         rho = np.array(self.RHOS)[:, None]
         ys = np.geomspace(1e-6, 1e6, 301)[None, :]
         for n, eps in ((1, -1), (3, 1), (1000, -1)):
-            grid = kernels.f_grid(n, eps, rho, ys)
+            grid = _by_side(n, eps, rho, ys)
             assert grid.shape == (rho.size, ys.size)
             scalars = [[kernels.f_scalar(n, eps, r, y) for y in ys[0]] for r in rho[:, 0]]
             _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
@@ -288,9 +310,19 @@ class TestKernels:
         # x = |y| R / (s + 1) > 350 reads -1e300 on every path
         ys = np.array([10.0, 100.0])
         assert list(kernels.f_grid(1000, -1, 0.4, ys)) == [-1e300, -1e300]
-        assert list(kernels.f_grid(1000, -1, np.array([0.4, 1.7]), ys)) == [-1e300, -1e300]
+        assert [*kernels.f_grid(1000, -1, np.array([0.4]), ys[:1]),
+                *kernels.f_grid(1000, -1, np.array([1.7]), ys[1:])] == [-1e300, -1e300]
         assert kernels.f_scalar(1000, -1, 0.4, 10.0) == -1e300
         assert kernels.f_scalar(1000, -1, 1.7, 100.0) == -1e300
+
+    def test_rho_on_both_sides_of_1_is_rejected(self):
+        # one call evaluates one side's forms; rho = 1 is on the upper side
+        ys = np.ones(2)
+        for rho in ([0.4, 1.7], [1.0, 1.0 - 1e-16], [[0.999], [1.0]]):
+            with pytest.raises(ValueError, match="one side of 1"):
+                kernels.f_grid(1, -1, np.array(rho), ys)
+        for rho in ([0.4, 1.0 - 1e-16], [1.0, 1.7]):
+            assert kernels.f_grid(1, -1, np.array(rho), ys).shape == (2,)
 
     def test_y_grid_gives_the_same_doubles(self):
         # one YGrid reused for every call gives what a fresh array gives, so
@@ -300,9 +332,11 @@ class TestKernels:
         column = np.array(self.RHOS)[:, None]
         for n in (1, 2, 5, 1000):
             for eps in (1, -1):
-                for rho in self.RHOS + (column,):
+                for rho in self.RHOS:
                     assert np.array_equal(kernels.f_grid(n, eps, rho, grid),
                                           kernels.f_grid(n, eps, rho, ys))
+                assert np.array_equal(_by_side(n, eps, column, grid),
+                                      _by_side(n, eps, column, ys))
         with pytest.raises(ValueError):
             grid.s[0] = 0.0
 
@@ -311,14 +345,14 @@ class TestKernels:
         n, ys = 200, np.geomspace(1e-3, 1e3, 601)
         column = np.array(self.RHOS)[:, None]
         for eps in (1, -1):
-            xs = np.array([[kernels.phase(n, eps, rho, y) for y in ys] for rho in self.RHOS])
+            xs = np.array([[_phase(n, eps, rho, y) for y in ys] for rho in self.RHOS])
             xs *= ys / (np.sqrt(ys * ys + 1.0) + 1.0)
             scalars = np.array([[kernels.f_scalar(n, eps, rho, y) for y in ys]
                                 for rho in self.RHOS])
             rhos = np.broadcast_to(column, xs.shape)
             over = xs > 350.0
             assert over.any(axis=1).all() and not over.all(axis=1).any()
-            grids = [kernels.f_grid(n, eps, column, ys)]
+            grids = [_by_side(n, eps, column, ys)]
             grids.append(np.array([kernels.f_grid(n, eps, rho, ys) for rho in self.RHOS]))
             for grid in grids:
                 assert np.array_equal(grid == -1e300, over)
@@ -495,8 +529,10 @@ _NEIGHBOURS = (0.45, 0.0, -2.5, 1e-170)
 
 def _bounds_both_ways(n, eps, rhos):
     """The enclosure on _CELLS for each of rhos, (len(rhos), 2, cells), from
-    a float rho per call and from one array of rhos among _NEIGHBOURS rows."""
-    one_by_one = np.array([kernels.f_bounds(n, eps, rho, _CELLS) for rho in rhos])
+    a one-element array per call and from one array of rhos among
+    _NEIGHBOURS rows."""
+    one_by_one = np.concatenate([kernels.f_bounds(n, eps, np.array([rho]), _CELLS)
+                                 for rho in rhos])
     rows = np.array([r for rho in rhos for r in (*_NEIGHBOURS[:3], rho, _NEIGHBOURS[3])])
     batched = kernels.f_bounds(n, eps, rows, _CELLS)[3::len(_NEIGHBOURS) + 1]
     return one_by_one, batched
@@ -508,8 +544,8 @@ def _mask(bounds):
 
 
 def _cell_bounds(n, eps, rho, cell):
-    """(lo, hi) of the enclosure on one cell of the locus grid, from a float
-    rho and from an array rho."""
+    """(lo, hi) of the enclosure on one cell of the locus grid, from rho alone
+    and from rho among other rows."""
     return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho])]
 
 
@@ -581,7 +617,7 @@ class TestEnclosure:
         for n in (1, 2, 7, 50, 400, 3000):
             for eps in (1, -1):
                 for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
-                    lo, hi = kernels.f_bounds(n, eps, rho, _CELLS)
+                    lo, hi = kernels.f_bounds(n, eps, np.array([rho]), _CELLS)[0]
                     f = kernels.f_grid(n, eps, rho, ys[:, 1:])
                     assert (lo[1:] <= f).all() and (f <= np.maximum(hi[1:], -1e300)).all()
 
@@ -593,7 +629,7 @@ class TestEnclosure:
         ys = np.geomspace(1e-6, 1e6, 97)
         point_cells = kernels.Cells(np.repeat(ys, 2))
         for n, eps, rho in ((1, -1, 0.7), (7, 1, -2.5), (50, -1, 0.999), (3000, -1, 0.3)):
-            lo, hi = kernels.f_bounds(n, eps, rho, point_cells)[:, ::2]
+            lo, hi = kernels.f_bounds(n, eps, np.array([rho]), point_cells)[0, :, ::2]
             f = kernels.f_grid(n, eps, rho, ys)
             s = np.sqrt(ys * ys + 1.0)
             scale = 2.0 * (1.0 - rho) * (s + 1.0) / ((1.0 - rho) ** 2 * ys * ys + rho * rho) - f
@@ -610,7 +646,7 @@ class TestEnclosure:
 
     def test_excluded_cells_hold_no_sign_change(self):
         # on the full grid, every cell the enclosure excludes keeps one sign
-        # (a float rho, and an array of a trace's rhos, give the bounds)
+        # (each rho alone, and an array of a trace's rhos, give the bounds)
         cells = (np.arange(1, _CELLS.ends.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
         for branch, rho_min, rho_max in _seeded_traces():
             n, eps = branch.n, branch.eps
@@ -621,16 +657,16 @@ class TestEnclosure:
                 for bounds in both_ways:
                     lo, hi = bounds[i, :, 1:]
                     assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
-                assert _excluded(n, eps, rho, _CELLS)[0]  # no root below the grid here
+                assert _excluded(n, eps, np.array([rho]), _CELLS)[0, 0]  # no root below the grid here
 
     def test_solve_sigma_matches_the_full_grid(self):
         for branch, rho in _seeded_slices():
             assert solve_sigma(branch, rho) == _full_grid_solve(branch, rho)
 
     def test_array_rho_gives_the_one_row_masks(self):
-        # each row of an array rho excludes the cells its float rho
+        # each row of an array rho excludes the cells its rho alone
         # excludes; a bound may differ in its last bit (numpy's vector loops
-        # round differently from its scalar ones), far inside the width
+        # round differently for different layouts), far inside the width
         # hi - lo >= 2e-9 (|term1| + sinh(x)^2/2) that the margin gives a cell
         traces = [(b.n, b.eps, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
         for n, eps, rhos in traces + [(2, -1, _NEIGHBOURS)]:

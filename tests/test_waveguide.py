@@ -21,7 +21,7 @@ from specsing.waveguide import (
     permittivity,
 )
 
-from oracles import alpha_z_k_transfer, coupling_of, oracle_transfer_matrix
+from oracles import alpha_z_k_transfer, coupling_of, f_grid_both_sides, oracle_transfer_matrix
 
 MEDIUM = GainMedium(omega0=5.0, omega_p_sq=-0.04, delta=1.25)
 GEOM_1CM = WaveguideGeometry(beta=5e6, m=1)  # 2 beta / m = 1 cm
@@ -254,12 +254,13 @@ class TestFindSingularities:
 
 
 def _one_array_grid(medium, geom, n, points):
-    """u, rho and F of find_singularities' grid, each computed on the whole grid at once."""
+    """u, rho and F of find_singularities' grid, each computed on the whole grid
+    at once, F in the form that evaluates both sides of rho = 1 at every point."""
     Om = geom.omega_cutoff
     us = np.linspace(math.log(Om * (1 + 1e-9) - Om), math.log(10.0 * medium.omega0 - Om), points)
     rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
     with np.errstate(over="ignore"):
-        return us, rho, kernels.f_grid(n, -1, rho, sigma / (1.0 - rho))
+        return us, rho, f_grid_both_sides(n, -1, rho, sigma / (1.0 - rho))
 
 
 class TestDesignGridBlocks:
@@ -295,7 +296,9 @@ class TestDesignGridBlocks:
         assert sols == find_singularities(MEDIUM, geom, n, grid_points=points)
         assert len(sols) >= 2
 
-    def test_f_grid_is_called_once_per_block(self, monkeypatch):
+    def test_f_grid_is_called_once_per_block_and_side(self, monkeypatch):
+        # the README problem: rho > 1 in the first block, < 1 from the third,
+        # and both in the second, whose points below 1 are evaluated first
         sizes, f_grid = [], kernels.f_grid
 
         def counted(n, eps, rho, y):
@@ -303,7 +306,11 @@ class TestDesignGridBlocks:
             return f_grid(n, eps, rho, y)
         monkeypatch.setattr(kernels, "f_grid", counted)
         find_singularities(MEDIUM, GEOM_1CM, 2000)
-        assert sizes == [waveguide.BLOCK] * 4 + [20000 - 4 * waveguide.BLOCK]
+        rho = _one_array_grid(MEDIUM, GEOM_1CM, 2000, 20000)[1]
+        below = np.count_nonzero(rho[waveguide.BLOCK:2 * waveguide.BLOCK] < 1.0)
+        assert 0 < below < waveguide.BLOCK
+        assert sizes == [waveguide.BLOCK, below, waveguide.BLOCK - below,
+                         *[waveguide.BLOCK] * 2, 20000 - 4 * waveguide.BLOCK]
 
     def test_overflow_in_the_last_block_raises_before_any_polish(self, monkeypatch):
         # (omega^2 - omega0^2)^2 overflows only in the grid's top 0.4 %, past
