@@ -241,10 +241,13 @@ def _solution_record(sol):
 
 
 def _solve_design(args, cfg):
+    ell = getattr(args, "ell", None)
+    if ell is not None and ell < 1:  # labels count from 1
+        raise CliError(f"ell must be >= 1, got {ell}")
     medium, geom = medium_geometry(cfg)
     sols = find_singularities(medium, geom, args.n)
-    if getattr(args, "ell", None) is not None:
-        sols = [s for s in sols if s.ell == args.ell]
+    if ell is not None:
+        sols = [s for s in sols if s.ell == ell]
     return medium, geom, sols
 
 

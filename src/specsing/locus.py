@@ -151,22 +151,20 @@ def brentq(f, a, b):
                        f"value is {xcur!r}")
 
 
-def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
-    """Sorted roots of f, bracketed by its values fv on the ascending grid xs.
+def _grid_roots(polish, f, xs, signs, rel_tol, image=lambda x: x):
+    """Roots of f in ascending order, bracketed by the signs (-1, 0 or +1)
+    of its values on the ascending grid xs.
 
-    Each sign change of fv is polished by ``polish(f, lo, hi)``, the
-    caller's binding of ``brentq`` (so each layer's polish can be profiled
-    under its own name); one where f itself does not change sign (fv and f
-    differ in sign at an end, where f is at its rounding noise) holds no
-    root of f and is dropped.  Exact zeros of fv are roots as they stand.
-    Roots are kept as image(x), and one within rel_tol (relative) of a root
-    already kept is a duplicate.
+    Each bracket whose two signs differ is polished by ``polish(f, lo,
+    hi)``, the caller's binding of ``brentq`` (so each layer's polish can be
+    profiled under its own name).  A zero closes a bracket on each side:
+    ``brentq`` returns that end where f is exactly 0 there, and a bracket
+    where f itself does not change sign (f is at its rounding noise) holds
+    no root and is dropped.  Roots are kept as image(x), an increasing map;
+    one within rel_tol (relative) of the root before it is a duplicate.
     """
-    neg, pos = fv < 0.0, fv > 0.0
-    change = neg[:-1] & pos[1:]
-    change |= pos[:-1] & neg[1:]
     roots = []
-    for i in change.nonzero()[0]:
+    for i in np.flatnonzero(signs[:-1] != signs[1:]):
         try:
             r = image(polish(f, xs[i], xs[i + 1]))
         except NoSignChange:
@@ -174,12 +172,7 @@ def _grid_roots(polish, f, xs, fv, rel_tol, image=lambda x: x):
         if roots and abs(r - roots[-1]) <= rel_tol * abs(r):
             continue
         roots.append(r)
-    if np.count_nonzero(neg) + np.count_nonzero(pos) < fv.size:  # a zero (or NaN)
-        for x in xs[fv == 0.0]:
-            r = image(x)
-            if not any(abs(r - q) <= rel_tol * abs(r) for q in roots):
-                roots.append(r)
-    return sorted(roots)
+    return roots
 
 
 def _certify(residual, branch, rho, sigma, y, k=1.0):
@@ -268,7 +261,7 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     if window is None:
         return []
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
-                        window.y, kernels.f_grid(n, eps, rho, window), 1e-6)
+                        window.y, np.sign(kernels.f_grid(n, eps, rho, window)), 1e-6)
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
     return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                           for y in roots) if pt is not None]

@@ -160,16 +160,16 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     residual.  Solutions are labeled ell = 1, 2, ... by descending rho
     (ties by ascending sigma) to match the count-down-from-rho=1 convention.
 
-    The grid is evaluated BLOCK points at a time into one array of F, so
-    the temporaries of rho, sigma and F do not grow with grid_points; each
-    value is the double of the whole-grid form, as the arithmetic is
-    elementwise.  A block that crosses rho = 1 is split by a mask into one
-    f_grid call per side.  The window is checked once, here, on every block
-    before any root is polished: it must be non-empty (CutoffError), and the
-    map from omega to (rho, sigma) must evaluate on its grid without
-    overflow, division by zero or NaN (OverflowError otherwise, as where
-    omega0^2 or 10 omega0 exceeds a double).  Every polish step and every
-    root lies inside the grid, so none is checked again.
+    The grid is evaluated BLOCK points at a time into one byte per point of
+    F's sign (-1, 0 or +1), so the temporaries of rho, sigma and F do not
+    grow with grid_points; each F is the double of the whole-grid form, as
+    the arithmetic is elementwise.  A block that crosses rho = 1 is split by
+    a mask into one f_grid call per side.  The window is checked once, here,
+    on every block before any root is polished: it must be non-empty
+    (CutoffError), and the map from omega to (rho, sigma) must evaluate on
+    its grid without overflow, division by zero or NaN (OverflowError
+    otherwise, as where omega0^2 or 10 omega0 exceeds a double).  Every
+    polish step and every root lies inside the grid, so none is checked again.
     """
     branch = BranchLabel(n=n, eps=-1)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
@@ -179,7 +179,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-        g = np.empty_like(us)
+        signs = np.empty(len(us), dtype=np.int8)
         for start in range(0, len(us), BLOCK):
             block = slice(start, start + BLOCK)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -189,7 +189,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
                 below = rho < 1.0
                 sides = (below, ~below) if below.any() and not below.all() else (slice(None),)
                 for side in sides:
-                    g[block][side] = kernels.f_grid(n, -1, rho[side], y[side])
+                    signs[block][side] = np.sign(kernels.f_grid(n, -1, rho[side], y[side]))
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
                             f"double on the window ({lo}, {hi}) eV") from None
@@ -201,7 +201,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         r_, s_ = _rho_sigma(medium, Om, omega_of(u))
         return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_))
 
-    roots = _grid_roots(brentq, mismatch, us, g, 1e-9, omega_of)
+    roots = _grid_roots(brentq, mismatch, us, signs, 1e-9, omega_of)
     found = []  # (omega, k, certified locus point)
     for om in roots:
         r_, s_ = _rho_sigma(medium, Om, om)
@@ -241,16 +241,18 @@ def gain_scan(solution, medium, geom, ratio_grid):
     cancels, and the values there carry few correct digits.
     """
     ratios = np.asarray(ratio_grid, dtype=float)
-    omega = ratios * solution.omega
     Om = geom.omega_cutoff
-    if not np.all((omega > Om) & (omega < np.inf)):
-        raise CutoffError(f"omega = {np.min(omega)} eV is not a finite value "
+    # omega_s > 0 keeps the ratios' order, so these are omega's extremes (NaN
+    # and inf included); an empty grid has none to check
+    lowest = np.min(ratios, initial=math.inf) * solution.omega
+    if not (lowest > Om and np.max(ratios, initial=-math.inf) * solution.omega < np.inf):
+        raise CutoffError(f"omega = {lowest} eV is not a finite value "
                           f"above cutoff {Om} eV")
     scan = np.empty((len(ratios), 2))
     scan[:, 0] = ratios
     for lo in range(0, len(ratios), BLOCK):
         block = slice(lo, lo + BLOCK)
-        om = omega[block]
+        om = ratios[block] * solution.omega
         rho, sigma = _rho_sigma(medium, Om, om)
         zeta = rho.astype(complex)
         zeta.imag = sigma

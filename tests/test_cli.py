@@ -388,6 +388,20 @@ class TestDesignCommand:
         assert capsys.readouterr().err == f"error: mode index must be >= 1, got {index}\n"
 
 
+# ell labels count from 1: a lower one is invalid input, named before the
+# design grid is solved
+@pytest.mark.parametrize("argv", [["design", "--n", "2000", "--ell", "0"],
+                                  ["design", "--n", "2000", "--ell", "-3"],
+                                  ["scan", "--n", "2000", "--ell", "0"],
+                                  ["scan", "--n", "2000", "--ell", "-1"]])
+def test_ell_below_one_is_input_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "find_singularities", None)
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ell must be >= 1, got {argv[-1]}\n"
+
+
 _SCAN_CASES = [(2000, 2, 5e-4, 2001), (10000, 2, 1e-4, 21), (2000, 2, 5e-4, 1),
                (2000, 2, 5e-4, 4096), (2000, 2, 5e-4, 4097), (2000, 2, 5e-4, 20001)]
 
@@ -667,6 +681,14 @@ def test_branch_index_too_large_for_a_double_is_named(capsys, monkeypatch, argv)
 _ENTRY_PROBE = ("import atexit, gc, runpy, sys; "
                 "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
                 "runpy.run_module('specsing.cli', run_name='__main__')")
+
+
+def test_ell_below_one_in_a_process_is_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "specsing.cli", "design", "--n", "2000",
+                           "--ell", "0"], capture_output=True, env=_process_env(),
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
+    assert proc.stderr == "error: ell must be >= 1, got 0\n"
 
 
 def test_process_entry_freezes_the_import_heap(capsys):

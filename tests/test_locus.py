@@ -476,10 +476,10 @@ class TestRootPipeline:
         assert not isinstance(info.value, NoSignChange)
 
     def test_bracket_where_f_keeps_its_sign_is_dropped(self):
-        # fv changes sign on [1, 2] where f = 2.5 - x does not: no root there
+        # the signs change on [1, 2] where f = 2.5 - x does not: no root there
         xs = np.array([0.0, 1.0, 2.0, 3.0])
-        fv = np.array([-1.0, -1.0, 1.0, -1.0])
-        roots = _grid_roots(brentq, lambda x: 2.5 - x, xs, fv, 1e-9)
+        signs = np.array([-1.0, -1.0, 1.0, -1.0])
+        roots = _grid_roots(brentq, lambda x: 2.5 - x, xs, signs, 1e-9)
         assert roots == [pytest.approx(2.5, rel=1e-14)]
 
     def test_nan_still_raises_through_the_pipeline(self):
@@ -494,24 +494,42 @@ class TestRootPipeline:
             brentq(lambda x: -1.0 if x < 1e-200 else 1.0, -1e300, 4e300)
 
     def test_root_on_a_grid_point_is_kept(self):
-        # F = 0 exactly at x = 0.5: no sign change brackets it
+        # F = 0 exactly at x = 0.5, between opposite signs: a zero is a sign
+        # of its own, so it closes the brackets [0.25, 0.5] and [0.5, 0.75],
+        # and both polish to 0.5, kept once
         def f(x):
             return (x - 0.5) * (x - 0.8)
         xs = np.linspace(0.0, 1.0, 5)
-        fv = f(xs)
-        assert fv[2] == 0.0
-        assert _grid_roots(brentq, f, xs, fv, 1e-9) == [0.5, pytest.approx(0.8, rel=1e-14)]
+        signs = np.sign(f(xs))
+        assert signs.tolist() == [1, 1, 0, -1, 1]
+        assert _grid_roots(brentq, f, xs, signs, 1e-9) == [0.5, pytest.approx(0.8, rel=1e-14)]
+
+    def test_zero_between_equal_signs_is_a_root_only_where_f_is_zero(self):
+        # the grid's sign reads 0 at x = 0.5 between two positive ones: a
+        # root once where f is exactly 0 there, none where f keeps its sign
+        xs = np.linspace(0.0, 1.0, 5)
+        signs = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+        assert _grid_roots(brentq, lambda x: (x - 0.5) ** 2, xs, signs, 1e-9) == [0.5]
+        assert _grid_roots(brentq, lambda x: (x - 0.5) ** 2 + 1e-3, xs, signs, 1e-9) == []
+
+    def test_zero_closes_a_bracket_in_a_one_byte_sign_array(self):
+        # find_singularities' grid: -1, 0, +1 in int8, here with the zero
+        # between opposite signs where f itself is not 0 on the grid point
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        signs = np.array([-1, 0, 1, 1], dtype=np.int8)
+        roots = _grid_roots(brentq, lambda x: x - 1.25, xs, signs, 1e-9)
+        assert roots == [pytest.approx(1.25, rel=1e-14)]
 
     def test_duplicate_roots_merged(self):
         # two sign changes that polish to roots within rel_tol are one root
         xs = np.array([0.0, 1.0, 1.0 + 1e-12, 2.0])
-        fv = np.array([-1.0, 1.0, -1.0, 1.0])
-        roots = _grid_roots(lambda f, lo, hi: 1.0, None, xs, fv, 1e-9)
+        signs = np.array([-1.0, 1.0, -1.0, 1.0])
+        roots = _grid_roots(lambda f, lo, hi: 1.0, None, xs, signs, 1e-9)
         assert roots == [1.0]
 
     def test_image_maps_roots_before_dedupe(self):
         xs = np.linspace(-1.0, 1.0, 5)
-        roots = _grid_roots(brentq, lambda x: x - 0.25, xs, xs - 0.25, 1e-9,
+        roots = _grid_roots(brentq, lambda x: x - 0.25, xs, np.sign(xs - 0.25), 1e-9,
                             lambda x: 2.0 + math.exp(x))
         assert roots == [pytest.approx(2.0 + math.exp(0.25), rel=1e-14)]
 
@@ -554,7 +572,7 @@ def _full_grid_solve(branch, rho):
     window the enclosure leaves."""
     n, eps = branch.n, branch.eps
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y), _Y_GRID.y,
-                        kernels.f_grid(n, eps, rho, _Y_GRID), 1e-6)
+                        np.sign(kernels.f_grid(n, eps, rho, _Y_GRID)), 1e-6)
     points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                             for y in roots) if pt is not None]
     return sorted(points, key=lambda p: p.sigma)

@@ -268,17 +268,23 @@ class TestDesignGridBlocks:
 
     @staticmethod
     def _grid_of(monkeypatch, *problem, **kwargs):
-        """The designs, and the (u, F) grid find_singularities brackets its roots on."""
-        seen = []
-        grid_roots = waveguide._grid_roots
+        """The designs, the (u, sign) grid find_singularities brackets its
+        roots on, and F as kernels.f_grid returned it, call after call."""
+        seen, returned = [], []
+        grid_roots, f_grid = waveguide._grid_roots, kernels.f_grid
 
-        def spy(polish, f, xs, fv, *args):
-            seen.append((xs, fv))
-            return grid_roots(polish, f, xs, fv, *args)
+        def spy(polish, f, xs, signs, *args):
+            seen.append((xs, signs))
+            return grid_roots(polish, f, xs, signs, *args)
+
+        def returning(*args):
+            returned.append(f_grid(*args))
+            return returned[-1]
         with monkeypatch.context() as m:
             m.setattr(waveguide, "_grid_roots", spy)
+            m.setattr(kernels, "f_grid", returning)
             sols = find_singularities(*problem, **kwargs)
-        return sols, seen[0]
+        return sols, seen[0], np.concatenate(returned)
 
     # the README design, Table 1's 1 um problem, and a 1 um problem at n = 2000
     @pytest.mark.parametrize("points", [4095, 4096, 4097, 8193, 20000])
@@ -286,9 +292,15 @@ class TestDesignGridBlocks:
     def test_grid_and_designs_keep_the_doubles_of_the_one_array_form(
             self, monkeypatch, beta, n, points):
         geom = WaveguideGeometry(beta=beta)
-        sols, (us, g) = self._grid_of(monkeypatch, MEDIUM, geom, n, grid_points=points)
+        sols, (us, signs), f = self._grid_of(monkeypatch, MEDIUM, geom, n, grid_points=points)
         ref_us, rho, ref_g = _one_array_grid(MEDIUM, geom, n, points)
-        assert _bits(us) == _bits(ref_us) and _bits(g) == _bits(ref_g)
+        # f_grid returns F block by block, a block's points below rho = 1 first
+        blocks = np.array_split(np.arange(points), range(waveguide.BLOCK, points, waveguide.BLOCK))
+        order = np.concatenate([np.concatenate((i[rho[i] < 1.0], i[rho[i] >= 1.0]))
+                                for i in blocks])
+        assert _bits(us) == _bits(ref_us) and _bits(f) == _bits(ref_g[order])
+        # one byte per point holds the sign of that F
+        assert signs.itemsize == 1 and signs.tolist() == np.sign(ref_g).tolist()
         # rho(omega) crosses 1 inside a block, where F changes its side of rho = 1
         crossing = np.flatnonzero(np.diff(rho < 1.0))
         assert any(i % waveguide.BLOCK != waveguide.BLOCK - 1 for i in crossing)
@@ -334,11 +346,11 @@ class TestDesignGridBlocks:
 
     def test_grid_temporaries_are_bounded_by_the_block(self, monkeypatch):
         # what the grid's evaluation leaves as its traced peak, beyond the u
-        # grid and F themselves, is within 1.2x at 200,000 points of its value
-        # at 20,000; evaluated in one piece it grew about tenfold
+        # grid and F's signs themselves, is within 1.2x at 200,000 points of
+        # its value at 20,000; evaluated in one piece it grew about tenfold
         def peak(points):
-            def at_brackets(polish, f, xs, fv, *args):
-                peaks.append(tracemalloc.get_traced_memory()[1] - xs.nbytes - fv.nbytes)
+            def at_brackets(polish, f, xs, signs, *args):
+                peaks.append(tracemalloc.get_traced_memory()[1] - xs.nbytes - signs.nbytes)
                 return []
             peaks = []
             monkeypatch.setattr(waveguide, "_grid_roots", at_brackets)
@@ -350,6 +362,20 @@ class TestDesignGridBlocks:
             return peaks[0]
         find_singularities(MEDIUM, GEOM_1CM, 2000)
         assert peak(200_000) <= 1.2 * peak(20_000)
+
+    def test_whole_call_peak_grows_by_at_most_ten_bytes_per_point(self):
+        # the u grid (8 bytes a point) and F's signs (1 byte) are all that
+        # grows with the grid, bracketing included; an 8-byte F and four
+        # whole-grid masks grew it by about 18.5 bytes a point
+        def peak(points):
+            tracemalloc.start()
+            try:
+                find_singularities(MEDIUM, GEOM_1CM, 2000, grid_points=points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        find_singularities(MEDIUM, GEOM_1CM, 2000)
+        assert peak(200_000) - peak(20_000) <= 10 * 180_000
 
 
 def _oracle_gain(sol, ratio):
@@ -384,6 +410,24 @@ class TestGainScan:
         assert scan.shape == (3, 2) and scan.dtype == np.float64
         assert list(scan[:, 0]) == ratios
         assert len(scan) == 3 and list(dict(scan)) == ratios
+        assert gain_scan(s2, MEDIUM, GEOM_1CM, []).shape == (0, 2)
+
+    def test_peak_grows_only_by_the_rows(self):
+        # omega is formed block by block: beyond its 16-byte rows the scan's
+        # traced peak does not grow with the grid (a whole-grid omega and
+        # its range masks added 11 bytes a point)
+        s2 = find_singularities(MEDIUM, GEOM_1CM, 10000)[1]
+
+        def peak(points):
+            ratios = np.linspace(1 - 1e-4, 1 + 1e-4, points)
+            tracemalloc.start()
+            try:
+                gain_scan(s2, MEDIUM, GEOM_1CM, ratios)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(20_001)
+        assert peak(200_001) - peak(20_001) <= 17 * 180_000
 
     def test_rows_keep_the_doubles_of_the_expression_form(self):
         # gain_scan works in place, block by block; each row is the double the
