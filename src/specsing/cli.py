@@ -263,7 +263,8 @@ def cmd_scan(args):
     if args.points < 1:
         raise CliError(f"points must be >= 1, got {args.points}")
     medium, geom, sols = _solve_design(args, load_config(args.config))
-    if not sols:
+    if not sols:  # as in design, an --out file is rewritten: empty
+        _write(args.out, [])
         return EXIT_NO_SOLUTIONS
     sol = sols[0]
     ratios = np.linspace(1.0 - args.span, 1.0 + args.span, args.points)

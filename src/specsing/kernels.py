@@ -24,12 +24,14 @@ y broadcast against each other, and rho on one side of 1 per call, so each
 point is computed once).  The float and array paths agree up to the
 last-place differences between numpy's and libm's atan2 and sinh.
 
-``f_bounds`` encloses F on cells [y0, y1] (y >= 0, rho < 1) in the sense of
-interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, SIAM 2009): every piece of F is monotone in y there, so the same
-helpers evaluated at the cells' ends bound it, widened by a relative margin
-far above f_grid's rounding error.  A cell whose bounds exclude 0 provably
-holds no root of F and no sign change of f_grid.
+``f_bounds`` encloses F on cells [y0, y1] (0 <= y0 <= y1, rho < 1) in the
+sense of interval analysis (Moore, Kearfott & Cloud, Introduction to
+Interval Analysis, SIAM 2009): every piece of F is monotone in y there, so
+the same helpers evaluated at the cells' ends bound it, widened by a
+relative margin far above f_grid's rounding error.  The cells are a YGrid
+of two rows, y0 and y1, one column per cell, neighbouring or not.  A cell
+whose bounds exclude 0 provably holds no root of F and no sign change of
+f_grid.
 """
 
 import math
@@ -37,13 +39,15 @@ import sys
 
 import numpy as np
 
-__all__ = ["Cells", "YGrid", "alpha_k", "f_bounds", "f_grid", "f_scalar"]
+__all__ = ["YGrid", "alpha_k", "f_bounds", "f_grid", "f_scalar"]
 
 _OVERFLOW = 350.0
 _SENTINEL = -1e300
 #: outward margin of f_bounds, relative to each of F's two terms; f_grid's
 #: error against a 50-digit F is tested below 1e-12 of their sum
 _MARGIN = 1e-9
+#: the factors that move a piece rising with y outward at rows [y0; y1]
+_OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
 
 
 class YGrid:
@@ -166,72 +170,57 @@ def f_grid(n, eps, rho, y):
     return f
 
 
-class Cells:
-    """Cells [y0, y1] between ascending nodes y >= 0, laid out for f_bounds.
-
-    ``ends`` is a YGrid of rows y0, y1 and y0 again, so that [y0; y1] and
-    [y1; y0] are both contiguous views.  ``q`` holds |y|/(s+1) at [y1; y0]
-    and ``sp`` holds s + 1 at [y0; y1], each moved outward by _MARGIN: up
-    where it enters an upper bound on its term of F, down where it enters a
-    lower one (a margin on x moves sinh(x)^2 by at least twice as much).
-    """
-
-    __slots__ = ("ends", "q", "sp")
-
-    def __init__(self, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        self.ends = g = YGrid(np.stack((nodes[:-1], nodes[1:], nodes[:-1])))
-        outward = np.array([[1.0 + _MARGIN], [1.0 - _MARGIN]])
-        self.q = g.ay[1:] / g.sp[1:] * outward
-        self.sp = g.sp[:2] * outward[::-1]
-
-
 def f_bounds(n, eps, rho, cells):
-    """Bounds lo <= F <= hi on each of ``cells`` (a Cells), for rho < 1 and
-    a branch with R >= 0 (n >= 1, or n = 0 with eps = +1).
+    """Bounds lo <= F <= hi on each of ``cells``, for rho < 1 and a branch
+    with R >= 0 (n >= 1, or n = 0 with eps = +1).
 
-    rho is a 1-d array.  The bounds have shape (rho.size, 2, cells): for
-    rho[i], rows lo and hi with one column per cell.  The masks lo > 0 and
-    hi < 0 of a row are those of its rho alone (a one-element array); a
-    bound may differ from that one's in its last bit, where numpy's vector
-    loops round differently for different layouts.
-
-    Each of F's two terms is moved outward by at least the relative margin
-    _MARGIN, far above the rounding error of f_grid, so a cell with lo > 0
-    or hi < 0 holds no root and no sign change of f_grid.  (Where f_grid
-    reads -1e300 for x > 350, lo is below that, and hi may be too.)
+    ``cells`` is a YGrid of two rows, y0 and y1, with one column per cell
+    [y0, y1], 0 <= y0 <= y1: neighbouring, nested or of zero width.  rho is
+    a 1-d array.  The bounds have shape (rho.size, 2, cells): for rho[i],
+    rows lo and hi with one column per cell.  The masks lo > 0 and hi < 0
+    of a row are those of its rho alone (a one-element array); a bound may
+    differ from that one's in its last bit, where numpy's vector loops
+    round differently for different layouts.
 
     On y >= 0 the pieces are monotone: S, |y|/(s+1), s + 1 and den rise with
     y, and C = eps num_a rises for eps = -1 and falls for +1.  As S >= 0,
     atan2(S, C) falls with C and is monotone in S at fixed C, so R takes its
     extremes at the cell's corners, x lies in [R_lo |y0|/(s0+1),
     R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0].
+
+    |y|/(s+1) and s + 1 are moved outward by the relative margin _MARGIN
+    (down at y0, up at y1), far above the rounding error of f_grid; a margin
+    on x moves sinh(x)^2 by at least twice as much, so each of F's two
+    terms moves by at least _MARGIN, and a cell with lo > 0 or hi < 0 holds
+    no root and no sign change of f_grid.  (Where f_grid reads -1e300 for
+    x > 350, lo is below that, and hi may be too.)  Where y0 = 0 and rho^2
+    is below the normal range, den0 is 0 or inexact and hi is +inf.
     """
-    rho = rho[:, None, None]  # a row of ends per rho
-    ends = cells.ends
-    up, down = np.s_[..., 0:2, :], np.s_[..., 1:3, :]  # rows [y0; y1] and [y1; y0]
-    sin_a = _sin2_a(rho, ends.y, ends.sp, True)
+    rho = rho[:, None, None]  # a row of cell ends per rho
+    down = np.s_[..., ::-1, :]  # rows [y1; y0] of the same pieces
+    sin_a = _sin2_a(rho, cells.y, cells.sp, True)
     np.sqrt(sin_a, out=sin_a)
-    c = _num_a(rho, ends.s, ends.sm, True)
+    c = _num_a(rho, cells.s, cells.sm, True)
     if eps < 0:
         np.negative(c, out=c)
-    c = c[up] if eps < 0 else c[down]  # C at its lower end, at its higher end
+    else:
+        c = c[down]  # C at its lower end, at its higher end
     x = np.arctan2(sin_a[down], c)  # the corners (S1, C_lo) and (S0, C_hi)
-    other = np.arctan2(sin_a[up], c)  # (S0, C_lo) and (S1, C_hi)
+    other = np.arctan2(sin_a, c)  # (S0, C_lo) and (S1, C_hi)
     hi, lo = x[..., 0, :], x[..., 1, :]
     np.maximum(hi, other[..., 0, :], out=hi)
     np.minimum(lo, other[..., 1, :], out=lo)
     x += math.pi * (n + (eps - 1) // 2)  # R_hi, R_lo
-    x *= cells.q  # x_hi, x_lo
+    x *= (cells.ay / cells.sp * _OUTWARD)[down]  # x_hi, x_lo
     np.minimum(x, _OVERFLOW, out=x)  # as in f_grid: sinh stays finite
     half_sh2 = np.sinh(x, out=x)
     half_sh2 *= half_sh2
     half_sh2 *= 0.5
-    den = _den(rho, ends.y[down])
-    den0 = den[..., 1, :1]  # den at y0 of the first cell, one element per rho
+    den = _den(rho, cells.y[down])
+    den0 = den[..., 1, :]
     unbounded = den0 < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
     den0[unbounded] = 1.0
-    bounds = _term1(rho, ends.y[up], cells.sp, den, True)  # at (sp0, den1), (sp1, den0)
-    bounds[..., 1, :1][unbounded] = math.inf
+    bounds = _term1(rho, cells.y, cells.sp * _OUTWARD, den, True)  # (sp0, den1), (sp1, den0)
+    bounds[..., 1, :][unbounded] = math.inf
     bounds -= half_sh2
     return bounds

@@ -48,10 +48,12 @@ _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
 #: lowest rho searched: den = (1-rho)^2 y^2 + rho^2 <= 2 (1-rho)^2 y^2 (y >= 1,
 #: rho <= 1/2) stays below the largest double up to the grid's top end
 _RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
-#: cells on which F is enclosed: [0, 1e-6], then the grid in steps of _CELL
-#: points (_CELL divides the grid's 4,800 steps, so the cells end at 1e6)
+#: cells on which F is enclosed, a YGrid of rows y0 and y1 with one column
+#: per cell: [0, 1e-6], then the grid in steps of _CELL points (_CELL
+#: divides the grid's 4,800 steps, so the cells end at 1e6).  Below the
+#: grid, _below_grid encloses one decade cell [0, y_min] at a time
 _CELL = 160
-_CELLS = kernels.Cells(np.concatenate(([0.0], _Y_GRID.y[::_CELL])))
+_CELLS = kernels.YGrid(np.stack((np.append(0.0, _Y_GRID.y[:-1:_CELL]), _Y_GRID.y[::_CELL])))
 #: rho slices whose enclosures trace_curve computes in one f_bounds call
 _BLOCK = 64
 #: the lowest decade searched below the grid ends here
@@ -232,7 +234,7 @@ def _below_grid(n, eps, rho, window):
     while y_min > _Y_FLOOR:
         decades += 1
         y_min = _Y_GRID.y[0] * 10.0 ** -decades
-        if _excluded(n, eps, np.array([rho]), kernels.Cells([0.0, y_min]))[0, 0]:
+        if _excluded(n, eps, np.array([rho]), kernels.YGrid([[0.0], [y_min]]))[0, 0]:
             break
     below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
     return kernels.YGrid(np.concatenate((below, window.y)))

@@ -465,6 +465,16 @@ class TestScanCommand:
         assert rc == EXIT_NO_SOLUTIONS
         assert captured.out == "" and captured.err == ""
 
+    def test_missing_design_empties_the_out_file(self, tmp_path, capsys):
+        # a file left by an earlier scan keeps no `# solution:` line
+        out = tmp_path / "scan.csv"
+        out.write_text("# solution: n=2000 ell=2\nomega_ratio,log10_T2_plus_R2\n")
+        rc = main(["scan", "--n", "2000", "--ell", "9", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_NO_SOLUTIONS
+        assert out.read_bytes() == b""
+        assert captured.out == "" and captured.err == ""
+
 
 class TestTablesCommand:
     def test_table2_deviations(self, capsys):

@@ -545,14 +545,14 @@ class TestRootPipeline:
 _NEIGHBOURS = (0.45, 0.0, -2.5, 1e-170)
 
 
-def _bounds_both_ways(n, eps, rhos):
-    """The enclosure on _CELLS for each of rhos, (len(rhos), 2, cells), from
+def _bounds_both_ways(n, eps, rhos, cells=_CELLS):
+    """The enclosure on cells for each of rhos, (len(rhos), 2, cells), from
     a one-element array per call and from one array of rhos among
     _NEIGHBOURS rows."""
-    one_by_one = np.concatenate([kernels.f_bounds(n, eps, np.array([rho]), _CELLS)
+    one_by_one = np.concatenate([kernels.f_bounds(n, eps, np.array([rho]), cells)
                                  for rho in rhos])
     rows = np.array([r for rho in rhos for r in (*_NEIGHBOURS[:3], rho, _NEIGHBOURS[3])])
-    batched = kernels.f_bounds(n, eps, rows, _CELLS)[3::len(_NEIGHBOURS) + 1]
+    batched = kernels.f_bounds(n, eps, rows, cells)[3::len(_NEIGHBOURS) + 1]
     return one_by_one, batched
 
 
@@ -561,10 +561,15 @@ def _mask(bounds):
     return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
 
 
-def _cell_bounds(n, eps, rho, cell):
-    """(lo, hi) of the enclosure on one cell of the locus grid, from rho alone
+def _cell_bounds(n, eps, rho, cell, cells=_CELLS):
+    """(lo, hi) of the enclosure on column ``cell`` of cells, from rho alone
     and from rho among other rows."""
-    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho])]
+    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho], cells)]
+
+
+def _decade(d):
+    """The cell [0, 1e-6 10^-d] below the grid, as _below_grid encloses it."""
+    return kernels.YGrid([[0.0], [_Y_GRID.y[0] * 10.0 ** -d]])
 
 
 def _full_grid_solve(branch, rho):
@@ -610,28 +615,38 @@ class TestEnclosure:
     @given(n=st.integers(0, 10_000), eps=st.sampled_from((1, -1)),
            rho=st.one_of(st.floats(-1e3, 1.0, exclude_max=True),
                          st.floats(-15.0, 0.0).map(lambda u: 1.0 - 10.0 ** u)),
-           cell=st.integers(0, _CELLS.ends.y.shape[1] - 1),
+           cell=st.one_of(st.integers(0, _CELLS.y.shape[1] - 1).map(lambda i: (_CELLS, i)),
+                          st.integers(1, 294).map(lambda d: (_decade(d), 0))),
            ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     def test_f_lies_in_the_bounds(self, n, eps, rho, cell, ts):
         # F at 50 digits where x <= 350, and f_scalar everywhere, lie in each
         # cell's bounds; where x > 350 f_scalar reads the sentinel -1e300,
-        # which lies above hi only where hi < -1e300; cell 0 is [0, 1e-6]
+        # which lies above hi only where hi < -1e300.  The cells are those of
+        # _CELLS (cell 0 is [0, 1e-6]), and the decades below the grid down
+        # to 1e-300, each enclosed for one rho as _below_grid encloses it
         mpmath = pytest.importorskip("mpmath")
         assume(rho < 1.0 and (n >= 1 or eps == 1))
-        y0, y1 = _CELLS.ends.y[:2, cell]
-        for t in ts:
-            y = y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1)
+        cells, cell = cell
+        y0, y1 = cells.y[:, cell]
+        ys = [y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1) for t in ts]
+        # where den underflows, term1 overflows a double: there is no F to enclose
+        assume(kernels._den(rho, min(ys)) >= sys.float_info.min)
+        if cells is _CELLS:
+            bounds = _cell_bounds(n, eps, rho, cell)
+        else:  # on the deepest decades den underflows for the rows rho = 0 and 1e-170
+            bounds = kernels.f_bounds(n, eps, np.array([rho]), cells)[:, :, 0]
+        for y in ys:
             f = kernels.f_scalar(n, eps, rho, y)
             with mpmath.workdps(50):
                 want, _, x = _textbook_f(mpmath.mp, n, eps, rho, y)
-            for lo, hi in _cell_bounds(n, eps, rho, cell):
+            for lo, hi in bounds:
                 assert lo <= f <= max(hi, -1e300), (y, lo, hi)
                 if x <= 350:
                     assert lo <= want <= hi, (y, lo, hi)
 
     def test_cell_ends_lie_in_the_bounds(self):
         # the cells' ends are where the corner bounds are tightest
-        ys = _CELLS.ends.y[:2]
+        ys = _CELLS.y
         for n in (1, 2, 7, 50, 400, 3000):
             for eps in (1, -1):
                 for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
@@ -645,9 +660,9 @@ class TestEnclosure:
         # rounding error the two share; where f_grid reads -1e300, both
         # bounds are below 0 and lo below -1e300
         ys = np.geomspace(1e-6, 1e6, 97)
-        point_cells = kernels.Cells(np.repeat(ys, 2))
+        point_cells = kernels.YGrid([ys, ys])
         for n, eps, rho in ((1, -1, 0.7), (7, 1, -2.5), (50, -1, 0.999), (3000, -1, 0.3)):
-            lo, hi = kernels.f_bounds(n, eps, np.array([rho]), point_cells)[0, :, ::2]
+            lo, hi = kernels.f_bounds(n, eps, np.array([rho]), point_cells)[0]
             f = kernels.f_grid(n, eps, rho, ys)
             s = np.sqrt(ys * ys + 1.0)
             scale = 2.0 * (1.0 - rho) * (s + 1.0) / ((1.0 - rho) ** 2 * ys * ys + rho * rho) - f
@@ -657,15 +672,17 @@ class TestEnclosure:
 
     def test_bounds_at_y_zero_for_rho_zero(self):
         # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): F is unbounded
-        # above there, and the cell [0, 1e-6] still excludes a root
+        # above there, and the cell [0, 1e-6] still excludes a root, also
+        # where it is not the first cell
+        moved = kernels.YGrid([[1e-3, 0.0], [1e-2, 1e-6]])
         for rho in (0.0, 1e-170):
-            for lo, hi in _cell_bounds(2, -1, rho, 0):
+            for lo, hi in _cell_bounds(2, -1, rho, 0) + _cell_bounds(2, -1, rho, 1, moved):
                 assert hi == math.inf and lo > 0.0
 
     def test_excluded_cells_hold_no_sign_change(self):
         # on the full grid, every cell the enclosure excludes keeps one sign
         # (each rho alone, and an array of a trace's rhos, give the bounds)
-        cells = (np.arange(1, _CELLS.ends.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
+        cells = (np.arange(1, _CELLS.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
         for branch, rho_min, rho_max in _seeded_traces():
             n, eps = branch.n, branch.eps
             rhos = _slices(rho_min, rho_max, 15)
@@ -708,7 +725,7 @@ class TestBlocks:
         # a width that does not divide the grid's steps (128 or 256) would
         # end the cells at y[4736] and leave [y[4736], 1e6] unsearched
         assert (_Y_GRID.y.size - 1) % _CELL == 0
-        assert _CELLS.ends.y[1, -1] == _Y_GRID.y[-1] == 1e6
+        assert _CELLS.y[1, -1] == _Y_GRID.y[-1] == 1e6
 
     @staticmethod
     def _assert_trace_is_its_slices(branch, rho_min, rho_max, samples):
