@@ -258,8 +258,8 @@ def cmd_design(args):
 
 
 def cmd_scan(args):
-    if not math.isfinite(args.span):
-        raise CliError(f"span must be finite, got {args.span}")
+    if not math.isfinite(2.0 * args.span):  # the grid's width, in np.linspace
+        raise CliError(f"span must be finite, and so must 2 span, got {args.span}")
     if args.points < 1:
         raise CliError(f"points must be >= 1, got {args.points}")
     medium, geom, sols = _solve_design(args, load_config(args.config))

@@ -3,35 +3,40 @@ written: the locus function F, its enclosure and G = alpha*k at a root.
 
     F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n + eps arccos a,
 
-with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2 and a = num_a/sqrt(den).
-The textbook term1 and num_a contain s - 1 and 1 - |1-rho| s, which cancel
-catastrophically for small y; both sides of rho = 1 use the stable rewrites
-s - 1 = y^2/(s+1) and (for rho < 1) 1 - (1-rho) s = rho s - y^2/(s+1).
+with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2, term1 = (1-rho)(s+1)/den
+and a = num_a/sqrt(den), num_a = 1 - (1-rho) s: the forms for rho < 1, the
+only ones written, as every function here takes rho < 1.  num_a and S below
+use the stable rewrite y^2/(s+1) of the s - 1 that cancels for small y.
 arccos a is ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~
 1/|y| at large |y|), so it is taken as atan2(S, num_a) with S^2 = den -
-num_a^2 = 2|1-rho|(s -+ 1) (- below rho = 1, + above), and for eps = -1 the
-pi is folded in: pi n - arccos a = pi (n - 1) + atan2(S, -num_a).  Where
-sinh(x) would overflow (x > 350) F is far below any root and reads -1e300.
+num_a^2 = 2(1-rho)(s - 1), and for eps = -1 the pi is folded in: pi n -
+arccos a = pi (n - 1) + atan2(S, -num_a).  Where sinh(x) would overflow
+(x > 350) F is far below any root and reads -1e300.
+
+At rho >= 1, where part of ``waveguide``'s design grid lies, F < 0 on a
+branch (n, -), and that sign is all its brackets take.  Lemma: for rho > 1,
+n >= 1, y != 0 and theta = arccos a, the textbook term1 = (rho-1)(s-1)/den
+and num_a = 1 - (rho-1) s give S^2 = 2(rho-1)(s+1) > 0, sin^2 theta =
+S^2/den and 2 term1 = x^2 sin^2 theta / R^2; as R = pi (n-1) + (pi - theta)
+>= sin theta > 0, 2 term1 <= x^2 < sinh(x)^2.  At rho = 1, term1 = 0.
 
 ``YGrid`` holds a y grid with the pieces that depend on y alone (s, s + 1,
 s - 1 and |y|), so a bracketing grid built once (``locus`` keeps one from
-import) pays for them once, not on every call.  The per-side helpers
-``_num_a``, ``_sin2_a`` and ``_term1`` are the only statement of the stable
-forms; they are written with augmented assignment, so the same lines serve
-floats (``f_scalar`` for the root polish, ``alpha_k`` for G) and arrays,
-which they allocate once and then update in place (``f_grid``, with rho and
-y broadcast against each other, and rho on one side of 1 per call, so each
-point is computed once).  The float and array paths agree up to the
+import) pays for them once, not on every call.  The helpers ``_num_a``,
+``_sin2_a`` and ``_term1`` are the only statement of the stable forms; they
+are written with augmented assignment, so the same lines serve floats
+(``f_scalar`` for the root polish, ``alpha_k`` for G) and arrays, which
+they allocate once and then update in place (``f_grid``, with rho and y
+broadcast against each other).  The float and array paths agree up to the
 last-place differences between numpy's and libm's atan2 and sinh.
 
-``f_bounds`` encloses F on cells [y0, y1] (0 <= y0 <= y1, rho < 1) in the
-sense of interval analysis (Moore, Kearfott & Cloud, Introduction to
-Interval Analysis, SIAM 2009): every piece of F is monotone in y there, so
-the same helpers evaluated at the cells' ends bound it, widened by a
-relative margin far above f_grid's rounding error.  The cells are a YGrid
-of two rows, y0 and y1, one column per cell, neighbouring or not.  A cell
-whose bounds exclude 0 provably holds no root of F and no sign change of
-f_grid.
+``f_bounds`` encloses F on cells [y0, y1] (0 <= y0 <= y1) in the sense of
+interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, SIAM 2009): every piece of F is monotone in y there, so the same
+helpers evaluated at the cells' ends bound it, widened by a relative margin
+far above f_grid's rounding error.  The cells are a YGrid of two rows, y0
+and y1, one column per cell, neighbouring or not.  A cell whose bounds
+exclude 0 provably holds no root of F and no sign change of f_grid.
 """
 
 import math
@@ -78,24 +83,17 @@ def _y_pieces(y, sqrt=math.sqrt):
     return s, sp, y * y / sp, abs(y)
 
 
-def _num_a(rho, s, sm, below):
-    """Arccos numerator 1 - |1-rho| s; ``below`` is rho < 1."""
-    if below:
-        t = rho * s
-        t -= sm
-        return t
-    return 1.0 - (rho - 1.0) * s
+def _num_a(rho, s, sm):
+    """Arccos numerator 1 - (1-rho) s = rho s - (s - 1)."""
+    t = rho * s
+    t -= sm
+    return t
 
 
-def _term1(rho, y, sp, den, below):
-    """First term |1-rho| (s+1 or s-1) / den; ``below`` is rho < 1."""
-    if below:
-        t = (1.0 - rho) * sp
-        t /= den
-        return t
-    t = (rho - 1.0) * y
-    t *= y
-    t /= sp * den
+def _term1(rho, sp, den):
+    """First term (1-rho)(s+1)/den."""
+    t = (1.0 - rho) * sp
+    t /= den
     return t
 
 
@@ -107,52 +105,44 @@ def _den(rho, y):
     return t
 
 
-def _sin2_a(rho, y, sp, below):
-    """S^2 = den - num_a^2 = 2|1-rho| (s - 1 or s + 1); ``below`` is rho < 1."""
-    if below:
-        t = 2.0 * (1.0 - rho) * y
-        t *= y
-        t /= sp
-        return t
-    return 2.0 * (rho - 1.0) * sp
+def _sin2_a(rho, y, sp):
+    """S^2 = den - num_a^2 = 2(1-rho)(s - 1) = 2(1-rho) y^2/(s+1)."""
+    t = 2.0 * (1.0 - rho) * y
+    t *= y
+    t /= sp
+    return t
 
 
-def _phase(n, eps, rho, y, s, sp, sm, below):
+def _phase(n, eps, rho, y, s, sp, sm):
     """R at one point, from the pieces f_scalar and alpha_k share."""
-    sin_a = math.sqrt(_sin2_a(rho, y, sp, below))
-    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, s, sm, below))
+    sin_a = math.sqrt(_sin2_a(rho, y, sp))
+    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, s, sm))
 
 
 def alpha_k(n, eps, rho, y):
-    """G = alpha*k = R / sqrt(2|1-rho|(s+1)) at one point (floats)."""
+    """G = alpha*k = R / sqrt(2(1-rho)(s+1)) at one point (floats)."""
     s, sp, sm, _ = _y_pieces(y)
-    return _phase(n, eps, rho, y, s, sp, sm, rho < 1.0) / math.sqrt(2.0 * abs(1.0 - rho) * sp)
+    return _phase(n, eps, rho, y, s, sp, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
 
 
 def f_scalar(n, eps, rho, y):
     """F at one point (floats)."""
     s, sp, sm, ay = _y_pieces(y)
-    below = rho < 1.0
-    x = ay * _phase(n, eps, rho, y, s, sp, sm, below) / sp
+    x = ay * _phase(n, eps, rho, y, s, sp, sm) / sp
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)
-    return _term1(rho, y, sp, _den(rho, y), below) - 0.5 * sh * sh
+    return _term1(rho, sp, _den(rho, y)) - 0.5 * sh * sh
 
 
 def f_grid(n, eps, rho, y):
     """F on arrays; rho and y (an array or a YGrid of one) broadcast against
-    each other, with every rho below 1 or none (else ValueError).  Each
-    helper allocates its result once; the rest is in place."""
+    each other.  Each helper allocates its result once; the rest is in
+    place."""
     g = y if isinstance(y, YGrid) else YGrid(y)
-    below = rho < 1.0
-    if isinstance(below, np.ndarray):
-        if below.any() and not below.all():
-            raise ValueError("rho must lie on one side of 1 in one f_grid call")
-        below = below.all()
-    x = _sin2_a(rho, g.y, g.sp, below)
+    x = _sin2_a(rho, g.y, g.sp)
     np.sqrt(x, out=x)
-    num_a = _num_a(rho, g.s, g.sm, below)
+    num_a = _num_a(rho, g.s, g.sm)
     if eps < 0:
         np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
@@ -164,7 +154,7 @@ def f_grid(n, eps, rho, y):
     sh = np.sinh(x, out=x)
     half_sh2 = np.multiply(sh, 0.5, out=num_a)
     half_sh2 *= sh
-    f = _term1(rho, g.y, g.sp, _den(rho, g.y), below)
+    f = _term1(rho, g.sp, _den(rho, g.y))
     f -= half_sh2
     f[over] = _SENTINEL
     return f
@@ -194,13 +184,14 @@ def f_bounds(n, eps, rho, cells):
     terms moves by at least _MARGIN, and a cell with lo > 0 or hi < 0 holds
     no root and no sign change of f_grid.  (Where f_grid reads -1e300 for
     x > 350, lo is below that, and hi may be too.)  Where y0 = 0 and rho^2
-    is below the normal range, den0 is 0 or inexact and hi is +inf.
+    is below the normal range, den0 is 0 or inexact and hi is +inf; where
+    den1 underflows, lo is +inf, and the cell is excluded without a warning.
     """
     rho = rho[:, None, None]  # a row of cell ends per rho
     down = np.s_[..., ::-1, :]  # rows [y1; y0] of the same pieces
-    sin_a = _sin2_a(rho, cells.y, cells.sp, True)
+    sin_a = _sin2_a(rho, cells.y, cells.sp)
     np.sqrt(sin_a, out=sin_a)
-    c = _num_a(rho, cells.s, cells.sm, True)
+    c = _num_a(rho, cells.s, cells.sm)
     if eps < 0:
         np.negative(c, out=c)
     else:
@@ -220,7 +211,8 @@ def f_bounds(n, eps, rho, cells):
     den0 = den[..., 1, :]
     unbounded = den0 < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
     den0[unbounded] = 1.0
-    bounds = _term1(rho, cells.y, cells.sp * _OUTWARD, den, True)  # (sp0, den1), (sp1, den0)
+    with np.errstate(divide="ignore", over="ignore"):  # lo = +inf where den1 underflows
+        bounds = _term1(rho, cells.sp * _OUTWARD, den)  # (sp0, den1), (sp1, den0)
     bounds[..., 1, :][unbounded] = math.inf
     bounds -= half_sh2
     return bounds

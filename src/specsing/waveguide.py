@@ -163,13 +163,17 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     The grid is evaluated BLOCK points at a time into one byte per point of
     F's sign (-1, 0 or +1), so the temporaries of rho, sigma and F do not
     grow with grid_points; each F is the double of the whole-grid form, as
-    the arithmetic is elementwise.  A block that crosses rho = 1 is split by
-    a mask into one f_grid call per side.  The window is checked once, here,
-    on every block before any root is polished: it must be non-empty
-    (CutoffError), and the map from omega to (rho, sigma) must evaluate on
-    its grid without overflow, division by zero or NaN (OverflowError
-    otherwise, as where omega0^2 or 10 omega0 exceeds a double).  Every
-    polish step and every root lies inside the grid, so none is checked again.
+    the arithmetic is elementwise.  At rho >= 1 F < 0 (the lemma in
+    ``kernels``), so the grid and the polish take the sign -1 there, and F
+    is evaluated only where rho < 1, by one f_grid call per block (none for
+    a block wholly at rho >= 1); every design has rho < 1.  Where F's den
+    underflows, F is +inf, its true sign, without a warning.  The window is
+    checked once, here, on every block before any root is polished: it must
+    be non-empty (CutoffError), and the map from omega to (rho, sigma) must
+    evaluate on its grid without overflow, division by zero or NaN
+    (OverflowError otherwise, as where omega0^2 or 10 omega0 exceeds a
+    double).  Every polish step and every root lies inside the grid, so
+    none is checked again.
     """
     branch = BranchLabel(n=n, eps=-1)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
@@ -179,17 +183,16 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-        signs = np.empty(len(us), dtype=np.int8)
+        signs = np.full(len(us), -1, dtype=np.int8)  # F's sign at rho >= 1
         for start in range(0, len(us), BLOCK):
             block = slice(start, start + BLOCK)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                rho, y = _rho_sigma(medium, Om, Om + np.exp(us[block]))
-            with np.errstate(over="ignore"):
-                y /= 1.0 - rho  # sigma / (1 - rho)
-                below = rho < 1.0
-                sides = (below, ~below) if below.any() and not below.all() else (slice(None),)
-                for side in sides:
-                    signs[block][side] = np.sign(kernels.f_grid(n, -1, rho[side], y[side]))
+                rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us[block]))
+            below = rho < 1.0
+            if below.any():
+                rho = rho[below]
+                with np.errstate(over="ignore", divide="ignore"):  # F = +inf where den underflows
+                    signs[block][below] = np.sign(kernels.f_grid(n, -1, rho, sigma[below] / (1.0 - rho)))
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
                             f"double on the window ({lo}, {hi}) eV") from None
@@ -199,7 +202,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
 
     def mismatch(u):
         r_, s_ = _rho_sigma(medium, Om, omega_of(u))
-        return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_))
+        return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
     roots = _grid_roots(brentq, mismatch, us, signs, 1e-9, omega_of)
     found = []  # (omega, k, certified locus point)
@@ -243,9 +246,10 @@ def gain_scan(solution, medium, geom, ratio_grid):
     ratios = np.asarray(ratio_grid, dtype=float)
     Om = geom.omega_cutoff
     # omega_s > 0 keeps the ratios' order, so these are omega's extremes (NaN
-    # and inf included); an empty grid has none to check
-    lowest = np.min(ratios, initial=math.inf) * solution.omega
-    if not (lowest > Om and np.max(ratios, initial=-math.inf) * solution.omega < np.inf):
+    # and inf included; as Python floats, a product that overflows is inf
+    # without a warning); an empty grid has none to check
+    lowest = float(np.min(ratios, initial=math.inf)) * solution.omega
+    if not (lowest > Om and float(np.max(ratios, initial=-math.inf)) * solution.omega < math.inf):
         raise CutoffError(f"omega = {lowest} eV is not a finite value "
                           f"above cutoff {Om} eV")
     scan = np.empty((len(ratios), 2))

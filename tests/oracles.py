@@ -7,7 +7,8 @@ module.  ``oracle_transfer_matrix`` re-derives M by plane-wave matching,
 ``mp_scaled_transfer`` evaluates the textbook entries at mpmath precision,
 ``alpha_z_k_transfer`` is the numpy closed form as first written on
 (alpha, z, k), ``f_grid_both_sides`` is F on arrays as first written, with
-both sides of rho = 1 evaluated at every point and one kept,
+both sides of rho = 1 evaluated at every point and one kept (the package
+has only the forms for rho < 1; this module keeps those for rho >= 1),
 ``wavefunction_profile`` builds psi from the package's amplitudes
 (``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
 than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
@@ -110,21 +111,16 @@ def alpha_z_k_transfer(alpha, z, k):
             np.exp(2j * chi) * (c - t), np.imag(x))
 
 
-def _side(below, part, *args):
-    """``part`` on the side of rho = 1 where ``below`` puts each element."""
-    if not isinstance(below, np.ndarray):
-        return part(*args, below)
-    return np.where(below, part(*args, True), part(*args, False))
-
-
 def f_grid_both_sides(n, eps, rho, y):
     """`kernels.f_grid` as it was when one call took rho on both sides of 1:
-    each piece is evaluated on both sides at every point and one is kept."""
+    each piece is evaluated in the package's form for rho < 1 and in its
+    form for rho >= 1 at every point, and one is kept.  Above rho = 1, S^2 =
+    2|1-rho| (s + 1), num_a = 1 - |1-rho| s and term1 = |1-rho| (s - 1)/den."""
     g = y if isinstance(y, YGrid) else YGrid(y)
     below = rho < 1.0
-    x = _side(below, _sin2_a, rho, g.y, g.sp)
+    x = np.where(below, _sin2_a(rho, g.y, g.sp), 2.0 * (rho - 1.0) * g.sp)
     np.sqrt(x, out=x)
-    num_a = _side(below, _num_a, rho, g.s, g.sm)
+    num_a = np.where(below, _num_a(rho, g.s, g.sm), 1.0 - (rho - 1.0) * g.s)
     if eps < 0:
         np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
@@ -136,7 +132,8 @@ def f_grid_both_sides(n, eps, rho, y):
     sh = np.sinh(x, out=x)
     half_sh2 = np.multiply(sh, 0.5, out=num_a)
     half_sh2 *= sh
-    f = _side(below, _term1, rho, g.y, g.sp, _den(rho, g.y))
+    den = _den(rho, g.y)
+    f = np.where(below, _term1(rho, g.sp, den), (rho - 1.0) * g.y * g.y / (g.sp * den))
     f -= half_sh2
     f[over] = _SENTINEL
     return f

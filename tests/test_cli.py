@@ -701,6 +701,30 @@ def test_ell_below_one_in_a_process_is_one_error_line():
     assert proc.stderr == "error: ell must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("command", ["design", "scan"])
+def test_tiny_coupling_in_a_process_has_no_design_and_no_warning(tmp_path, command):
+    # omega_p^2 = -1e-200: den = (1-rho)^2 y^2 + rho^2 underflows to 0 on the
+    # whole grid, where F = +inf, its true sign: no bracket, no design, and
+    # nothing on stderr
+    config = tmp_path / "tiny.cfg"
+    config.write_text("omega_p_sq_eV2 = -1e-200\n")
+    argv = [command, "--n", "2000", "--config", str(config)] + (["--ell", "1"] if command == "scan" else [])
+    proc = subprocess.run([sys.executable, "-m", "specsing.cli", *argv], capture_output=True,
+                          env=_process_env(), text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_NO_SOLUTIONS, "", "")
+
+
+@pytest.mark.parametrize("span", ["1e308", "8e307", "-1e308"])
+def test_huge_span_in_a_process_is_one_error_line(span):
+    # the grid's width 2 span overflows (+-1e308), or omega = ratio omega_s
+    # does (8e307): one error line, no numpy warning
+    proc = subprocess.run([sys.executable, "-m", "specsing.cli", "scan", "--n", "2000",
+                           "--ell", "2", "--span", span], capture_output=True,
+                          env=_process_env(), text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_process_entry_freezes_the_import_heap(capsys):
     argv = ["design", "--n", "2000"]
     proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], capture_output=True,

@@ -268,21 +268,14 @@ def _assert_close_to_scale(got, want, rho, y, rtol):
 def _phase(n, eps, rho, y):
     """R = pi n + eps arccos a at one point, as f_scalar and alpha_k form it."""
     s, sp, sm, _ = kernels._y_pieces(y)
-    return kernels._phase(n, eps, rho, y, s, sp, sm, rho < 1.0)
-
-
-def _by_side(n, eps, column, ys):
-    """f_grid of an ascending rho column that spans 1, one call per side."""
-    below = column[:, 0] < 1.0
-    return np.concatenate([kernels.f_grid(n, eps, column[below], ys),
-                           kernels.f_grid(n, eps, column[~below], ys)])
+    return kernels._phase(n, eps, rho, y, s, sp, sm)
 
 
 class TestKernels:
     # numpy's arccos and sinh may differ from libm's by an ulp or so, and F
     # cancels near its roots, so f_grid and f_scalar are compared relative to
-    # the scale F cancels from
-    RHOS = (-2.5, 0.01, 0.4, 0.999, 1.0, 1.001, 1.7, 40.0)
+    # the scale F cancels from; every kernel takes rho < 1
+    RHOS = (-2.5, 0.01, 0.4, 0.999)
 
     def test_grid_matches_scalar_one_rho(self):
         ys = np.geomspace(1e-6, 1e6, 301)
@@ -298,7 +291,7 @@ class TestKernels:
         rho = np.array(self.RHOS)[:, None]
         ys = np.geomspace(1e-6, 1e6, 301)[None, :]
         for n, eps in ((1, -1), (3, 1), (1000, -1)):
-            grid = _by_side(n, eps, rho, ys)
+            grid = kernels.f_grid(n, eps, rho, ys)
             assert grid.shape == (rho.size, ys.size)
             scalars = [[kernels.f_scalar(n, eps, r, y) for y in ys[0]] for r in rho[:, 0]]
             _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
@@ -310,19 +303,9 @@ class TestKernels:
         # x = |y| R / (s + 1) > 350 reads -1e300 on every path
         ys = np.array([10.0, 100.0])
         assert list(kernels.f_grid(1000, -1, 0.4, ys)) == [-1e300, -1e300]
-        assert [*kernels.f_grid(1000, -1, np.array([0.4]), ys[:1]),
-                *kernels.f_grid(1000, -1, np.array([1.7]), ys[1:])] == [-1e300, -1e300]
+        assert kernels.f_grid(1000, -1, np.array([[0.4], [-2.5]]), ys).tolist() == [[-1e300] * 2] * 2
         assert kernels.f_scalar(1000, -1, 0.4, 10.0) == -1e300
-        assert kernels.f_scalar(1000, -1, 1.7, 100.0) == -1e300
-
-    def test_rho_on_both_sides_of_1_is_rejected(self):
-        # one call evaluates one side's forms; rho = 1 is on the upper side
-        ys = np.ones(2)
-        for rho in ([0.4, 1.7], [1.0, 1.0 - 1e-16], [[0.999], [1.0]]):
-            with pytest.raises(ValueError, match="one side of 1"):
-                kernels.f_grid(1, -1, np.array(rho), ys)
-        for rho in ([0.4, 1.0 - 1e-16], [1.0, 1.7]):
-            assert kernels.f_grid(1, -1, np.array(rho), ys).shape == (2,)
+        assert kernels.f_scalar(1000, -1, -2.5, 100.0) == -1e300
 
     def test_y_grid_gives_the_same_doubles(self):
         # one YGrid reused for every call gives what a fresh array gives, so
@@ -335,8 +318,8 @@ class TestKernels:
                 for rho in self.RHOS:
                     assert np.array_equal(kernels.f_grid(n, eps, rho, grid),
                                           kernels.f_grid(n, eps, rho, ys))
-                assert np.array_equal(_by_side(n, eps, column, grid),
-                                      _by_side(n, eps, column, ys))
+                assert np.array_equal(kernels.f_grid(n, eps, column, grid),
+                                      kernels.f_grid(n, eps, column, ys))
         with pytest.raises(ValueError):
             grid.s[0] = 0.0
 
@@ -352,7 +335,7 @@ class TestKernels:
             rhos = np.broadcast_to(column, xs.shape)
             over = xs > 350.0
             assert over.any(axis=1).all() and not over.all(axis=1).any()
-            grids = [_by_side(n, eps, column, ys)]
+            grids = [kernels.f_grid(n, eps, column, ys)]
             grids.append(np.array([kernels.f_grid(n, eps, rho, ys) for rho in self.RHOS]))
             for grid in grids:
                 assert np.array_equal(grid == -1e300, over)
@@ -366,7 +349,7 @@ class TestKernels:
         # |y|, where 1 + a ~ 1/|y| and a plain arccos a loses digits
         cases = [(n, eps, rho, ys) for n in (1, 7, 50) for eps in (1, -1)
                  for rho in self.RHOS]
-        cases += [(1, -1, 40.0, np.array([2.5e5])), (1, -1, -2.5, np.array([7.9e5]))]
+        cases += [(1, -1, 0.4, np.array([2.5e5])), (1, -1, -2.5, np.array([7.9e5]))]
         with mpmath.workdps(50):
             for n, eps, rho, ys in cases:
                 grid = kernels.f_grid(n, eps, rho, ys)
@@ -379,6 +362,19 @@ class TestKernels:
                     err = abs(mpmath.mpf(got) - want)
                     assert err <= 1e-12 * scale, (n, eps, rho, y)
                     assert abs(kernels.f_scalar(n, eps, rho, y) - want) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(0.0, 6.0).map(lambda u: round(10.0 ** u)),
+           gap=st.floats(-14.0, 12.0).map(lambda u: 10.0 ** u),
+           y=st.floats(-10.0, 10.0).map(lambda u: 10.0 ** u), sign=st.sampled_from((1, -1)))
+    def test_f_is_negative_above_rho_1_on_branch_minus(self, n, gap, y, sign):
+        # the lemma of the kernels docstring: on a branch (n, -), F < 0 at
+        # every rho > 1 (and y != 0), so the design grid takes that sign
+        # there and no kernel needs F's forms above rho = 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            f, scale, _ = _textbook_f(mpmath.mp, n, -1, 1.0 + gap, sign * y)
+            assert f < 0, (n, 1.0 + gap, sign * y, f, scale)
 
 
 class TestHotPath:
@@ -631,10 +627,7 @@ class TestEnclosure:
         ys = [y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1) for t in ts]
         # where den underflows, term1 overflows a double: there is no F to enclose
         assume(kernels._den(rho, min(ys)) >= sys.float_info.min)
-        if cells is _CELLS:
-            bounds = _cell_bounds(n, eps, rho, cell)
-        else:  # on the deepest decades den underflows for the rows rho = 0 and 1e-170
-            bounds = kernels.f_bounds(n, eps, np.array([rho]), cells)[:, :, 0]
+        bounds = _cell_bounds(n, eps, rho, cell, cells)
         for y in ys:
             f = kernels.f_scalar(n, eps, rho, y)
             with mpmath.workdps(50):
@@ -678,6 +671,15 @@ class TestEnclosure:
         for rho in (0.0, 1e-170):
             for lo, hi in _cell_bounds(2, -1, rho, 0) + _cell_bounds(2, -1, rho, 1, moved):
                 assert hi == math.inf and lo > 0.0
+
+    def test_cell_where_den_underflows_is_excluded_without_a_warning(self):
+        # on [0, 1e-300] den underflows at both ends for rho = 0 (and is
+        # subnormal for 1e-170): term1 has no double there, and the cell is
+        # excluded; RuntimeWarnings are errors in this suite
+        cell = kernels.YGrid([[0.0], [1e-300]])
+        for rho in (0.0, 1e-170):
+            (lo,), (hi,) = kernels.f_bounds(1, -1, np.array([rho]), cell)[0]
+            assert lo == hi == math.inf
 
     def test_excluded_cells_hold_no_sign_change(self):
         # on the full grid, every cell the enclosure excludes keeps one sign

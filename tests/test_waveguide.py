@@ -294,23 +294,24 @@ class TestDesignGridBlocks:
         geom = WaveguideGeometry(beta=beta)
         sols, (us, signs), f = self._grid_of(monkeypatch, MEDIUM, geom, n, grid_points=points)
         ref_us, rho, ref_g = _one_array_grid(MEDIUM, geom, n, points)
-        # f_grid returns F block by block, a block's points below rho = 1 first
-        blocks = np.array_split(np.arange(points), range(waveguide.BLOCK, points, waveguide.BLOCK))
-        order = np.concatenate([np.concatenate((i[rho[i] < 1.0], i[rho[i] >= 1.0]))
-                                for i in blocks])
-        assert _bits(us) == _bits(ref_us) and _bits(f) == _bits(ref_g[order])
+        # f_grid returns F block by block, at the points below rho = 1 only
+        below = rho < 1.0
+        assert _bits(us) == _bits(ref_us) and _bits(f) == _bits(ref_g[below])
+        # at rho >= 1 the oracle's F (both sides' forms) is negative, the
+        # sign the grid takes there without evaluating F
+        assert (ref_g[~below] < 0.0).all()
         # one byte per point holds the sign of that F
         assert signs.itemsize == 1 and signs.tolist() == np.sign(ref_g).tolist()
-        # rho(omega) crosses 1 inside a block, where F changes its side of rho = 1
-        crossing = np.flatnonzero(np.diff(rho < 1.0))
+        # rho(omega) crosses 1 inside a block, which is then evaluated in part
+        crossing = np.flatnonzero(np.diff(below))
         assert any(i % waveguide.BLOCK != waveguide.BLOCK - 1 for i in crossing)
         monkeypatch.setattr(waveguide, "BLOCK", points)  # one block: the one-array form
         assert sols == find_singularities(MEDIUM, geom, n, grid_points=points)
         assert len(sols) >= 2
 
-    def test_f_grid_is_called_once_per_block_and_side(self, monkeypatch):
-        # the README problem: rho > 1 in the first block, < 1 from the third,
-        # and both in the second, whose points below 1 are evaluated first
+    def test_f_grid_is_called_once_per_block_below_rho_1(self, monkeypatch):
+        # the README problem: rho > 1 in the first block (no call), < 1 from
+        # the third, and both in the second, whose points below 1 are evaluated
         sizes, f_grid = [], kernels.f_grid
 
         def counted(n, eps, rho, y):
@@ -320,9 +321,35 @@ class TestDesignGridBlocks:
         find_singularities(MEDIUM, GEOM_1CM, 2000)
         rho = _one_array_grid(MEDIUM, GEOM_1CM, 2000, 20000)[1]
         below = np.count_nonzero(rho[waveguide.BLOCK:2 * waveguide.BLOCK] < 1.0)
-        assert 0 < below < waveguide.BLOCK
-        assert sizes == [waveguide.BLOCK, below, waveguide.BLOCK - below,
-                         *[waveguide.BLOCK] * 2, 20000 - 4 * waveguide.BLOCK]
+        assert 0 < below < waveguide.BLOCK and (rho[:waveguide.BLOCK] >= 1.0).all()
+        assert sizes == [below, *[waveguide.BLOCK] * 2, 20000 - 4 * waveguide.BLOCK]
+
+    def test_no_kernel_sees_rho_at_or_above_1(self, monkeypatch):
+        # every kernel takes rho < 1: the grid evaluates F only there, and the
+        # polish reads F's sign -1 at rho >= 1 without evaluating it, also in
+        # the bracket of the README geometry at n = 1 that straddles rho = 1
+        largest = {}  # kernel -> the largest rho it was given
+        for name in ("f_grid", "f_scalar", "alpha_k"):
+            def spy(n, eps, rho, y, kernel=getattr(kernels, name), name=name):
+                largest[name] = max(largest.get(name, -math.inf), np.max(rho))
+                return kernel(n, eps, rho, y)
+            monkeypatch.setattr(kernels, name, spy)
+        brackets, polish = [], waveguide.brentq
+
+        def spied_polish(f, a, b):
+            brackets.append((a, b))
+            return polish(f, a, b)
+        monkeypatch.setattr(waveguide, "brentq", spied_polish)
+        one_um = WaveguideGeometry(beta=500.0)
+        for geom, n in ((GEOM_1CM, 2000), (one_um, 10000), (one_um, 2000), (GEOM_1CM, 1)):
+            brackets.clear()
+            assert find_singularities(MEDIUM, geom, n)
+        assert sorted(largest) == ["alpha_k", "f_grid", "f_scalar"]
+        assert max(largest.values()) < 1.0
+        # the brackets of the last problem: one has its lower end at rho >= 1
+        rho_ends = [[_rho_sigma(MEDIUM, OM_1CM, OM_1CM + math.exp(u))[0] for u in b]
+                    for b in brackets]
+        assert any(lo >= 1.0 > hi for lo, hi in rho_ends)
 
     def test_overflow_in_the_last_block_raises_before_any_polish(self, monkeypatch):
         # (omega^2 - omega0^2)^2 overflows only in the grid's top 0.4 %, past
