@@ -17,7 +17,8 @@ terms that cancel for small y; this module brackets, polishes and
 certifies the roots of F.  A root is bracketed on a fixed y grid,
 but F is evaluated only where an enclosure of F on coarse cells of that
 grid (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot
-rule a root out, and below the grid while the cell [0, 1e-6] stays open.
+rule a root out, and below the grid down to the first decade [0, 1e-6 10^-d]
+it rules out.
 `trace_curve` encloses F for 64 rho slices in one `f_bounds` call, then
 solves each slice in its window.
 """
@@ -50,14 +51,14 @@ _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
 _RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
 #: cells on which F is enclosed, a YGrid of rows y0 and y1 with one column
 #: per cell: [0, 1e-6], then the grid in steps of _CELL points (_CELL
-#: divides the grid's 4,800 steps, so the cells end at 1e6).  Below the
-#: grid, _below_grid encloses one decade cell [0, y_min] at a time
+#: divides the grid's 4,800 steps, so the cells end at 1e6)
 _CELL = 160
 _CELLS = kernels.YGrid(np.stack((np.append(0.0, _Y_GRID.y[:-1:_CELL]), _Y_GRID.y[::_CELL])))
+#: decade cells [0, 1e-6 10^-d] below the grid, d = 1 ... 294 (to 1e-300), in
+#: Python's float powers (numpy's 10.0 ** -d differs in the last bit for 12 d)
+_DECADES = kernels.YGrid([[0.0] * 294, [_Y_GRID.y[0] * 10.0 ** -d for d in range(1, 295)]])
 #: rho slices whose enclosures trace_curve computes in one f_bounds call
 _BLOCK = 64
-#: the lowest decade searched below the grid ends here
-_Y_FLOOR = 1e-300
 #: brentq tolerances (absolute, relative) and iteration cap
 _XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
@@ -208,8 +209,8 @@ def _windows(n, eps, rhos):
 
     Cells the enclosure excludes hold none, so the grid from the first open
     cell to the last one brackets the roots that the whole grid brackets.
-    While the cell [0, y_min] stays open, a decade of the grid's density is
-    put below it.  The enclosure is computed for _BLOCK rhos at a time, so
+    Where the cell [0, 1e-6] is open, decades of the grid's density are put
+    below it.  The enclosure is computed for _BLOCK rhos at a time, so
     the memory used does not grow with the number of rhos.
     """
     for start in range(0, len(rhos), _BLOCK):
@@ -229,15 +230,12 @@ def _windows(n, eps, rhos):
 
 def _below_grid(n, eps, rho, window):
     """window with decades of the grid's density put below it, down to the
-    first decade [0, y_min] the enclosure excludes (or to _Y_FLOOR)."""
-    decades, y_min = 0, _Y_GRID.y[0]
-    while y_min > _Y_FLOOR:
-        decades += 1
-        y_min = _Y_GRID.y[0] * 10.0 ** -decades
-        if _excluded(n, eps, np.array([rho]), kernels.YGrid([[0.0], [y_min]]))[0, 0]:
-            break
-    below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
-    return kernels.YGrid(np.concatenate((below, window.y)))
+    first cell of _DECADES the enclosure excludes (or to the last one)."""
+    excluded = _excluded(n, eps, np.array([rho]), _DECADES)[0]
+    excluded[-1] = True  # the search ends at the last decade in any case
+    decades = excluded.argmax() + 1
+    below = np.geomspace(_DECADES.y[1, decades - 1], _Y_GRID.y[0], _PER_DECADE * decades + 1)
+    return kernels.YGrid(np.concatenate((below[:-1], window.y)))
 
 
 _WINDOW = object()  # solve_sigma's window argument was not given

@@ -15,6 +15,8 @@ from specsing.locus import (
     _BLOCK,
     _CELL,
     _CELLS,
+    _DECADES,
+    _PER_DECADE,
     _RHO_MIN,
     _Y_GRID,
     BranchLabel,
@@ -140,6 +142,12 @@ class TestSolveSigma:
         for rho in (0.3, 0.7, 0.9):
             assert solve_sigma(BranchLabel(n=1, eps=1), rho) == []
             assert solve_sigma(BranchLabel(n=0, eps=1), rho) == []
+        # nor anywhere 1 - rho >= 1e-6, on a seeded deck down to rho = -3
+        # (closer to rho = 1 they can certify: see the locus docstring)
+        rng = random.Random(5)
+        for _ in range(300):
+            branch = BranchLabel(n=rng.randint(0, 50), eps=1)
+            assert solve_sigma(branch, 1.0 - 10.0 ** rng.uniform(-6.0, math.log10(4.0))) == []
 
     def test_mirror_sigma_negative_fails_certification(self):
         # sigma < 0 (gain flipped to loss) must not certify
@@ -563,11 +571,6 @@ def _cell_bounds(n, eps, rho, cell, cells=_CELLS):
     return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho], cells)]
 
 
-def _decade(d):
-    """The cell [0, 1e-6 10^-d] below the grid, as _below_grid encloses it."""
-    return kernels.YGrid([[0.0], [_Y_GRID.y[0] * 10.0 ** -d]])
-
-
 def _full_grid_solve(branch, rho):
     """solve_sigma with F evaluated on the whole grid: the oracle for the
     window the enclosure leaves."""
@@ -612,14 +615,14 @@ class TestEnclosure:
            rho=st.one_of(st.floats(-1e3, 1.0, exclude_max=True),
                          st.floats(-15.0, 0.0).map(lambda u: 1.0 - 10.0 ** u)),
            cell=st.one_of(st.integers(0, _CELLS.y.shape[1] - 1).map(lambda i: (_CELLS, i)),
-                          st.integers(1, 294).map(lambda d: (_decade(d), 0))),
+                          st.integers(0, _DECADES.y.shape[1] - 1).map(lambda i: (_DECADES, i))),
            ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     def test_f_lies_in_the_bounds(self, n, eps, rho, cell, ts):
         # F at 50 digits where x <= 350, and f_scalar everywhere, lie in each
         # cell's bounds; where x > 350 f_scalar reads the sentinel -1e300,
         # which lies above hi only where hi < -1e300.  The cells are those of
         # _CELLS (cell 0 is [0, 1e-6]), and the decades below the grid down
-        # to 1e-300, each enclosed for one rho as _below_grid encloses it
+        # to 1e-300, _DECADES, all enclosed for one rho as _below_grid does
         mpmath = pytest.importorskip("mpmath")
         assume(rho < 1.0 and (n >= 1 or eps == 1))
         cells, cell = cell
@@ -783,3 +786,59 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peak(20 * _BLOCK) <= 1.2 * peak(_BLOCK)
+
+
+def _window_by_decades(n, eps, rho):
+    """(window y, decades below the grid) of one slice, with the decade
+    cells enclosed one at a time, each as its own one-cell YGrid, down to
+    the first that is excluded (or to 1e-300): the reference for _DECADES,
+    which _below_grid encloses in one call."""
+    open_cells = ~_excluded(n, eps, np.array([rho]), _CELLS)[0]
+    if not open_cells.any():
+        return None, 0
+    first, last = np.flatnonzero(open_cells)[[0, -1]]
+    if first > 0:
+        return _Y_GRID.y[(first - 1) * _CELL:last * _CELL + 1], 0
+    decades, y_min = 0, _Y_GRID.y[0]
+    while y_min > 1e-300:
+        decades += 1
+        y_min = _Y_GRID.y[0] * 10.0 ** -decades
+        if _excluded(n, eps, np.array([rho]), kernels.YGrid([[0.0], [y_min]]))[0, 0]:
+            break
+    below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
+    return np.concatenate((below, _Y_GRID.y[:last * _CELL + 1])), decades
+
+
+class TestDecades:
+    """Below the grid, _below_grid encloses the decade cells _DECADES in one call."""
+
+    def test_decade_cells(self):
+        # [0, 1e-6 10^-d] for d = 1 ... 294, whose ends are Python's float
+        # powers, the doubles of the search one decade at a time (numpy's
+        # 10.0 ** -d differs in the last bit for 12 of them)
+        assert _DECADES.y.shape == (2, 294)
+        assert (_DECADES.y[0] == 0.0).all()
+        want = np.array([1e-6 * 10.0 ** -d for d in range(1, 295)])
+        assert _DECADES.y[1].tobytes() == want.tobytes()
+        assert _DECADES.y[1, -1] == 1e-300
+
+    def test_windows_match_the_search_one_decade_at_a_time(self):
+        # seeded slices near rho = 1, n log-uniform in 1 ... 1e9, both signs:
+        # the same window, bit for bit, with one to a dozen decades below
+        # the grid (n = 1e9 at 1 - rho = 1e-16 needs 11)
+        rng = random.Random(11)
+        deck = [(10 ** 9, -1, 1.0 - 1e-16), (10 ** 9, 1, 1.0 - 1e-16)]
+        for _ in range(400):
+            n, eps = max(1, round(10 ** rng.uniform(0.0, 9.0))), rng.choice((1, -1))
+            deck.append((n, eps, 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)))
+        depths = collections.Counter()
+        for n, eps, rho in deck:
+            window, = _windows(n, eps, [rho])
+            want, decades = _window_by_decades(n, eps, rho)
+            assert (window is None) == (want is None)
+            if want is not None:
+                assert window.y.tobytes() == want.tobytes(), (n, eps, rho)
+            depths[eps, decades] += 1
+        assert depths[-1, 11] and depths[1, 11]
+        for eps in (1, -1):
+            assert sum(c for (e, d), c in depths.items() if e == eps and d > 1) >= 50
