@@ -221,8 +221,7 @@ def cmd_transfer(args):
 
 
 def cmd_curve(args):
-    points = trace_curve(BranchLabel(n=args.n, eps=-1),
-                         args.rho_min, args.rho_max, args.samples)
+    points = trace_curve(BranchLabel(n=args.n), args.rho_min, args.rho_max, args.samples)
     rows = ["rho,sigma,alpha_k,residual"]
     for p in points:
         rows.append(f"{p.rho:.12e},{p.sigma:.12e},{p.alpha_k:.12e},{p.residual:.12e}")

@@ -1,7 +1,7 @@
-"""The reduction of m22 = 0 to F(n, eps; rho, y) = 0, the only place it is
+"""The reduction of m22 = 0 to F(n; rho, y) = 0, the only place it is
 written: the locus function F, its enclosure and G = alpha*k at a root.
 
-    F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n + eps arccos a,
+    F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n - arccos a,
 
 with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2, term1 = (1-rho)(s+1)/den
 and a = num_a/sqrt(den), num_a = 1 - (1-rho) s: the forms for rho < 1, the
@@ -9,12 +9,22 @@ only ones written, as every function here takes rho < 1.  num_a and S below
 use the stable rewrite y^2/(s+1) of the s - 1 that cancels for small y.
 arccos a is ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~
 1/|y| at large |y|), so it is taken as atan2(S, num_a) with S^2 = den -
-num_a^2 = 2(1-rho)(s - 1), and for eps = -1 the pi is folded in: pi n -
-arccos a = pi (n - 1) + atan2(S, -num_a).  Where sinh(x) would overflow
-(x > 350) F is far below any root and reads -1e300.
+num_a^2 = 2(1-rho)(s - 1), and the pi is folded in: R = pi (n - 1) +
+atan2(S, -num_a).  Where sinh(x) would overflow (x > 350) F is far below any
+root and reads -1e300.
+
+Lemma 1: for rho < 1 and sigma > 0 (so y > 0) every root of m22 lies on a
+branch (n, -) above, n >= 1.  On the upper-half-plane branch, w = sqrt(1 -
+rho - i sigma) has Re w = -sqrt((1-rho)(s+1)/2) < 0 < Im w.  With X = 2
+alpha k w, Re X = -R for R = alpha k sqrt(2(1-rho)(s+1)) > 0 (so alpha k =
+G) and Im X = x.  m22 = 0 iff (1+w)^2 e^{-iX} = (1-w)^2 e^{iX}, iff e^{iX}
+= +-(1+w)/(1-w).  The modulus condition e^{-x} = |1+w|/|1-w| is F = 0.  And
+(1+w)/(1-w) = (1 - |w|^2 + 2i Im w)/|1-w|^2, with |1 - w^2| = sqrt(den), has
+argument arccos a in (0, pi), so R = pi n - arccos a.  A branch (n, +), R =
+pi n + arccos a, meets this only where a = 0, at the point of (n+1, -).
 
 At rho >= 1, where part of ``waveguide``'s design grid lies, F < 0 on a
-branch (n, -), and that sign is all its brackets take.  Lemma: for rho > 1,
+branch (n, -), and that sign is all its brackets take.  Lemma 2: for rho > 1,
 n >= 1, y != 0 and theta = arccos a, the textbook term1 = (rho-1)(s-1)/den
 and num_a = 1 - (rho-1) s give S^2 = 2(rho-1)(s+1) > 0, sin^2 theta =
 S^2/den and 2 term1 = x^2 sin^2 theta / R^2; as R = pi (n-1) + (pi - theta)
@@ -113,29 +123,29 @@ def _sin2_a(rho, y, sp):
     return t
 
 
-def _phase(n, eps, rho, y, s, sp, sm):
+def _phase(n, rho, y, s, sp, sm):
     """R at one point, from the pieces f_scalar and alpha_k share."""
     sin_a = math.sqrt(_sin2_a(rho, y, sp))
-    return math.pi * (n + (eps - 1) // 2) + math.atan2(sin_a, eps * _num_a(rho, s, sm))
+    return math.pi * (n - 1) + math.atan2(sin_a, -_num_a(rho, s, sm))
 
 
-def alpha_k(n, eps, rho, y):
+def alpha_k(n, rho, y):
     """G = alpha*k = R / sqrt(2(1-rho)(s+1)) at one point (floats)."""
     s, sp, sm, _ = _y_pieces(y)
-    return _phase(n, eps, rho, y, s, sp, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
+    return _phase(n, rho, y, s, sp, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
 
 
-def f_scalar(n, eps, rho, y):
+def f_scalar(n, rho, y):
     """F at one point (floats)."""
     s, sp, sm, ay = _y_pieces(y)
-    x = ay * _phase(n, eps, rho, y, s, sp, sm) / sp
+    x = ay * _phase(n, rho, y, s, sp, sm) / sp
     if x > _OVERFLOW:
         return _SENTINEL
     sh = math.sinh(x)
     return _term1(rho, sp, _den(rho, y)) - 0.5 * sh * sh
 
 
-def f_grid(n, eps, rho, y):
+def f_grid(n, rho, y):
     """F on arrays; rho and y (an array or a YGrid of one) broadcast against
     each other.  Each helper allocates its result once; the rest is in
     place."""
@@ -143,10 +153,9 @@ def f_grid(n, eps, rho, y):
     x = _sin2_a(rho, g.y, g.sp)
     np.sqrt(x, out=x)
     num_a = _num_a(rho, g.s, g.sm)
-    if eps < 0:
-        np.negative(num_a, out=num_a)
+    np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
-    x += math.pi * (n + (eps - 1) // 2)  # R
+    x += math.pi * (n - 1)  # R
     x *= g.ay
     x /= g.sp
     over = ~(x <= _OVERFLOW)  # x > 350, or NaN
@@ -160,9 +169,8 @@ def f_grid(n, eps, rho, y):
     return f
 
 
-def f_bounds(n, eps, rho, cells):
-    """Bounds lo <= F <= hi on each of ``cells``, for rho < 1 and a branch
-    with R >= 0 (n >= 1, or n = 0 with eps = +1).
+def f_bounds(n, rho, cells):
+    """Bounds lo <= F <= hi on each of ``cells``, for rho < 1 and n >= 1.
 
     ``cells`` is a YGrid of two rows, y0 and y1, with one column per cell
     [y0, y1], 0 <= y0 <= y1: neighbouring, nested or of zero width.  rho is
@@ -172,11 +180,11 @@ def f_bounds(n, eps, rho, cells):
     differ from that one's in its last bit, where numpy's vector loops
     round differently for different layouts.
 
-    On y >= 0 the pieces are monotone: S, |y|/(s+1), s + 1 and den rise with
-    y, and C = eps num_a rises for eps = -1 and falls for +1.  As S >= 0,
-    atan2(S, C) falls with C and is monotone in S at fixed C, so R takes its
-    extremes at the cell's corners, x lies in [R_lo |y0|/(s0+1),
-    R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0].
+    On y >= 0 the pieces are monotone: S, |y|/(s+1), s + 1, den and C =
+    -num_a rise with y.  As S >= 0, atan2(S, C) falls with C and is monotone
+    in S at fixed C, so R takes its extremes at the cell's corners, x lies
+    in [R_lo |y0|/(s0+1), R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1,
+    (1-rho)(s1+1)/den0].
 
     |y|/(s+1) and s + 1 are moved outward by the relative margin _MARGIN
     (down at y0, up at y1), far above the rounding error of f_grid; a margin
@@ -192,16 +200,13 @@ def f_bounds(n, eps, rho, cells):
     sin_a = _sin2_a(rho, cells.y, cells.sp)
     np.sqrt(sin_a, out=sin_a)
     c = _num_a(rho, cells.s, cells.sm)
-    if eps < 0:
-        np.negative(c, out=c)
-    else:
-        c = c[down]  # C at its lower end, at its higher end
+    np.negative(c, out=c)
     x = np.arctan2(sin_a[down], c)  # the corners (S1, C_lo) and (S0, C_hi)
     other = np.arctan2(sin_a, c)  # (S0, C_lo) and (S1, C_hi)
     hi, lo = x[..., 0, :], x[..., 1, :]
     np.maximum(hi, other[..., 0, :], out=hi)
     np.minimum(lo, other[..., 1, :], out=lo)
-    x += math.pi * (n + (eps - 1) // 2)  # R_hi, R_lo
+    x += math.pi * (n - 1)  # R_hi, R_lo
     x *= (cells.ay / cells.sp * _OUTWARD)[down]  # x_hi, x_lo
     np.minimum(x, _OVERFLOW, out=x)  # as in f_grid: sinh stays finite
     half_sh2 = np.sinh(x, out=x)

@@ -2,25 +2,21 @@
 
 Everything here lives in the dimensionless (rho, sigma) plane, the complex
 z/k^2 plane.  With y = sigma/(1-rho), the condition m22 = 0 reduces to a
-one-parameter family of real equations F(n, eps; rho, y) = 0 labeled by an
-integer branch index n and a sign eps, and the product alpha*k at a solution
-is fixed by G(n, eps; rho, y).  Candidate roots of F are certified by
-evaluating the barrier residual on a concrete (k, alpha, z) realization;
-only points whose residual is below RESIDUAL_TOL are reported.  The gate
-reads the residual alone, not the branch: eps = + candidates certify too
-where 1 - rho is below about 1e-10 (alpha k of 1e7 to 1e10), since there the
-residual's factor min(1 + |x|, 1e3) = 1e3 admits |c - t| up to 1e-6
-(|c| + |t|).
+one-parameter family of real equations F(n; rho, y) = 0 labeled by an
+integer branch index n >= 1 (the branches (n, -), which hold every
+singularity by lemma 1 in `kernels`), and the product alpha*k at a solution
+is fixed by G(n; rho, y).  Candidate roots of F are certified by evaluating
+the barrier residual on a concrete (k, alpha, z) realization; only points
+whose residual is below RESIDUAL_TOL are reported.
 
 F and G are computed only in `kernels`, with the stable rewrites of the
-terms that cancel for small y; this module brackets, polishes and
-certifies the roots of F.  A root is bracketed on a fixed y grid,
-but F is evaluated only where an enclosure of F on coarse cells of that
-grid (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot
-rule a root out, and below the grid down to the first decade [0, 1e-6 10^-d]
-it rules out.
-`trace_curve` encloses F for 64 rho slices in one `f_bounds` call, then
-solves each slice in its window.
+terms that cancel for small y; this module brackets, polishes and certifies
+the roots of F.  A root is bracketed on a fixed y grid, but F is evaluated
+only where an enclosure of F on coarse cells of that grid
+(`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot rule
+a root out, and below the grid down to the first decade [0, 1e-6 10^-d] it
+rules out.  `trace_curve` encloses F for 64 rho slices in one `f_bounds`
+call, then solves each slice in its window.
 """
 
 import math
@@ -65,17 +61,16 @@ _XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 100
 
 @dataclass(frozen=True)
 class BranchLabel:
-    """Branch index n >= 0 (>= 1 for eps = -1) and sign eps (+1 or -1)."""
+    """Branch (n, -), n >= 1; its sign eps is -1, the only sign a branch has."""
 
     n: int
-    eps: int
+    eps: int = -1
 
     def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-        lowest = 1 if self.eps < 0 else 0
-        if self.n < lowest:
-            raise ValueError(f"branch index must be >= {lowest}, got {self.n}")
+        if self.eps != -1:
+            raise ValueError(f"eps must be -1, got {self.eps}")
+        if self.n < 1:
+            raise ValueError(f"branch index must be >= 1, got {self.n}")
         if self.n > sys.float_info.max:  # not printed: str() may refuse its digits
             raise ValueError("branch index n does not fit in a double")
 
@@ -186,7 +181,7 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
     ``residual`` (the caller's binding of m22_residual), is below
     RESIDUAL_TOL.
     """
-    alpha_k = kernels.alpha_k(branch.n, branch.eps, rho, y)
+    alpha_k = kernels.alpha_k(branch.n, rho, y)
     if alpha_k <= 0:
         return None
     res = residual(BarrierSpec(alpha=alpha_k / k, z=k * k * complex(rho, sigma)), k)
@@ -196,14 +191,14 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
                       branch=branch, residual=res)
 
 
-def _excluded(n, eps, rhos, cells):
+def _excluded(n, rhos, cells):
     """Cells where the enclosure of F excludes a root (NaN bounds exclude
     nothing), one row per element of the array rhos."""
-    bounds = kernels.f_bounds(n, eps, rhos, cells)
+    bounds = kernels.f_bounds(n, rhos, cells)
     return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
 
 
-def _windows(n, eps, rhos):
+def _windows(n, rhos):
     """For each of rhos, the part of the bracketing grid that holds every
     sign change of F, or None if every cell is excluded.
 
@@ -215,7 +210,7 @@ def _windows(n, eps, rhos):
     """
     for start in range(0, len(rhos), _BLOCK):
         block = rhos[start:start + _BLOCK]
-        open_cells = ~_excluded(n, eps, np.asarray(block, dtype=float), _CELLS)
+        open_cells = ~_excluded(n, np.asarray(block, dtype=float), _CELLS)
         last_cell = open_cells.shape[1] - 1
         firsts = open_cells.argmax(axis=1)
         lasts = last_cell - open_cells[:, ::-1].argmax(axis=1)
@@ -225,13 +220,13 @@ def _windows(n, eps, rhos):
             elif first > 0:
                 yield _Y_GRID[(first - 1) * _CELL:last * _CELL + 1]
             else:
-                yield _below_grid(n, eps, rho, _Y_GRID[:last * _CELL + 1])
+                yield _below_grid(n, rho, _Y_GRID[:last * _CELL + 1])
 
 
-def _below_grid(n, eps, rho, window):
+def _below_grid(n, rho, window):
     """window with decades of the grid's density put below it, down to the
     first cell of _DECADES the enclosure excludes (or to the last one)."""
-    excluded = _excluded(n, eps, np.array([rho]), _DECADES)[0]
+    excluded = _excluded(n, np.array([rho]), _DECADES)[0]
     excluded[-1] = True  # the search ends at the last decade in any case
     decades = excluded.argmax() + 1
     below = np.geomspace(_DECADES.y[1, decades - 1], _Y_GRID.y[0], _PER_DECADE * decades + 1)
@@ -255,13 +250,13 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     """
     if not _RHO_MIN < rho < 1:
         raise ValueError(f"rho must be in ({_RHO_MIN:.6g}, 1), got {rho}")
-    n, eps = branch.n, branch.eps
+    n = branch.n
     if window is _WINDOW:
-        window, = _windows(n, eps, [rho])
+        window, = _windows(n, [rho])
     if window is None:
         return []
-    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y),
-                        window.y, np.sign(kernels.f_grid(n, eps, rho, window)), 1e-6)
+    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y),
+                        window.y, np.sign(kernels.f_grid(n, rho, window)), 1e-6)
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
     return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                           for y in roots) if pt is not None]
@@ -284,6 +279,6 @@ def trace_curve(branch, rho_min, rho_max, samples):
         raise ValueError("samples must be >= 2")
     us = np.linspace(math.log(1.0 - rho_max), math.log(1.0 - rho_min), samples)
     rhos = [rho_of(u) for u in us]
-    windows = _windows(branch.n, branch.eps, rhos)
+    windows = _windows(branch.n, rhos)
     return [pt for rho, window in zip(rhos, windows)
             for pt in solve_sigma(branch, rho, window=window)]

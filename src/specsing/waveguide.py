@@ -163,7 +163,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     The grid is evaluated BLOCK points at a time into one byte per point of
     F's sign (-1, 0 or +1), so the temporaries of rho, sigma and F do not
     grow with grid_points; each F is the double of the whole-grid form, as
-    the arithmetic is elementwise.  At rho >= 1 F < 0 (the lemma in
+    the arithmetic is elementwise.  At rho >= 1 F < 0 (lemma 2 in
     ``kernels``), so the grid and the polish take the sign -1 there, and F
     is evaluated only where rho < 1, by one f_grid call per block (none for
     a block wholly at rho >= 1); every design has rho < 1.  Where F's den
@@ -175,7 +175,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     double).  Every polish step and every root lies inside the grid, so
     none is checked again.
     """
-    branch = BranchLabel(n=n, eps=-1)  # n >= 1 that fits in a double
+    branch = BranchLabel(n=n)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
     lo, hi = Om * (1 + 1e-9), 10.0 * medium.omega0
     if not lo < hi:
@@ -192,7 +192,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
             if below.any():
                 rho = rho[below]
                 with np.errstate(over="ignore", divide="ignore"):  # F = +inf where den underflows
-                    signs[block][below] = np.sign(kernels.f_grid(n, -1, rho, sigma[below] / (1.0 - rho)))
+                    signs[block][below] = np.sign(kernels.f_grid(n, rho, sigma[below] / (1.0 - rho)))
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
                             f"double on the window ({lo}, {hi}) eV") from None
@@ -202,7 +202,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
 
     def mismatch(u):
         r_, s_ = _rho_sigma(medium, Om, omega_of(u))
-        return kernels.f_scalar(n, -1, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
+        return kernels.f_scalar(n, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
     roots = _grid_roots(brentq, mismatch, us, signs, 1e-9, omega_of)
     found = []  # (omega, k, certified locus point)

@@ -6,9 +6,11 @@ benchmark calls them, and CI fails if importing ``specsing.cli`` loads this
 module.  ``oracle_transfer_matrix`` re-derives M by plane-wave matching,
 ``mp_scaled_transfer`` evaluates the textbook entries at mpmath precision,
 ``alpha_z_k_transfer`` is the numpy closed form as first written on
-(alpha, z, k), ``f_grid_both_sides`` is F on arrays as first written, with
-both sides of rho = 1 evaluated at every point and one kept (the package
-has only the forms for rho < 1; this module keeps those for rho >= 1),
+(alpha, z, k), ``textbook_f`` is F(n, eps; rho, y) from its textbook forms
+at mpmath precision, ``f_grid_both_sides`` is F on arrays as first written,
+with both sides of rho = 1 evaluated at every point and one kept (the
+package has only the forms for rho < 1 and the branches eps = -1; this
+module keeps those for rho >= 1 and eps = +1),
 ``wavefunction_profile`` builds psi from the package's amplitudes
 (``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
 than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
@@ -109,6 +111,21 @@ def alpha_z_k_transfer(alpha, z, k):
     chi, w, x, c, t, sr = alpha_z_k_parts(alpha, z, k, _NUMPY)
     return (np.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
             np.exp(2j * chi) * (c - t), np.imag(x))
+
+
+def textbook_f(mp, n, eps, rho, y):
+    """F = term1 - sinh(x)^2/2 on the branch R = pi n + eps arccos a, from
+    its textbook forms at mpmath precision, with the scale |term1| +
+    sinh(x)^2/2 it cancels from and x itself."""
+    rho, y = mp.mpf(rho), mp.mpf(y)
+    s = mp.sqrt(y * y + 1)
+    ar = abs(1 - rho)
+    den = (1 - rho) ** 2 * y * y + rho * rho
+    term1 = (ar * s + 1 - rho) / den
+    a = min(mp.mpf(1), max(mp.mpf(-1), (1 - ar * s) / mp.sqrt(den)))
+    x = (mp.pi * n + eps * mp.acos(a)) * mp.sqrt((s - 1) / (s + 1))
+    half_sh2 = mp.sinh(x) ** 2 / 2
+    return term1 - half_sh2, abs(term1) + half_sh2, x
 
 
 def f_grid_both_sides(n, eps, rho, y):

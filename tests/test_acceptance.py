@@ -107,7 +107,7 @@ def test_criterion_6_certified_branch_curves(verdict):
     mirror_ok = True
     ranges = {1: (0.70, 0.95), 2: (0.05, 0.95), 3: (0.05, 0.95)}
     for n, (lo, hi) in ranges.items():
-        pts = trace_curve(BranchLabel(n=n, eps=-1), lo, hi, 10)
+        pts = trace_curve(BranchLabel(n=n), lo, hi, 10)
         assert pts
         for p in pts:
             n_pts += 1
@@ -134,7 +134,7 @@ def test_criterion_6_certified_branch_curves(verdict):
 
 
 def test_criterion_7_first_branch_asymptote(verdict):
-    b1 = BranchLabel(n=1, eps=-1)
+    b1 = BranchLabel(n=1)
     lo, hi = 0.6, 0.7  # no solutions at 0.6, one at 0.7 (unit-tested)
     for _ in range(20):
         mid = 0.5 * (lo + hi)

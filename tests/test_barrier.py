@@ -398,7 +398,7 @@ class TestResidual:
 
     def test_certified_points_pass_the_f_form(self):
         for n, (lo, hi) in {1: (0.70, 0.95), 2: (0.05, 0.95), 3: (0.05, 0.95)}.items():
-            pts = trace_curve(BranchLabel(n=n, eps=-1), lo, hi, 10)
+            pts = trace_curve(BranchLabel(n=n), lo, hi, 10)
             assert pts
             for p in pts:
                 assert _f_form_residual(p.alpha_k, complex(p.rho, p.sigma), 1.0) < RESIDUAL_TOL

@@ -159,6 +159,16 @@ class TestTransferCommand:
         assert lines[6:8] == ["R=6.559535330336e-01+7.605620838738e-01i",
                               "T2_plus_R2=1.008729720926e+00"]
 
+    def test_subnormal_parts_print_the_scaled_form(self, capsys):
+        # alpha = 1e-310 nm: e^b M has parts of ~5e-311, below the normal
+        # doubles, so the entries print scaled after a log_scale line
+        rc = main(["transfer", "--z", "0.5+0.5i", "--alpha", "1e-310", "--k", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK
+        assert [ln.split("=", 1)[0] for ln in lines] == [
+            "log_scale", "m11", "m12", "m21", "m22", "T", "R", "T2_plus_R2", "residual"]
+        assert lines[0] == "log_scale=6.4359425290555759e-311"
+
     def test_det_is_left_out_where_it_has_no_digits(self, capsys):
         # e^b ~ e^412 fits, so M and T print as they are; det's product form
         # would cancel entries of ~1e180 and read nan
@@ -326,6 +336,11 @@ class TestCurveCommand:
         assert main(["curve", "--n", "0", "--rho-min", "0.7",
                      "--rho-max", "0.9"]) == EXIT_BAD_INPUT
 
+    def test_one_sample_is_named(self, capsys):
+        assert main(["curve", "--n", "1", "--rho-min", "0.7", "--rho-max", "0.9",
+                     "--samples", "1"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: samples must be >= 2\n"
+
     @pytest.mark.parametrize("value", ["-inf", "-NaN"])
     def test_non_finite_rho_min_is_a_value(self, capsys, value):
         # read as a value, as in the --rho-min=... form, so trace_curve rejects it
@@ -378,6 +393,15 @@ class TestDesignCommand:
         p = tmp_path / "bad.cfg"
         p.write_text(line + "\n")
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("line,message", [
+        ("omega0_eV = 0", "omega0 must be positive, got 0.0"),
+        ("delta_eV = -1", "delta must be positive, got -1.0")])
+    def test_non_positive_medium_is_named(self, tmp_path, capsys, line, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     # beta is derived from the mode index, so the error names the index
     @pytest.mark.parametrize("index", [0, -1])

@@ -30,18 +30,22 @@ from specsing.locus import (
     trace_curve,
 )
 
-from oracles import q_of, r_of
+from oracles import f_grid_both_sides, q_of, r_of, textbook_f
 
-B1 = BranchLabel(n=1, eps=-1)
-B2 = BranchLabel(n=2, eps=-1)
-B3 = BranchLabel(n=3, eps=-1)
+B1 = BranchLabel(n=1)
+B2 = BranchLabel(n=2)
+B3 = BranchLabel(n=3)
 
 
 class TestBranchLabel:
-    def test_n_zero_forces_plus(self):
-        BranchLabel(n=0, eps=1)
-        with pytest.raises(ValueError):
-            BranchLabel(n=0, eps=-1)
+    def test_only_branches_minus_from_n_1(self):
+        # lemma 1 of the kernels docstring: every singularity lies on a
+        # branch (n, -) with n >= 1, the only branches a label names; eps
+        # defaults to that sign, and naming it gives the same label
+        for kwargs in ({"n": 1, "eps": 1}, {"n": 1, "eps": 2}, {"n": 0}, {"n": 0, "eps": 1}):
+            with pytest.raises(ValueError):
+                BranchLabel(**kwargs)
+        assert BranchLabel(n=1).eps == -1 and BranchLabel(n=1) == BranchLabel(n=1, eps=-1)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
@@ -49,15 +53,15 @@ class TestBranchLabel:
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
-            BranchLabel(n=-1, eps=1)
+            BranchLabel(n=-1)
 
     def test_n_too_large_for_a_double(self):
         # float(10**309) overflows: such an n is named before F is evaluated
         largest = int(sys.float_info.max)
         for n in (10**309, largest + 1):
             with pytest.raises(ValueError, match="branch index n does not fit in a double"):
-                BranchLabel(n=n, eps=-1)
-        BranchLabel(n=largest, eps=-1)
+                BranchLabel(n=n)
+        BranchLabel(n=largest)
 
 
 class TestClosedForms:
@@ -72,34 +76,33 @@ class TestClosedForms:
         assert r_of(0.0, 0.75, 2.0) == pytest.approx(3 * math.sqrt(2), rel=1e-14)
 
     def test_R_frozen(self):
-        # rho=0.5, y=0: arccos argument is exactly 1, so R = pi (n = 1, eps = -1)
-        # or 0 (n = 0, eps = +1), and sqrt(2|1-rho|(s+1)) = sqrt(2)
-        assert kernels.alpha_k(1, -1, 0.5, 0.0) * math.sqrt(2) == pytest.approx(math.pi, rel=1e-14)
-        assert kernels.alpha_k(0, 1, 0.5, 0.0) == 0.0
+        # rho=0.5, y=0: arccos argument is exactly 1, so R = pi at n = 1, and
+        # sqrt(2|1-rho|(s+1)) = sqrt(2)
+        assert kernels.alpha_k(1, 0.5, 0.0) * math.sqrt(2) == pytest.approx(math.pi, rel=1e-14)
 
     def test_G_frozen(self):
-        assert kernels.alpha_k(1, -1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
+        assert kernels.alpha_k(1, 0.5, 0.0) == pytest.approx(math.pi / math.sqrt(2), rel=1e-14)
 
     def test_small_y_stability(self):
         # the naive sqrt(y^2+1)-1 forms lose ~8 digits here, and arccos a
         # with a = 1 - O(y^2) loses half of them; at rho = 0.5,
         # G = pi/sqrt(2) - |y| + O(y^2) (a 50-digit evaluation agrees)
         for y in (1e-9, 2e-9):
-            assert kernels.alpha_k(1, -1, 0.5, y) == pytest.approx(math.pi / math.sqrt(2) - y,
+            assert kernels.alpha_k(1, 0.5, y) == pytest.approx(math.pi / math.sqrt(2) - y,
                                                                    rel=1e-14)
-            assert kernels.alpha_k(1, -1, 0.5, -y) == kernels.alpha_k(1, -1, 0.5, y)
+            assert kernels.alpha_k(1, 0.5, -y) == kernels.alpha_k(1, 0.5, y)
 
 
 class TestLocusFunction:
     def test_bracketing_sign_change(self):
         # frozen signs on the n=2, rho=0.3 slice
-        assert kernels.f_scalar(2, -1, 0.3, 0.5) == pytest.approx(5.758011, rel=1e-5)
-        assert kernels.f_scalar(2, -1, 0.3, 1.0) == pytest.approx(-3.106192, rel=1e-5)
+        assert kernels.f_scalar(2, 0.3, 0.5) == pytest.approx(5.758011, rel=1e-5)
+        assert kernels.f_scalar(2, 0.3, 1.0) == pytest.approx(-3.106192, rel=1e-5)
 
     def test_matches_backend_grid(self):
         ys = np.geomspace(1e-3, 1e3, 200)
-        grid = kernels.f_grid(2, -1, 0.3, ys)
-        scalars = np.array([kernels.f_scalar(2, -1, 0.3, y) for y in ys])
+        grid = kernels.f_grid(2, 0.3, ys)
+        scalars = np.array([kernels.f_scalar(2, 0.3, y) for y in ys])
         np.testing.assert_allclose(grid, scalars, rtol=1e-13, atol=1e-300)
 
 
@@ -135,19 +138,8 @@ class TestSolveSigma:
     def test_sigma_decreases_with_n(self):
         s2 = solve_sigma(B2, 0.3)[0].sigma
         s3 = solve_sigma(B3, 0.3)[0].sigma
-        s4 = solve_sigma(BranchLabel(n=4, eps=-1), 0.3)[0].sigma
+        s4 = solve_sigma(BranchLabel(n=4), 0.3)[0].sigma
         assert s2 > s3 > s4 > 0
-
-    def test_plus_branch_yields_nothing(self):
-        for rho in (0.3, 0.7, 0.9):
-            assert solve_sigma(BranchLabel(n=1, eps=1), rho) == []
-            assert solve_sigma(BranchLabel(n=0, eps=1), rho) == []
-        # nor anywhere 1 - rho >= 1e-6, on a seeded deck down to rho = -3
-        # (closer to rho = 1 they can certify: see the locus docstring)
-        rng = random.Random(5)
-        for _ in range(300):
-            branch = BranchLabel(n=rng.randint(0, 50), eps=1)
-            assert solve_sigma(branch, 1.0 - 10.0 ** rng.uniform(-6.0, math.log10(4.0))) == []
 
     def test_mirror_sigma_negative_fails_certification(self):
         # sigma < 0 (gain flipped to loss) must not certify
@@ -171,7 +163,7 @@ class TestSolveSigma:
     def test_root_below_the_grid(self, n, rho):
         # the root sits near y = (2/(pi n)) asinh(2 sqrt(1-rho)/rho), below
         # the grid's 1e-6: the open cell [0, 1e-6] puts decades below it
-        pts = solve_sigma(BranchLabel(n=n, eps=-1), rho)
+        pts = solve_sigma(BranchLabel(n=n), rho)
         assert len(pts) == 1
         want = 2.0 / (math.pi * n) * math.asinh(2.0 * math.sqrt(1.0 - rho) / rho)
         assert pts[0].y < 1e-6 and pts[0].y == pytest.approx(want, rel=1e-3)
@@ -250,20 +242,6 @@ class TestTrigConsistency:
         assert ok_plus or ok_minus
 
 
-def _textbook_f(mp, n, eps, rho, y):
-    """F from its textbook forms at mpmath precision, with the scale
-    |term1| + sinh(x)^2/2 it cancels from and x itself."""
-    rho, y = mp.mpf(rho), mp.mpf(y)
-    s = mp.sqrt(y * y + 1)
-    ar = abs(1 - rho)
-    den = (1 - rho) ** 2 * y * y + rho * rho
-    term1 = (ar * s + 1 - rho) / den
-    a = min(mp.mpf(1), max(mp.mpf(-1), (1 - ar * s) / mp.sqrt(den)))
-    x = (mp.pi * n + eps * mp.acos(a)) * mp.sqrt((s - 1) / (s + 1))
-    half_sh2 = mp.sinh(x) ** 2 / 2
-    return term1 - half_sh2, abs(term1) + half_sh2, x
-
-
 def _assert_close_to_scale(got, want, rho, y, rtol):
     """|got - want| <= rtol (|term1| + sinh(x)^2/2): F cancels near its roots,
     so its own size is no scale.  term1 >= 0, so the scale is 2 term1 - F."""
@@ -273,10 +251,10 @@ def _assert_close_to_scale(got, want, rho, y, rtol):
     assert np.all(np.abs(got - want) <= rtol * (2.0 * term1 - want))
 
 
-def _phase(n, eps, rho, y):
-    """R = pi n + eps arccos a at one point, as f_scalar and alpha_k form it."""
+def _phase(n, rho, y):
+    """R = pi n - arccos a at one point, as f_scalar and alpha_k form it."""
     s, sp, sm, _ = kernels._y_pieces(y)
-    return kernels._phase(n, eps, rho, y, s, sp, sm)
+    return kernels._phase(n, rho, y, s, sp, sm)
 
 
 class TestKernels:
@@ -288,32 +266,31 @@ class TestKernels:
     def test_grid_matches_scalar_one_rho(self):
         ys = np.geomspace(1e-6, 1e6, 301)
         for n in (1, 2, 5, 1000):
-            for eps in (1, -1):
-                for rho in self.RHOS:
-                    grid = kernels.f_grid(n, eps, rho, ys)
-                    scalars = [kernels.f_scalar(n, eps, rho, y) for y in ys]
-                    _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
+            for rho in self.RHOS:
+                grid = kernels.f_grid(n, rho, ys)
+                scalars = [kernels.f_scalar(n, rho, y) for y in ys]
+                _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
 
     def test_grid_matches_scalar_array_rho(self):
         # rho down a column, y along a row: f_grid broadcasts them
         rho = np.array(self.RHOS)[:, None]
         ys = np.geomspace(1e-6, 1e6, 301)[None, :]
-        for n, eps in ((1, -1), (3, 1), (1000, -1)):
-            grid = kernels.f_grid(n, eps, rho, ys)
+        for n in (1, 1000):
+            grid = kernels.f_grid(n, rho, ys)
             assert grid.shape == (rho.size, ys.size)
-            scalars = [[kernels.f_scalar(n, eps, r, y) for y in ys[0]] for r in rho[:, 0]]
+            scalars = [[kernels.f_scalar(n, r, y) for y in ys[0]] for r in rho[:, 0]]
             _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
             # one rho at a time gives the same doubles as the array of them
             for i, r in enumerate(rho[:, 0]):
-                assert np.array_equal(kernels.f_grid(n, eps, r, ys[0]), grid[i])
+                assert np.array_equal(kernels.f_grid(n, r, ys[0]), grid[i])
 
     def test_overflow_sentinel(self):
         # x = |y| R / (s + 1) > 350 reads -1e300 on every path
         ys = np.array([10.0, 100.0])
-        assert list(kernels.f_grid(1000, -1, 0.4, ys)) == [-1e300, -1e300]
-        assert kernels.f_grid(1000, -1, np.array([[0.4], [-2.5]]), ys).tolist() == [[-1e300] * 2] * 2
-        assert kernels.f_scalar(1000, -1, 0.4, 10.0) == -1e300
-        assert kernels.f_scalar(1000, -1, -2.5, 100.0) == -1e300
+        assert list(kernels.f_grid(1000, 0.4, ys)) == [-1e300, -1e300]
+        assert kernels.f_grid(1000, np.array([[0.4], [-2.5]]), ys).tolist() == [[-1e300] * 2] * 2
+        assert kernels.f_scalar(1000, 0.4, 10.0) == -1e300
+        assert kernels.f_scalar(1000, -2.5, 100.0) == -1e300
 
     def test_y_grid_gives_the_same_doubles(self):
         # one YGrid reused for every call gives what a fresh array gives, so
@@ -322,12 +299,9 @@ class TestKernels:
         grid = kernels.YGrid(ys)
         column = np.array(self.RHOS)[:, None]
         for n in (1, 2, 5, 1000):
-            for eps in (1, -1):
-                for rho in self.RHOS:
-                    assert np.array_equal(kernels.f_grid(n, eps, rho, grid),
-                                          kernels.f_grid(n, eps, rho, ys))
-                assert np.array_equal(kernels.f_grid(n, eps, column, grid),
-                                      kernels.f_grid(n, eps, column, ys))
+            for rho in self.RHOS:
+                assert np.array_equal(kernels.f_grid(n, rho, grid), kernels.f_grid(n, rho, ys))
+            assert np.array_equal(kernels.f_grid(n, column, grid), kernels.f_grid(n, column, ys))
         with pytest.raises(ValueError):
             grid.s[0] = 0.0
 
@@ -335,54 +309,162 @@ class TestKernels:
         # n = 200: x = |y| R / (s + 1) runs from ~0.3 to ~600 on this grid
         n, ys = 200, np.geomspace(1e-3, 1e3, 601)
         column = np.array(self.RHOS)[:, None]
-        for eps in (1, -1):
-            xs = np.array([[_phase(n, eps, rho, y) for y in ys] for rho in self.RHOS])
-            xs *= ys / (np.sqrt(ys * ys + 1.0) + 1.0)
-            scalars = np.array([[kernels.f_scalar(n, eps, rho, y) for y in ys]
-                                for rho in self.RHOS])
-            rhos = np.broadcast_to(column, xs.shape)
-            over = xs > 350.0
-            assert over.any(axis=1).all() and not over.all(axis=1).any()
-            grids = [kernels.f_grid(n, eps, column, ys)]
-            grids.append(np.array([kernels.f_grid(n, eps, rho, ys) for rho in self.RHOS]))
-            for grid in grids:
-                assert np.array_equal(grid == -1e300, over)
-                _assert_close_to_scale(grid[~over], scalars[~over], rhos[~over],
-                                       np.broadcast_to(ys, xs.shape)[~over], 1e-13)
+        xs = np.array([[_phase(n, rho, y) for y in ys] for rho in self.RHOS])
+        xs *= ys / (np.sqrt(ys * ys + 1.0) + 1.0)
+        scalars = np.array([[kernels.f_scalar(n, rho, y) for y in ys] for rho in self.RHOS])
+        rhos = np.broadcast_to(column, xs.shape)
+        over = xs > 350.0
+        assert over.any(axis=1).all() and not over.all(axis=1).any()
+        grids = [kernels.f_grid(n, column, ys)]
+        grids.append(np.array([kernels.f_grid(n, rho, ys) for rho in self.RHOS]))
+        for grid in grids:
+            assert np.array_equal(grid == -1e300, over)
+            _assert_close_to_scale(grid[~over], scalars[~over], rhos[~over],
+                                   np.broadcast_to(ys, xs.shape)[~over], 1e-13)
 
     def test_grid_matches_high_precision_textbook_f(self):
         mpmath = pytest.importorskip("mpmath")
         ys = np.geomspace(1e-6, 1e6, 49)
-        # (n, eps, rho, ys): the grid, plus points on branch eps = -1 at large
-        # |y|, where 1 + a ~ 1/|y| and a plain arccos a loses digits
-        cases = [(n, eps, rho, ys) for n in (1, 7, 50) for eps in (1, -1)
-                 for rho in self.RHOS]
-        cases += [(1, -1, 0.4, np.array([2.5e5])), (1, -1, -2.5, np.array([7.9e5]))]
+        # (n, rho, ys): the grid, plus points at large |y|, where 1 + a ~
+        # 1/|y| and a plain arccos a loses digits
+        cases = [(n, rho, ys) for n in (1, 7, 50) for rho in self.RHOS]
+        cases += [(1, 0.4, np.array([2.5e5])), (1, -2.5, np.array([7.9e5]))]
         with mpmath.workdps(50):
-            for n, eps, rho, ys in cases:
-                grid = kernels.f_grid(n, eps, rho, ys)
+            for n, rho, ys in cases:
+                grid = kernels.f_grid(n, rho, ys)
                 for y, got in zip(ys, grid):
-                    want, scale, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+                    want, scale, x = textbook_f(mpmath.mp, n, -1, rho, y)
                     if x > 350:
                         # the sentinel never overstates F
                         assert got == -1e300 and want < -1e300
                         continue
                     err = abs(mpmath.mpf(got) - want)
-                    assert err <= 1e-12 * scale, (n, eps, rho, y)
-                    assert abs(kernels.f_scalar(n, eps, rho, y) - want) <= 1e-12 * scale
+                    assert err <= 1e-12 * scale, (n, rho, y)
+                    assert abs(kernels.f_scalar(n, rho, y) - want) <= 1e-12 * scale
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.floats(0.0, 6.0).map(lambda u: round(10.0 ** u)),
            gap=st.floats(-14.0, 12.0).map(lambda u: 10.0 ** u),
            y=st.floats(-10.0, 10.0).map(lambda u: 10.0 ** u), sign=st.sampled_from((1, -1)))
     def test_f_is_negative_above_rho_1_on_branch_minus(self, n, gap, y, sign):
-        # the lemma of the kernels docstring: on a branch (n, -), F < 0 at
+        # lemma 2 of the kernels docstring: on a branch (n, -), F < 0 at
         # every rho > 1 (and y != 0), so the design grid takes that sign
         # there and no kernel needs F's forms above rho = 1
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
-            f, scale, _ = _textbook_f(mpmath.mp, n, -1, 1.0 + gap, sign * y)
+            f, scale, _ = textbook_f(mpmath.mp, n, -1, 1.0 + gap, sign * y)
             assert f < 0, (n, 1.0 + gap, sign * y, f, scale)
+
+
+def _upper_w(mp, rho, sigma):
+    """w = sqrt(1 - rho - i sigma) at mpmath precision, on the upper-half-plane branch."""
+    w = mp.sqrt(1 - mp.mpc(rho, sigma))
+    return -w if w.imag < 0 else w
+
+
+def _arccos_a(mp, rho, y):
+    """(arccos a, s) at mpmath precision, a = (1 - (1-rho) s)/sqrt(den)."""
+    s = mp.sqrt(y * y + 1)
+    return mp.acos((1 - (1 - rho) * s) / mp.sqrt((1 - rho) ** 2 * y * y + rho * rho)), s
+
+
+def _branch_residual(mp, n, eps, rho, y):
+    """(|c - t|/(|c| + |t|), alpha k) at mpmath precision at the point y of
+    the slice rho on the branch R = pi n + eps arccos a, with k = 1 and
+    alpha k = R/sqrt(2(1-rho)(s+1)); |c - t| = e^{-b} |m22|."""
+    rho, y = mp.mpf(rho), mp.mpf(y)
+    acos_a, s = _arccos_a(mp, rho, y)
+    chi = (mp.pi * n + eps * acos_a) / mp.sqrt(2 * (1 - rho) * (s + 1))
+    w = _upper_w(mp, rho, (1 - rho) * y)
+    x = 2 * chi * w
+    c, t = mp.cos(x), 1j * (1 + w * w) * chi * mp.sin(x) / x
+    return abs(c - t) / (abs(c) + abs(t)), chi
+
+
+class TestBranchLemma:
+    """Lemma 1 of the kernels docstring: every singularity with rho < 1
+    lies on a branch (n, -), n >= 1; a branch (n, +) holds none of its own."""
+
+    def test_phase_of_the_singularity_condition_is_arccos_a(self):
+        # on a seeded deck, rho in (-3, 1) and y log-uniform in 1e-6 ... 1e6:
+        # Re w = -sqrt((1-rho)(s+1)/2) < 0 < Im w, and (1+w)/(1-w) has
+        # argument arccos a
+        mpmath = pytest.importorskip("mpmath")
+        mp, rng = mpmath.mp, random.Random(3)
+        with mpmath.workdps(50):
+            for _ in range(1000):
+                rho, y = mp.mpf(rng.uniform(-3.0, 1.0)), mp.mpf(10.0 ** rng.uniform(-6.0, 6.0))
+                w = _upper_w(mp, rho, (1 - rho) * y)
+                acos_a, s = _arccos_a(mp, rho, y)
+                assert w.real < 0 < w.imag
+                assert abs(w.real + mp.sqrt((1 - rho) * (s + 1) / 2)) <= 1e-45 * -w.real
+                assert abs(mp.arg((1 + w) / (1 - w)) - acos_a) <= 1e-40
+
+    def test_certified_points_meet_the_phase_condition(self):
+        # at the points solve_sigma certifies, e^{iX} (1-w)/(1+w) = +-1 with
+        # X = 2 alpha k w, alpha k as the kernels give it
+        mpmath = pytest.importorskip("mpmath")
+        mp, rng, points = mpmath.mp, random.Random(4), 0
+        for _ in range(100):
+            near_1 = rng.random() < 0.5
+            rho = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0) if near_1 else rng.uniform(0.3, 0.99)
+            for p in solve_sigma(BranchLabel(n=rng.randint(1, 50)), rho):
+                points += 1
+                with mpmath.workdps(50):
+                    w = _upper_w(mp, mp.mpf(p.rho), mp.mpf(p.sigma))
+                    v = mp.exp(2j * mp.mpf(p.alpha_k) * w) * (1 - w) / (1 + w)
+                    assert min(abs(v - 1), abs(v + 1)) < 1e-12, p
+        assert points >= 50
+
+    def test_plus_roots_are_not_zeros_of_m22(self):
+        # the roots on the y grid of the oracle's F on branches (n, +), with
+        # alpha k > 0, over 300 seeded slices (n in 0 ... 50; rho uniform in
+        # [-3, 0.999] or 1 - rho log-uniform in [1e-14, 1e-3]): none is a
+        # zero of m22 by the 50-digit |c - t|/(|c| + |t|), which is >= 2.2e-5
+        # where 1 - rho > 1e-6 (nearer rho = 1 it is about y/2, >= 5e-7 on
+        # the grid).  The (n, -) roots of the same slices all are zeros.  (On
+        # this deck: 240 roots on (n, +), 189 of them with 1 - rho > 1e-6,
+        # and 228 on (n, -).)
+        mpmath = pytest.importorskip("mpmath")
+        rng, residuals = random.Random(1), {1: [], -1: []}
+        for _ in range(300):
+            n = rng.randint(0, 50)
+            near_1 = rng.random() >= 0.5
+            rho = 1.0 - 10.0 ** rng.uniform(-14.0, -3.0) if near_1 else rng.uniform(-3.0, 0.999)
+            for eps in (1, -1) if n else (1,):
+                def f(y):
+                    return float(f_grid_both_sides(n, eps, rho, np.array([y]))[0])
+                signs = np.sign(f_grid_both_sides(n, eps, rho, _Y_GRID))
+                for y in _grid_roots(brentq, f, _Y_GRID.y, signs, 0.0):
+                    with mpmath.workdps(50):
+                        res, alpha_k = _branch_residual(mpmath.mp, n, eps, rho, y)
+                    if alpha_k > 0:
+                        residuals[eps].append((1.0 - rho, float(res)))
+        plus, minus = residuals[1], residuals[-1]
+        assert len(plus) >= 200 and len(minus) >= 200
+        assert min(res for _, res in plus) > 1e-9
+        far = [res for gap, res in plus if gap > 1e-6]
+        assert len(far) >= 150 and min(far) >= 2.2e-5
+        assert max(res for _, res in minus) < 1e-12
+
+    def test_plus_meets_minus_only_where_a_is_zero(self):
+        # a = 0 where (1-rho) s = 1, at y = sqrt(1/(1-rho)^2 - 1) for rho in
+        # (0, 1): there R = pi n + pi/2 on (n, +) and on (n+1, -), so F and G
+        # of the two branches agree; elsewhere their R differ by 2 arccos a - pi
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        for rho in (0.05, 0.3, 0.5, 0.9, 0.999):
+            y = math.sqrt(1.0 / (1.0 - rho) ** 2 - 1.0)
+            for n in (0, 1, 7, 50):
+                assert _phase(n + 1, rho, y) == pytest.approx(math.pi * (n + 0.5), rel=1e-12)
+                with mpmath.workdps(50):
+                    y_a0 = mp.sqrt(1 / (1 - mp.mpf(rho)) ** 2 - 1)
+                    plus, scale, _ = textbook_f(mp, n, 1, rho, y_a0)
+                    assert abs(plus - textbook_f(mp, n + 1, -1, rho, y_a0)[0]) <= 1e-40 * scale
+                    assert abs(kernels.f_scalar(n + 1, rho, y) - plus) <= 1e-9 * scale
+                    for off in (0.5 * y, 2.0 * y):
+                        acos_a, _ = _arccos_a(mp, mp.mpf(rho), mp.mpf(off))
+                        assert abs(2 * acos_a - mp.pi) > 1e-3
 
 
 class TestHotPath:
@@ -410,7 +492,7 @@ class TestHotPath:
         built, points = counted
         assert trace_curve(B1, 0.7, 0.9, 3)
         assert built == [] and len(points) == 3
-        kernels.f_grid(1, -1, 0.5, np.ones(2))  # an array is wrapped: counted
+        kernels.f_grid(1, 0.5, np.ones(2))  # an array is wrapped: counted
         assert len(built) == 1
 
     def test_f_grid_sees_at_most_two_cells(self, counted):
@@ -419,7 +501,7 @@ class TestHotPath:
         # cells make the enclosure cheaper and this window larger
         built, points = counted
         for n in range(2, 51):
-            trace_curve(BranchLabel(n=n, eps=-1), -3.0, 0.999, 8)
+            trace_curve(BranchLabel(n=n), -3.0, 0.999, 8)
         assert built == [] and len(points) == 49 * 8
         assert max(points) <= 2 * _CELL + 1
 
@@ -451,10 +533,10 @@ class TestRootPipeline:
         cases = []
         for _ in range(40):
             n, rho = rng.randint(1, 50), rng.uniform(-1.0, 0.99)
-            fv = kernels.f_grid(n, -1, rho, ys)
+            fv = kernels.f_grid(n, rho, ys)
             sgn = np.sign(fv)
             for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-                f = functools.partial(kernels.f_scalar, n, -1, rho)
+                f = functools.partial(kernels.f_scalar, n, rho)
                 cases.append((f, ys[i], ys[i + 1]))
         assert len(cases) >= 20
         cases += [
@@ -549,14 +631,14 @@ class TestRootPipeline:
 _NEIGHBOURS = (0.45, 0.0, -2.5, 1e-170)
 
 
-def _bounds_both_ways(n, eps, rhos, cells=_CELLS):
+def _bounds_both_ways(n, rhos, cells=_CELLS):
     """The enclosure on cells for each of rhos, (len(rhos), 2, cells), from
     a one-element array per call and from one array of rhos among
     _NEIGHBOURS rows."""
-    one_by_one = np.concatenate([kernels.f_bounds(n, eps, np.array([rho]), cells)
+    one_by_one = np.concatenate([kernels.f_bounds(n, np.array([rho]), cells)
                                  for rho in rhos])
     rows = np.array([r for rho in rhos for r in (*_NEIGHBOURS[:3], rho, _NEIGHBOURS[3])])
-    batched = kernels.f_bounds(n, eps, rows, cells)[3::len(_NEIGHBOURS) + 1]
+    batched = kernels.f_bounds(n, rows, cells)[3::len(_NEIGHBOURS) + 1]
     return one_by_one, batched
 
 
@@ -565,18 +647,18 @@ def _mask(bounds):
     return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
 
 
-def _cell_bounds(n, eps, rho, cell, cells=_CELLS):
+def _cell_bounds(n, rho, cell, cells=_CELLS):
     """(lo, hi) of the enclosure on column ``cell`` of cells, from rho alone
     and from rho among other rows."""
-    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, eps, [rho], cells)]
+    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, [rho], cells)]
 
 
 def _full_grid_solve(branch, rho):
     """solve_sigma with F evaluated on the whole grid: the oracle for the
     window the enclosure leaves."""
-    n, eps = branch.n, branch.eps
-    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, eps, rho, y), _Y_GRID.y,
-                        np.sign(kernels.f_grid(n, eps, rho, _Y_GRID)), 1e-6)
+    n = branch.n
+    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y), _Y_GRID.y,
+                        np.sign(kernels.f_grid(n, rho, _Y_GRID)), 1e-6)
     points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                             for y in roots) if pt is not None]
     return sorted(points, key=lambda p: p.sigma)
@@ -584,17 +666,20 @@ def _full_grid_solve(branch, rho):
 
 def _seeded_traces():
     """(branch, rho_min, rho_max) of seeded traces of 15 slices: n in
-    [1, 50] over windows inside (0.3, 0.99), and both signs with rho from -3
-    and n up to 1e4."""
+    [1, 50] over windows inside (0.3, 0.99), and traces with rho from -3 and
+    n up to 1e4.  Each of the latter draws a sign, and only those that draw
+    - are kept, so the deck is the (n, -) half of one over both signs."""
     rng = random.Random(7)
     traces = []
     for _ in range(12):
         lo = rng.uniform(0.3, 0.94)
-        traces.append((BranchLabel(n=rng.randint(1, 50), eps=-1), lo, rng.uniform(lo + 0.05, 0.99)))
+        traces.append((BranchLabel(n=rng.randint(1, 50)), lo, rng.uniform(lo + 0.05, 0.99)))
     for _ in range(24):
         eps, lo = rng.choice((1, -1)), rng.uniform(-3.0, 0.98)
         n = rng.choice((rng.randint(1, 10), rng.randint(1, 10_000)))
-        traces.append((BranchLabel(n=n, eps=eps), lo, rng.uniform(lo + 1e-3, 0.999999)))
+        hi = rng.uniform(lo + 1e-3, 0.999999)
+        if eps < 0:
+            traces.append((BranchLabel(n=n), lo, hi))
     return traces
 
 
@@ -611,30 +696,30 @@ def _seeded_slices():
 
 class TestEnclosure:
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(0, 10_000), eps=st.sampled_from((1, -1)),
+    @given(n=st.integers(1, 10_000),
            rho=st.one_of(st.floats(-1e3, 1.0, exclude_max=True),
                          st.floats(-15.0, 0.0).map(lambda u: 1.0 - 10.0 ** u)),
            cell=st.one_of(st.integers(0, _CELLS.y.shape[1] - 1).map(lambda i: (_CELLS, i)),
                           st.integers(0, _DECADES.y.shape[1] - 1).map(lambda i: (_DECADES, i))),
            ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_f_lies_in_the_bounds(self, n, eps, rho, cell, ts):
+    def test_f_lies_in_the_bounds(self, n, rho, cell, ts):
         # F at 50 digits where x <= 350, and f_scalar everywhere, lie in each
         # cell's bounds; where x > 350 f_scalar reads the sentinel -1e300,
         # which lies above hi only where hi < -1e300.  The cells are those of
         # _CELLS (cell 0 is [0, 1e-6]), and the decades below the grid down
         # to 1e-300, _DECADES, all enclosed for one rho as _below_grid does
         mpmath = pytest.importorskip("mpmath")
-        assume(rho < 1.0 and (n >= 1 or eps == 1))
+        assume(rho < 1.0)
         cells, cell = cell
         y0, y1 = cells.y[:, cell]
         ys = [y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1) for t in ts]
         # where den underflows, term1 overflows a double: there is no F to enclose
         assume(kernels._den(rho, min(ys)) >= sys.float_info.min)
-        bounds = _cell_bounds(n, eps, rho, cell, cells)
+        bounds = _cell_bounds(n, rho, cell, cells)
         for y in ys:
-            f = kernels.f_scalar(n, eps, rho, y)
+            f = kernels.f_scalar(n, rho, y)
             with mpmath.workdps(50):
-                want, _, x = _textbook_f(mpmath.mp, n, eps, rho, y)
+                want, _, x = textbook_f(mpmath.mp, n, -1, rho, y)
             for lo, hi in bounds:
                 assert lo <= f <= max(hi, -1e300), (y, lo, hi)
                 if x <= 350:
@@ -644,11 +729,10 @@ class TestEnclosure:
         # the cells' ends are where the corner bounds are tightest
         ys = _CELLS.y
         for n in (1, 2, 7, 50, 400, 3000):
-            for eps in (1, -1):
-                for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
-                    lo, hi = kernels.f_bounds(n, eps, np.array([rho]), _CELLS)[0]
-                    f = kernels.f_grid(n, eps, rho, ys[:, 1:])
-                    assert (lo[1:] <= f).all() and (f <= np.maximum(hi[1:], -1e300)).all()
+            for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
+                lo, hi = kernels.f_bounds(n, np.array([rho]), _CELLS)[0]
+                f = kernels.f_grid(n, rho, ys[:, 1:])
+                assert (lo[1:] <= f).all() and (f <= np.maximum(hi[1:], -1e300)).all()
 
     def test_margin_exceeds_rounding(self):
         # on cells of zero width [y, y] the bounds sit the margin (1e-9 of
@@ -657,9 +741,9 @@ class TestEnclosure:
         # bounds are below 0 and lo below -1e300
         ys = np.geomspace(1e-6, 1e6, 97)
         point_cells = kernels.YGrid([ys, ys])
-        for n, eps, rho in ((1, -1, 0.7), (7, 1, -2.5), (50, -1, 0.999), (3000, -1, 0.3)):
-            lo, hi = kernels.f_bounds(n, eps, np.array([rho]), point_cells)[0]
-            f = kernels.f_grid(n, eps, rho, ys)
+        for n, rho in ((1, 0.7), (50, 0.999), (3000, 0.3)):
+            lo, hi = kernels.f_bounds(n, np.array([rho]), point_cells)[0]
+            f = kernels.f_grid(n, rho, ys)
             s = np.sqrt(ys * ys + 1.0)
             scale = 2.0 * (1.0 - rho) * (s + 1.0) / ((1.0 - rho) ** 2 * ys * ys + rho * rho) - f
             real = f > -1e300
@@ -672,7 +756,7 @@ class TestEnclosure:
         # where it is not the first cell
         moved = kernels.YGrid([[1e-3, 0.0], [1e-2, 1e-6]])
         for rho in (0.0, 1e-170):
-            for lo, hi in _cell_bounds(2, -1, rho, 0) + _cell_bounds(2, -1, rho, 1, moved):
+            for lo, hi in _cell_bounds(2, rho, 0) + _cell_bounds(2, rho, 1, moved):
                 assert hi == math.inf and lo > 0.0
 
     def test_cell_where_den_underflows_is_excluded_without_a_warning(self):
@@ -681,7 +765,7 @@ class TestEnclosure:
         # excluded; RuntimeWarnings are errors in this suite
         cell = kernels.YGrid([[0.0], [1e-300]])
         for rho in (0.0, 1e-170):
-            (lo,), (hi,) = kernels.f_bounds(1, -1, np.array([rho]), cell)[0]
+            (lo,), (hi,) = kernels.f_bounds(1, np.array([rho]), cell)[0]
             assert lo == hi == math.inf
 
     def test_excluded_cells_hold_no_sign_change(self):
@@ -689,15 +773,15 @@ class TestEnclosure:
         # (each rho alone, and an array of a trace's rhos, give the bounds)
         cells = (np.arange(1, _CELLS.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
         for branch, rho_min, rho_max in _seeded_traces():
-            n, eps = branch.n, branch.eps
+            n = branch.n
             rhos = _slices(rho_min, rho_max, 15)
-            both_ways = _bounds_both_ways(n, eps, rhos)
+            both_ways = _bounds_both_ways(n, rhos)
             for i, rho in enumerate(rhos):
-                f = kernels.f_grid(n, eps, rho, _Y_GRID)[cells]
+                f = kernels.f_grid(n, rho, _Y_GRID)[cells]
                 for bounds in both_ways:
                     lo, hi = bounds[i, :, 1:]
                     assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
-                assert _excluded(n, eps, np.array([rho]), _CELLS)[0, 0]  # no root below the grid here
+                assert _excluded(n, np.array([rho]), _CELLS)[0, 0]  # no root below the grid here
 
     def test_solve_sigma_matches_the_full_grid(self):
         for branch, rho in _seeded_slices():
@@ -708,16 +792,16 @@ class TestEnclosure:
         # excludes; a bound may differ in its last bit (numpy's vector loops
         # round differently for different layouts), far inside the width
         # hi - lo >= 2e-9 (|term1| + sinh(x)^2/2) that the margin gives a cell
-        traces = [(b.n, b.eps, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
-        for n, eps, rhos in traces + [(2, -1, _NEIGHBOURS)]:
-            one_by_one, batched = _bounds_both_ways(n, eps, rhos)
+        traces = [(b.n, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
+        for n, rhos in traces + [(2, _NEIGHBOURS)]:
+            one_by_one, batched = _bounds_both_ways(n, rhos)
             assert np.array_equal(_mask(batched), _mask(one_by_one))
             assert np.array_equal(np.isinf(batched), np.isinf(one_by_one))
             batched, one_by_one = (np.where(np.isinf(b), 0.0, b) for b in (batched, one_by_one))
             width = np.abs(one_by_one).sum(axis=1, keepdims=True)
             assert (np.abs(batched - one_by_one) <= 1e-6 * width).all()
         # only the rows rho = 0 and 1e-170 are unbounded, at y = 0
-        batched = _bounds_both_ways(2, -1, _NEIGHBOURS)[1]
+        batched = _bounds_both_ways(2, _NEIGHBOURS)[1]
         unbounded = [rho in (0.0, 1e-170) for rho in _NEIGHBOURS]
         assert list(np.isinf(batched[:, 1, 0])) == unbounded
         assert np.count_nonzero(np.isinf(batched)) == sum(unbounded)
@@ -751,7 +835,7 @@ class TestBlocks:
     def test_trace_below_the_grid_equals_its_slices(self, n, rho_min, rho_max):
         # these traces hold the rows (2, 1 - 1e-12) and (700000, 0.8), whose
         # roots lie below the grid, found by the decade search
-        points = self._assert_trace_is_its_slices(BranchLabel(n=n, eps=-1), rho_min, rho_max, 5)
+        points = self._assert_trace_is_its_slices(BranchLabel(n=n), rho_min, rho_max, 5)
         assert any(p.y < _Y_GRID.y[0] for p in points)
 
     def test_trace_with_every_cell_excluded(self, monkeypatch):
@@ -781,19 +865,19 @@ class TestBlocks:
             rhos = _slices(0.3, 0.99, samples)
             tracemalloc.start()
             try:
-                collections.deque(_windows(2, -1, rhos), maxlen=0)
+                collections.deque(_windows(2, rhos), maxlen=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak(20 * _BLOCK) <= 1.2 * peak(_BLOCK)
 
 
-def _window_by_decades(n, eps, rho):
+def _window_by_decades(n, rho):
     """(window y, decades below the grid) of one slice, with the decade
     cells enclosed one at a time, each as its own one-cell YGrid, down to
     the first that is excluded (or to 1e-300): the reference for _DECADES,
     which _below_grid encloses in one call."""
-    open_cells = ~_excluded(n, eps, np.array([rho]), _CELLS)[0]
+    open_cells = ~_excluded(n, np.array([rho]), _CELLS)[0]
     if not open_cells.any():
         return None, 0
     first, last = np.flatnonzero(open_cells)[[0, -1]]
@@ -803,7 +887,7 @@ def _window_by_decades(n, eps, rho):
     while y_min > 1e-300:
         decades += 1
         y_min = _Y_GRID.y[0] * 10.0 ** -decades
-        if _excluded(n, eps, np.array([rho]), kernels.YGrid([[0.0], [y_min]]))[0, 0]:
+        if _excluded(n, np.array([rho]), kernels.YGrid([[0.0], [y_min]]))[0, 0]:
             break
     below = np.geomspace(y_min, _Y_GRID.y[0], _PER_DECADE * decades + 1)[:-1]
     return np.concatenate((below, _Y_GRID.y[:last * _CELL + 1])), decades
@@ -823,22 +907,25 @@ class TestDecades:
         assert _DECADES.y[1, -1] == 1e-300
 
     def test_windows_match_the_search_one_decade_at_a_time(self):
-        # seeded slices near rho = 1, n log-uniform in 1 ... 1e9, both signs:
-        # the same window, bit for bit, with one to a dozen decades below
-        # the grid (n = 1e9 at 1 - rho = 1e-16 needs 11)
+        # seeded slices near rho = 1, n log-uniform in 1 ... 1e9: the same
+        # window, bit for bit, with one to a dozen decades below the grid
+        # (n = 1e9 at 1 - rho = 1e-16 needs 11).  Each slice draws a sign,
+        # and only those that draw - are kept: the (n, -) half of a deck
+        # over both signs
         rng = random.Random(11)
-        deck = [(10 ** 9, -1, 1.0 - 1e-16), (10 ** 9, 1, 1.0 - 1e-16)]
+        deck = [(10 ** 9, 1.0 - 1e-16)]
         for _ in range(400):
             n, eps = max(1, round(10 ** rng.uniform(0.0, 9.0))), rng.choice((1, -1))
-            deck.append((n, eps, 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)))
+            rho = 1.0 - 10.0 ** rng.uniform(-16.0, -1.0)
+            if eps < 0:
+                deck.append((n, rho))
         depths = collections.Counter()
-        for n, eps, rho in deck:
-            window, = _windows(n, eps, [rho])
-            want, decades = _window_by_decades(n, eps, rho)
+        for n, rho in deck:
+            window, = _windows(n, [rho])
+            want, decades = _window_by_decades(n, rho)
             assert (window is None) == (want is None)
             if want is not None:
-                assert window.y.tobytes() == want.tobytes(), (n, eps, rho)
-            depths[eps, decades] += 1
-        assert depths[-1, 11] and depths[1, 11]
-        for eps in (1, -1):
-            assert sum(c for (e, d), c in depths.items() if e == eps and d > 1) >= 50
+                assert window.y.tobytes() == want.tobytes(), (n, rho)
+            depths[decades] += 1
+        assert depths[11]
+        assert sum(c for d, c in depths.items() if d > 1) >= 50

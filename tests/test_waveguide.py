@@ -314,9 +314,9 @@ class TestDesignGridBlocks:
         # the third, and both in the second, whose points below 1 are evaluated
         sizes, f_grid = [], kernels.f_grid
 
-        def counted(n, eps, rho, y):
+        def counted(n, rho, y):
             sizes.append(len(rho))
-            return f_grid(n, eps, rho, y)
+            return f_grid(n, rho, y)
         monkeypatch.setattr(kernels, "f_grid", counted)
         find_singularities(MEDIUM, GEOM_1CM, 2000)
         rho = _one_array_grid(MEDIUM, GEOM_1CM, 2000, 20000)[1]
@@ -330,9 +330,9 @@ class TestDesignGridBlocks:
         # the bracket of the README geometry at n = 1 that straddles rho = 1
         largest = {}  # kernel -> the largest rho it was given
         for name in ("f_grid", "f_scalar", "alpha_k"):
-            def spy(n, eps, rho, y, kernel=getattr(kernels, name), name=name):
+            def spy(n, rho, y, kernel=getattr(kernels, name), name=name):
                 largest[name] = max(largest.get(name, -math.inf), np.max(rho))
-                return kernel(n, eps, rho, y)
+                return kernel(n, rho, y)
             monkeypatch.setattr(kernels, name, spy)
         brackets, polish = [], waveguide.brentq
 
@@ -358,7 +358,7 @@ class TestDesignGridBlocks:
         medium = GainMedium(omega0=3e76, omega_p_sq=-0.04, delta=1.25)
         blocks, polished = [], []
 
-        def alternating(n, eps, rho, y):
+        def alternating(n, rho, y):
             blocks.append(len(rho))
             return np.resize([-1.0, 1.0], rho.shape)
 
