@@ -14,8 +14,10 @@ cannot be written.  `main` is the one place that turns an exception into
 an `error:` line and exit code 3.  `run` is the process entry of
 `python -m specsing.cli` and of the `specsing` script.
 
-Numeric CSV fields use %.12e and LF line endings so output is
-byte-deterministic for fixed inputs.
+Numeric CSV fields use %.12e, except `curve`'s rho, sigma and alpha_k:
+%.16e, 17 significant digits, parse back to the doubles that were certified,
+which 13 digits do not locate near rho = 1 or at large n.  LF line endings
+make output byte-deterministic for fixed inputs.
 
 `transfer` prints M, det M, T, R, |T|^2 + |R|^2 and the certification
 residual from the scaled closed form (m11, m12, m22, b) of
@@ -56,7 +58,6 @@ DEFAULT_CONFIG = {
     "omega_p_sq_eV2": -0.04,
     "delta_eV": 1.25,
     "two_beta_over_m": 1e7,  # 1.0 cm in nm
-    "mode_index": 1,
 }
 
 
@@ -98,7 +99,7 @@ def parse_complex(text):
 
 
 #: the parser of each config key that float does not read
-_CONFIG_PARSERS = {"two_beta_over_m": parse_length_nm, "mode_index": int}
+_CONFIG_PARSERS = {"two_beta_over_m": parse_length_nm}
 
 
 def load_config(path):
@@ -124,17 +125,14 @@ def load_config(path):
             try:
                 cfg[key] = parse(val)
             except ValueError:  # parse_length_nm raises its own CliError
-                kind = "integer" if parse is int else "number"
-                raise CliError(f"{path}:{ln}: bad {kind} {val!r}")
+                raise CliError(f"{path}:{ln}: bad number {val!r}")
     return cfg
 
 
 def medium_geometry(cfg):
     medium = GainMedium(omega0=cfg["omega0_eV"], omega_p_sq=cfg["omega_p_sq_eV2"],
                         delta=cfg["delta_eV"])
-    m = cfg["mode_index"]
-    geom = WaveguideGeometry(beta=cfg["two_beta_over_m"] * m / 2.0, m=m)
-    return medium, geom
+    return medium, WaveguideGeometry(beta=cfg["two_beta_over_m"] / 2.0)
 
 
 def _fmt_c(c):
@@ -224,7 +222,7 @@ def cmd_curve(args):
     points = trace_curve(BranchLabel(n=args.n), args.rho_min, args.rho_max, args.samples)
     rows = ["rho,sigma,alpha_k,residual"]
     for p in points:
-        rows.append(f"{p.rho:.12e},{p.sigma:.12e},{p.alpha_k:.12e},{p.residual:.12e}")
+        rows.append(f"{p.rho:.16e},{p.sigma:.16e},{p.alpha_k:.16e},{p.residual:.12e}")
     _write(args.out, ["\n".join(rows) + "\n"])
     return EXIT_OK if points else EXIT_NO_SOLUTIONS
 

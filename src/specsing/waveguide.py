@@ -80,7 +80,6 @@ class WaveguideGeometry:
     m: int = 1
 
     def __post_init__(self):
-        # m first: the CLI derives beta from m, so a bad m would read as a bad beta
         if self.m < 1:
             raise ValueError(f"mode index must be >= 1, got {self.m}")
         if not (self.beta > 0 and math.isfinite(self.beta)):

@@ -84,27 +84,28 @@ class TestConfig:
         assert cfg["two_beta_over_m"] == 1e6
         assert cfg["delta_eV"] == 1.25  # untouched default
 
-    def test_unknown_key(self, tmp_path):
+    # mode_index is not a key: a mode index is folded into two_beta_over_m
+    @pytest.mark.parametrize("line,key", [("betta = 3", "betta"),
+                                          ("mode_index = 1", "mode_index")])
+    def test_unknown_key(self, tmp_path, line, key):
         p = tmp_path / "wg.cfg"
-        p.write_text("betta = 3\n")
+        p.write_text(line + "\n")
         with pytest.raises(CliError) as info:
             load_config(p)
-        assert str(info.value) == f"{p}:1: unknown key 'betta'"
+        assert str(info.value) == f"{p}:1: unknown key {key!r}"
+
+    def test_readme_block_is_the_default(self, tmp_path):
+        p = tmp_path / "readme.cfg"
+        p.write_text(_readme().split("```ini\n", 1)[1].split("```", 1)[0])
+        assert load_config(p) == cli.DEFAULT_CONFIG
 
     def test_missing_file(self):
         with pytest.raises(CliError):
             load_config("/nonexistent/wg.cfg")
 
-    def test_mode_index_is_an_integer(self, tmp_path):
-        p = tmp_path / "wg.cfg"
-        p.write_text("mode_index = 2\n")
-        cfg = load_config(p)
-        assert cfg["mode_index"] == 2 and type(cfg["mode_index"]) is int
-
     @pytest.mark.parametrize("line,message", [
         ("delta_eV 3", "{path}:2: expected key = value"),
         ("delta_eV = abc", "{path}:2: bad number 'abc'"),
-        ("mode_index = 1.5", "{path}:2: bad integer '1.5'"),
         ("two_beta_over_m = 3xm", "bad length '3xm'"),
     ])
     def test_bad_line_is_named(self, tmp_path, line, message):
@@ -302,15 +303,28 @@ class TestCurveCommand:
     ARGS = ["curve", "--n", "1", "--rho-min", "0.7", "--rho-max", "0.9",
             "--samples", "8"]
 
-    def test_csv_shape(self, tmp_path):
+    # each printed rho, sigma and alpha_k parses back to the double that was
+    # certified; 13 digits lose it near rho = 1 and, for alpha_k, at large n
+    @pytest.mark.parametrize("n,rho_min,rho_max,samples", [
+        (1, 0.7, 0.9, 8),
+        (3, 0.9999999999, 0.99999999999999, 8),
+        (3, 0.999, 0.9999999999999, 6),
+        (2, 0.99999999999, 0.999999999999, 5),
+        (700000, 0.79, 0.81, 3),
+    ])
+    def test_csv_shape(self, tmp_path, n, rho_min, rho_max, samples):
         out = tmp_path / "c.csv"
-        rc = main(self.ARGS + ["--out", str(out)])
+        rc = main(["curve", "--n", str(n), "--rho-min", repr(rho_min),
+                   "--rho-max", repr(rho_max), "--samples", str(samples),
+                   "--out", str(out)])
         assert rc == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "rho,sigma,alpha_k,residual"
-        assert len(lines) > 1
-        for ln in lines[1:]:
+        points = specsing.trace_curve(specsing.BranchLabel(n=n), rho_min, rho_max, samples)
+        assert len(lines) == 1 + len(points) > 1
+        for ln, p in zip(lines[1:], points):
             rho, sigma, ak, res = (float(v) for v in ln.split(","))
+            assert (rho, sigma, ak) == (p.rho, p.sigma, p.alpha_k)
             assert rho < 1 and sigma > 0 and ak > 0 and res < 1e-9
 
     def test_byte_deterministic(self, tmp_path):
@@ -403,13 +417,13 @@ class TestDesignCommand:
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    # beta is derived from the mode index, so the error names the index
-    @pytest.mark.parametrize("index", [0, -1])
-    def test_bad_mode_index_is_named(self, tmp_path, capsys, index):
-        p = tmp_path / "bad.cfg"
-        p.write_text(f"mode_index = {index}\n")
+    def test_mode_index_is_an_unknown_key(self, tmp_path, capsys):
+        p = tmp_path / "wg.cfg"
+        p.write_text("mode_index = 1\n")
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
-        assert capsys.readouterr().err == f"error: mode index must be >= 1, got {index}\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}:1: unknown key 'mode_index'\n"
 
 
 # ell labels count from 1: a lower one is invalid input, named before the
@@ -528,12 +542,14 @@ class TestTablesCommand:
         assert len(calls) == solves
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return fh.read()
+
+
 def _readme_commands():
     """The `specsing ...` lines of the README's "Command line" block."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        text = fh.read()
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = _readme().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("specsing ")]
 
 
