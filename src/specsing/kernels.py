@@ -1,52 +1,54 @@
-"""The reduction of m22 = 0 to F(n; rho, y) = 0, the only place it is
-written: the locus function F, its enclosure and G = alpha*k at a root.
+"""The reduction of m22 = 0 to L(n; rho, y) = 0, the only place it is
+written: the locus function L, its enclosure and G = alpha*k at a root.
 
-    F = term1 - sinh(x)^2 / 2,   x = |y| R / (s + 1),   R = pi n - arccos a,
+    L = X* - x,   X* = asinh sqrt(2 term1),   x = y R / (s + 1),   R = pi n - arccos a,
 
 with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2, term1 = (1-rho)(s+1)/den
-and a = num_a/sqrt(den), num_a = 1 - (1-rho) s: the forms for rho < 1, the
-only ones written, as every function here takes rho < 1.  num_a and S below
-use the stable rewrite y^2/(s+1) of the s - 1 that cancels for small y.
-arccos a is ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~
-1/|y| at large |y|), so it is taken as atan2(S, num_a) with S^2 = den -
-num_a^2 = 2(1-rho)(s - 1), and the pi is folded in: R = pi (n - 1) +
-atan2(S, -num_a).  Where sinh(x) would overflow (x > 350) F is far below any
-root and reads -1e300.
+and a = num_a/sqrt(den), num_a = 1 - (1-rho) s: the forms for rho < 1 and
+y >= 0, the only points any function here takes.  num_a and S below use the
+stable rewrite y^2/(s+1) of the s - 1 that cancels for small y.  arccos a is
+ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~ 1/y at large
+y), so R = pi (n - 1) + atan2(S, -num_a), with S^2 = den - num_a^2 = 2(1-rho)
+(s - 1).  x < R <= pi n and X* is the asinh of a double, so L overflows
+nowhere.  Where den underflows (or 2 term1 overflows), f_grid reads L =
++inf, its true sign for n < 1e156: |rho| and y are below 1.5e-154 there,
+so x < 2.4e-154 n while X* > 355.
 
-Lemma 1: for rho < 1 and sigma > 0 (so y > 0) every root of m22 lies on a
-branch (n, -) above, n >= 1.  On the upper-half-plane branch, w = sqrt(1 -
-rho - i sigma) has Re w = -sqrt((1-rho)(s+1)/2) < 0 < Im w.  With X = 2
-alpha k w, Re X = -R for R = alpha k sqrt(2(1-rho)(s+1)) > 0 (so alpha k =
-G) and Im X = x.  m22 = 0 iff (1+w)^2 e^{-iX} = (1-w)^2 e^{iX}, iff e^{iX}
-= +-(1+w)/(1-w).  The modulus condition e^{-x} = |1+w|/|1-w| is F = 0.  And
+Lemma 1: for rho < 1 and sigma > 0 every root of m22 lies on a branch (n, -)
+above, n >= 1.  On the upper-half-plane branch, w = sqrt(1 - rho - i sigma)
+has Re w = -sqrt((1-rho)(s+1)/2) < 0 < Im w.  With X = 2 alpha k w, Re X =
+-R for R = alpha k sqrt(2(1-rho)(s+1)) > 0 (so alpha k = G) and Im X = x.
+m22 = 0 iff (1+w)^2 e^{-iX} = (1-w)^2 e^{iX}, iff e^{iX} = +-(1+w)/(1-w).
+The modulus condition e^{-x} = |1+w|/|1-w| is sinh(x)^2 = 2 term1, that is
+L = 0, as sinh rises on x >= 0 (so sign L = sign(2 term1 - sinh(x)^2)).  And
 (1+w)/(1-w) = (1 - |w|^2 + 2i Im w)/|1-w|^2, with |1 - w^2| = sqrt(den), has
 argument arccos a in (0, pi), so R = pi n - arccos a.  A branch (n, +), R =
 pi n + arccos a, meets this only where a = 0, at the point of (n+1, -).
 
-At rho >= 1, where part of ``waveguide``'s design grid lies, F < 0 on a
-branch (n, -), and that sign is all its brackets take.  Lemma 2: for rho > 1,
-n >= 1, y != 0 and theta = arccos a, the textbook term1 = (rho-1)(s-1)/den
-and num_a = 1 - (rho-1) s give S^2 = 2(rho-1)(s+1) > 0, sin^2 theta =
-S^2/den and 2 term1 = x^2 sin^2 theta / R^2; as R = pi (n-1) + (pi - theta)
->= sin theta > 0, 2 term1 <= x^2 < sinh(x)^2.  At rho = 1, term1 = 0.
+Lemma 2: at rho >= 1, where part of ``waveguide``'s design grid lies, L < 0
+on a branch (n, -), the sign its brackets take there.  For rho > 1, y != 0
+and theta = arccos a, the textbook term1 = (rho-1)(s-1)/den and num_a = 1 -
+(rho-1) s give S^2 = 2(rho-1)(s+1) > 0, sin^2 theta = S^2/den and 2 term1 =
+x^2 sin^2 theta / R^2; as R = pi (n-1) + (pi - theta) >= sin theta > 0,
+2 term1 <= x^2 < sinh(x)^2, so X* < |x|.  At rho = 1, term1 = 0.
 
-``YGrid`` holds a y grid with the pieces that depend on y alone (s, s + 1,
-s - 1 and |y|), so a bracketing grid built once (``locus`` keeps one from
-import) pays for them once, not on every call.  The helpers ``_num_a``,
-``_sin2_a`` and ``_term1`` are the only statement of the stable forms; they
-are written with augmented assignment, so the same lines serve floats
-(``f_scalar`` for the root polish, ``alpha_k`` for G) and arrays, which
-they allocate once and then update in place (``f_grid``, with rho and y
-broadcast against each other).  The float and array paths agree up to the
-last-place differences between numpy's and libm's atan2 and sinh.
+Lemma 3: for sigma <= 0 and chi = alpha k > 0, m22 != 0: a lossy medium has
+no design.  1 - zeta lies in the closed upper half-plane, so Re w >= 0 and
+Im w >= 0.  Lemma 1's equation with w != 0 needs |1+w|^2 e^{Im X} = |1-w|^2
+e^{-Im X}, where |1+w|^2 - |1-w|^2 = 4 Re w >= 0 and Im X = 2 chi Im w >= 0,
+so w = 0; there m22 = e^{2i chi}(1 - i chi) != 0.
 
-``f_bounds`` encloses F on cells [y0, y1] (0 <= y0 <= y1) in the sense of
-interval analysis (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, SIAM 2009): every piece of F is monotone in y there, so the same
-helpers evaluated at the cells' ends bound it, widened by a relative margin
-far above f_grid's rounding error.  The cells are a YGrid of two rows, y0
-and y1, one column per cell, neighbouring or not.  A cell whose bounds
-exclude 0 provably holds no root of F and no sign change of f_grid.
+``YGrid`` holds the pieces of a y grid that depend on y alone, so a grid
+built once (``locus`` keeps one from import) pays for them once.  The
+helpers ``_num_a``, ``_sin2_a`` and ``_term1`` state the stable forms once,
+with augmented assignment, so the same lines serve floats (``f_scalar``,
+``alpha_k``) and arrays, updated in place (``f_grid``, with rho and y
+broadcast).  The two paths differ by numpy's and libm's last-place atan2
+and asinh.  ``f_bounds`` encloses L on cells [y0, y1], 0 <= y0 <= y1, in
+the sense of interval analysis (Moore, Kearfott & Cloud, Introduction to
+Interval Analysis, SIAM 2009): every piece of L is monotone in y, so the
+helpers at the cells' ends bound it, widened by a relative margin.  A cell
+whose bounds exclude 0 holds no root of L and no sign change of f_grid.
 """
 
 import math
@@ -56,25 +58,23 @@ import numpy as np
 
 __all__ = ["YGrid", "alpha_k", "f_bounds", "f_grid", "f_scalar"]
 
-_OVERFLOW = 350.0
-_SENTINEL = -1e300
-#: outward margin of f_bounds, relative to each of F's two terms; f_grid's
-#: error against a 50-digit F is tested below 1e-12 of their sum
+#: outward margin of f_bounds, relative to each of X* and x; f_grid's error
+#: against a 50-digit L is tested below a few ulps of X* + x
 _MARGIN = 1e-9
 #: the factors that move a piece rising with y outward at rows [y0; y1]
 _OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
 
 
 class YGrid:
-    """A y grid with the pieces of F that depend on y alone: s = sqrt(y^2 +
-    1), sp = s + 1, sm = s - 1 = y^2/(s+1) and ay = |y| (read-only arrays)."""
+    """A y grid (y >= 0) with the pieces of L that depend on y alone: s =
+    sqrt(y^2 + 1), sp = s + 1 and sm = s - 1 = y^2/(s+1) (read-only arrays)."""
 
-    __slots__ = ("y", "s", "sp", "sm", "ay")
+    __slots__ = ("y", "s", "sp", "sm")
 
     def __init__(self, y):
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.s, self.sp, self.sm, self.ay = _y_pieces(self.y, np.sqrt)
-        for piece in (self.s, self.sp, self.sm, self.ay):
+        self.s, self.sp, self.sm = _y_pieces(self.y, np.sqrt)
+        for piece in (self.s, self.sp, self.sm):
             piece.flags.writeable = False
 
     def __getitem__(self, index):
@@ -87,10 +87,10 @@ class YGrid:
 
 
 def _y_pieces(y, sqrt=math.sqrt):
-    """s, s + 1, s - 1 = y^2/(s+1) and |y|, of a float or (with np.sqrt) an array."""
+    """s, s + 1 and s - 1 = y^2/(s+1), of a float or (with np.sqrt) an array."""
     s = sqrt(y * y + 1.0)
     sp = s + 1.0
-    return s, sp, y * y / sp, abs(y)
+    return s, sp, y * y / sp
 
 
 def _num_a(rho, s, sm):
@@ -123,6 +123,13 @@ def _sin2_a(rho, y, sp):
     return t
 
 
+def _x_star(term1):
+    """X* = asinh sqrt(2 term1) of an array term1, in place."""
+    term1 *= 2.0
+    np.sqrt(term1, out=term1)
+    return np.arcsinh(term1, out=term1)
+
+
 def _phase(n, rho, y, s, sp, sm):
     """R at one point, from the pieces f_scalar and alpha_k share."""
     sin_a = math.sqrt(_sin2_a(rho, y, sp))
@@ -131,22 +138,19 @@ def _phase(n, rho, y, s, sp, sm):
 
 def alpha_k(n, rho, y):
     """G = alpha*k = R / sqrt(2(1-rho)(s+1)) at one point (floats)."""
-    s, sp, sm, _ = _y_pieces(y)
+    s, sp, sm = _y_pieces(y)
     return _phase(n, rho, y, s, sp, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
 
 
 def f_scalar(n, rho, y):
-    """F at one point (floats)."""
-    s, sp, sm, ay = _y_pieces(y)
-    x = ay * _phase(n, rho, y, s, sp, sm) / sp
-    if x > _OVERFLOW:
-        return _SENTINEL
-    sh = math.sinh(x)
-    return _term1(rho, sp, _den(rho, y)) - 0.5 * sh * sh
+    """L at one point (floats)."""
+    s, sp, sm = _y_pieces(y)
+    x = y * _phase(n, rho, y, s, sp, sm) / sp
+    return math.asinh(math.sqrt(2.0 * _term1(rho, sp, _den(rho, y)))) - x
 
 
 def f_grid(n, rho, y):
-    """F on arrays; rho and y (an array or a YGrid of one) broadcast against
+    """L on arrays; rho and y (an array or a YGrid of one) broadcast against
     each other.  Each helper allocates its result once; the rest is in
     place."""
     g = y if isinstance(y, YGrid) else YGrid(y)
@@ -156,44 +160,35 @@ def f_grid(n, rho, y):
     np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
     x += math.pi * (n - 1)  # R
-    x *= g.ay
+    x *= g.y
     x /= g.sp
-    over = ~(x <= _OVERFLOW)  # x > 350, or NaN
-    np.minimum(x, _OVERFLOW, out=x)  # sinh stays finite; these points read -1e300
-    sh = np.sinh(x, out=x)
-    half_sh2 = np.multiply(sh, 0.5, out=num_a)
-    half_sh2 *= sh
-    f = _term1(rho, g.sp, _den(rho, g.y))
-    f -= half_sh2
-    f[over] = _SENTINEL
+    f = _x_star(_term1(rho, g.sp, _den(rho, g.y)))
+    f -= x
     return f
 
 
 def f_bounds(n, rho, cells):
-    """Bounds lo <= F <= hi on each of ``cells``, for rho < 1 and n >= 1.
+    """Bounds lo <= L <= hi on each of ``cells``, for rho < 1 and n >= 1.
 
     ``cells`` is a YGrid of two rows, y0 and y1, with one column per cell
     [y0, y1], 0 <= y0 <= y1: neighbouring, nested or of zero width.  rho is
     a 1-d array.  The bounds have shape (rho.size, 2, cells): for rho[i],
-    rows lo and hi with one column per cell.  The masks lo > 0 and hi < 0
-    of a row are those of its rho alone (a one-element array); a bound may
-    differ from that one's in its last bit, where numpy's vector loops
-    round differently for different layouts.
+    rows lo and hi with one column per cell.  A row's masks lo > 0 and hi <
+    0 are those of its rho alone (a bound may differ in its last bit, where
+    numpy's vector loops round differently for different layouts).
 
-    On y >= 0 the pieces are monotone: S, |y|/(s+1), s + 1, den and C =
-    -num_a rise with y.  As S >= 0, atan2(S, C) falls with C and is monotone
-    in S at fixed C, so R takes its extremes at the cell's corners, x lies
-    in [R_lo |y0|/(s0+1), R_hi |y1|/(s1+1)] and term1 in [(1-rho)(s0+1)/den1,
-    (1-rho)(s1+1)/den0].
-
-    |y|/(s+1) and s + 1 are moved outward by the relative margin _MARGIN
-    (down at y0, up at y1), far above the rounding error of f_grid; a margin
-    on x moves sinh(x)^2 by at least twice as much, so each of F's two
-    terms moves by at least _MARGIN, and a cell with lo > 0 or hi < 0 holds
-    no root and no sign change of f_grid.  (Where f_grid reads -1e300 for
-    x > 350, lo is below that, and hi may be too.)  Where y0 = 0 and rho^2
-    is below the normal range, den0 is 0 or inexact and hi is +inf; where
-    den1 underflows, lo is +inf, and the cell is excluded without a warning.
+    On y >= 0, S, y/(s+1), s + 1, den and C = -num_a rise with y.  As S >=
+    0, atan2(S, C) falls with C and is monotone in S at fixed C, so R takes
+    its extremes at the cell's corners, x lies in [R_lo y0/(s0+1), R_hi
+    y1/(s1+1)], term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0] and L in
+    [X*_lo - x_hi, X*_hi - x_lo].  As sinh^2 is monotone, these exclude (in
+    exact arithmetic) the cells that the same bounds on term1 - sinh(x)^2/2
+    exclude.  X* and x are moved outward by the relative margin _MARGIN,
+    far above f_grid's rounding error (on term1 it would move a large X*
+    only by about _MARGIN/(2 X*)), so a cell with lo > 0 or hi < 0 holds no
+    root and no sign change of f_grid.  Where y0 = 0 and rho^2 is below the
+    normal range, den0 is 0 or inexact and hi is +inf; where den1
+    underflows, lo is +inf, and the cell is excluded without a warning.
     """
     rho = rho[:, None, None]  # a row of cell ends per rho
     down = np.s_[..., ::-1, :]  # rows [y1; y0] of the same pieces
@@ -207,17 +202,15 @@ def f_bounds(n, rho, cells):
     np.maximum(hi, other[..., 0, :], out=hi)
     np.minimum(lo, other[..., 1, :], out=lo)
     x += math.pi * (n - 1)  # R_hi, R_lo
-    x *= (cells.ay / cells.sp * _OUTWARD)[down]  # x_hi, x_lo
-    np.minimum(x, _OVERFLOW, out=x)  # as in f_grid: sinh stays finite
-    half_sh2 = np.sinh(x, out=x)
-    half_sh2 *= half_sh2
-    half_sh2 *= 0.5
+    x *= (cells.y / cells.sp * _OUTWARD)[down]  # x_hi, x_lo
     den = _den(rho, cells.y[down])
     den0 = den[..., 1, :]
     unbounded = den0 < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
     den0[unbounded] = 1.0
     with np.errstate(divide="ignore", over="ignore"):  # lo = +inf where den1 underflows
-        bounds = _term1(rho, cells.sp * _OUTWARD, den)  # (sp0, den1), (sp1, den0)
-    bounds[..., 1, :][unbounded] = math.inf
-    bounds -= half_sh2
+        bounds = _term1(rho, cells.sp, den)  # (sp0, den1), (sp1, den0)
+        bounds[..., 1, :][unbounded] = math.inf
+        _x_star(bounds)
+    bounds *= _OUTWARD  # X*_lo, X*_hi
+    bounds -= x
     return bounds

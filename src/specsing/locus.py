@@ -1,21 +1,22 @@
 """Reduction of the singularity condition to real transcendental equations.
 
 Everything here lives in the dimensionless (rho, sigma) plane, the complex
-z/k^2 plane.  With y = sigma/(1-rho), the condition m22 = 0 reduces to a
-one-parameter family of real equations F(n; rho, y) = 0 labeled by an
-integer branch index n >= 1 (the branches (n, -), which hold every
-singularity by lemma 1 in `kernels`), and the product alpha*k at a solution
-is fixed by G(n; rho, y).  Candidate roots of F are certified by evaluating
-the barrier residual on a concrete (k, alpha, z) realization; only points
-whose residual is below RESIDUAL_TOL are reported.
+z/k^2 plane.  With y = sigma/(1-rho), m22 = 0 reduces to real equations
+L(n; rho, y) = asinh sqrt(2 term1) - y R/(s+1) = 0, one per branch (n, -),
+n >= 1; G(n; rho, y) gives alpha*k at a root.  By lemmas 1-3 in `kernels`
+these branches hold every singularity, none at rho >= 1 (L < 0 there) and
+none at sigma <= 0, so only rho < 1 and y >= 0, where the kernels are
+written, are searched.  Candidate roots are certified by the barrier
+residual on a concrete (k, alpha, z); only points whose residual is below
+RESIDUAL_TOL are reported.
 
-F and G are computed only in `kernels`, with the stable rewrites of the
+L and G are computed only in `kernels`, with the stable rewrites of the
 terms that cancel for small y; this module brackets, polishes and certifies
-the roots of F.  A root is bracketed on a fixed y grid, but F is evaluated
-only where an enclosure of F on coarse cells of that grid
+the roots of L.  A root is bracketed on a fixed y grid, but L is evaluated
+only where an enclosure of L on coarse cells of that grid
 (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot rule
 a root out, and below the grid down to the first decade [0, 1e-6 10^-d] it
-rules out.  `trace_curve` encloses F for 64 rho slices in one `f_bounds`
+rules out.  `trace_curve` encloses L for 64 rho slices in one `f_bounds`
 call, then solves each slice in its window.
 """
 
@@ -39,13 +40,13 @@ __all__ = [
 #: certification threshold on the barrier residual
 RESIDUAL_TOL = 1e-9
 #: bracketing grid of solve_sigma: y in [1e-6, 1e6], 400 points per decade,
-#: with its y-only pieces of F computed once
+#: with its y-only pieces of L computed once
 _PER_DECADE = 400
 _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
 #: lowest rho searched: den = (1-rho)^2 y^2 + rho^2 <= 2 (1-rho)^2 y^2 (y >= 1,
 #: rho <= 1/2) stays below the largest double up to the grid's top end
 _RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
-#: cells on which F is enclosed, a YGrid of rows y0 and y1 with one column
+#: cells on which L is enclosed, a YGrid of rows y0 and y1 with one column
 #: per cell: [0, 1e-6], then the grid in steps of _CELL points (_CELL
 #: divides the grid's 4,800 steps, so the cells end at 1e6)
 _CELL = 160
@@ -192,7 +193,7 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
 
 
 def _excluded(n, rhos, cells):
-    """Cells where the enclosure of F excludes a root (NaN bounds exclude
+    """Cells where the enclosure of L excludes a root (NaN bounds exclude
     nothing), one row per element of the array rhos."""
     bounds = kernels.f_bounds(n, rhos, cells)
     return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
@@ -200,7 +201,7 @@ def _excluded(n, rhos, cells):
 
 def _windows(n, rhos):
     """For each of rhos, the part of the bracketing grid that holds every
-    sign change of F, or None if every cell is excluded.
+    sign change of L, or None if every cell is excluded.
 
     Cells the enclosure excludes hold none, so the grid from the first open
     cell to the last one brackets the roots that the whole grid brackets.
@@ -239,11 +240,11 @@ _WINDOW = object()  # solve_sigma's window argument was not given
 def solve_sigma(branch, rho, *, window=_WINDOW):
     """All certified sigma > 0 singularity points above rho, sorted by sigma.
 
-    Roots of F are bracketed on a geometric y grid, in the window of it that
-    the enclosure of F leaves open (``_windows``), and polished by Brent's
+    Roots of L are bracketed on a geometric y grid, in the window of it that
+    the enclosure of L leaves open (``_windows``), and polished by Brent's
     method to relative 1e-14; each candidate is then certified against the
-    barrier residual, which weeds out spurious zeros of F (including the
-    double-precision noise roots in the far F -> 0 tails).  The brackets are
+    barrier residual, which weeds out spurious zeros of L (including the
+    double-precision noise roots in the far L -> 0 tails).  The brackets are
     those of the whole grid, and roots below it (y < 1e-6) are found too.
     ``window`` is that window (None: no window) when the caller has already
     computed it, as ``trace_curve`` does for a block of slices at once.

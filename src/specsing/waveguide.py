@@ -115,14 +115,17 @@ def permittivity(medium, omega):
                                     + 2j * medium.delta * omega)
 
 
+def _above_cutoff(Om, omega):
+    """1 - Om^2/omega^2 of a float or an array omega, as ((omega - Om)/omega)
+    ((omega + Om)/omega): just above the cutoff Om, omega - Om is exact
+    (Sterbenz), so this keeps the digits that 1 - Om/omega loses."""
+    return (omega - Om) / omega * ((omega + Om) / omega)
+
+
 def _k(Om, omega):
     """Longitudinal wave number (omega/hbar c) sqrt(1 - Om^2/omega^2) of a
     float or an array omega above the cutoff Om."""
-    # (1-Om/omega)(1+Om/omega) keeps precision just above cutoff
-    r = Om / omega
-    u = 1 - r
-    r += 1
-    u *= r
+    u = _above_cutoff(Om, omega)
     k = np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
     k *= omega / HBAR_C_EV_NM
     return k
@@ -138,7 +141,7 @@ def _rho_sigma(medium, Om, omega):
     den = 4.0 * w2
     den *= medium.delta**2
     den += rho * rho
-    den *= 1 - Om**2 / w2
+    den *= _above_cutoff(Om, omega)
     rho *= medium.omega_p_sq
     rho /= den
     sigma = -2.0 * omega
@@ -150,23 +153,23 @@ def _rho_sigma(medium, Om, omega):
 
 def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     """All certified singularity designs of branch (n, -) in the window
-    (Omega (1 + 1e-9), 10 omega0); CutoffError if it is empty.
+    (Omega (1 + 1e-9), 10 omega0); CutoffError if it is empty.  A lossy
+    medium (omega_p^2 > 0) has sigma < 0 at every omega, so no design (lemma
+    3 in ``kernels``), and gets [] before any grid is built.
 
-    The locus function is evaluated along the physical curve on a grid
-    log-spaced in (omega - Omega) -- near-cutoff intersections sit at
-    omega/Omega - 1 ~ 1e-3 and need the densification -- then each sign
-    change is polished by Brent's method and certified by the barrier
-    residual.  Solutions are labeled ell = 1, 2, ... by descending rho
-    (ties by ascending sigma) to match the count-down-from-rho=1 convention.
+    L is evaluated along the physical curve on a grid log-spaced in (omega -
+    Omega) -- near-cutoff intersections sit at omega/Omega - 1 ~ 1e-3 --
+    then each sign change is polished by Brent's method and certified by the
+    barrier residual.  Solutions are labeled ell = 1, 2, ... by descending
+    rho (ties by ascending sigma), counting down from rho = 1.
 
     The grid is evaluated BLOCK points at a time into one byte per point of
-    F's sign (-1, 0 or +1), so the temporaries of rho, sigma and F do not
-    grow with grid_points; each F is the double of the whole-grid form, as
-    the arithmetic is elementwise.  At rho >= 1 F < 0 (lemma 2 in
-    ``kernels``), so the grid and the polish take the sign -1 there, and F
-    is evaluated only where rho < 1, by one f_grid call per block (none for
-    a block wholly at rho >= 1); every design has rho < 1.  Where F's den
-    underflows, F is +inf, its true sign, without a warning.  The window is
+    L's sign (-1, 0 or +1), so the temporaries of rho, sigma and L do not
+    grow with grid_points; each L is the double of the whole-grid form.  At
+    rho >= 1 L < 0 (lemma 2 in ``kernels``), so the grid and the polish take
+    the sign -1 there, and L is evaluated only where rho < 1, by one f_grid
+    call per block (none for a block wholly at rho >= 1); every design has
+    rho < 1.  Where den underflows, L is +inf, its true sign.  The window is
     checked once, here, on every block before any root is polished: it must
     be non-empty (CutoffError), and the map from omega to (rho, sigma) must
     evaluate on its grid without overflow, division by zero or NaN
@@ -179,10 +182,12 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     lo, hi = Om * (1 + 1e-9), 10.0 * medium.omega0
     if not lo < hi:
         raise CutoffError(f"cutoff {Om} eV is not below 10 omega0 = {hi} eV")
+    if medium.omega_p_sq > 0:
+        return []
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             us = np.linspace(math.log(lo - Om), math.log(hi - Om), grid_points)
-        signs = np.full(len(us), -1, dtype=np.int8)  # F's sign at rho >= 1
+        signs = np.full(len(us), -1, dtype=np.int8)  # L's sign at rho >= 1
         for start in range(0, len(us), BLOCK):
             block = slice(start, start + BLOCK)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -190,7 +195,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
             below = rho < 1.0
             if below.any():
                 rho = rho[below]
-                with np.errstate(over="ignore", divide="ignore"):  # F = +inf where den underflows
+                with np.errstate(over="ignore", divide="ignore"):  # L = +inf where den underflows
                     signs[block][below] = np.sign(kernels.f_grid(n, rho, sigma[below] / (1.0 - rho)))
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
         raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "

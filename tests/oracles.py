@@ -6,11 +6,13 @@ benchmark calls them, and CI fails if importing ``specsing.cli`` loads this
 module.  ``oracle_transfer_matrix`` re-derives M by plane-wave matching,
 ``mp_scaled_transfer`` evaluates the textbook entries at mpmath precision,
 ``alpha_z_k_transfer`` is the numpy closed form as first written on
-(alpha, z, k), ``textbook_f`` is F(n, eps; rho, y) from its textbook forms
-at mpmath precision, ``f_grid_both_sides`` is F on arrays as first written,
-with both sides of rho = 1 evaluated at every point and one kept (the
-package has only the forms for rho < 1 and the branches eps = -1; this
-module keeps those for rho >= 1 and eps = +1),
+(alpha, z, k), ``textbook_f`` is F(n, eps; rho, y) = term1 - sinh(x)^2/2
+from its textbook forms at mpmath precision and ``textbook_l`` the
+package's locus function L = asinh sqrt(2 term1) - x from the same forms,
+``f_grid_both_sides`` is F on arrays as first written, with both sides of
+rho = 1 evaluated at every point and one kept (the package has only L,
+only the forms for rho < 1 and the branches eps = -1; this module keeps F,
+its overflow sentinel and the forms for rho >= 1 and eps = +1),
 ``wavefunction_profile`` builds psi from the package's amplitudes
 (``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
 than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from specsing.barrier import _NUMPY, _check_k, transfer_matrix
-from specsing.kernels import _OVERFLOW, _SENTINEL, YGrid, _den, _num_a, _sin2_a, _term1
+from specsing.kernels import YGrid, _den, _num_a, _sin2_a, _term1
 from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.waveguide import permittivity
 
@@ -113,19 +115,40 @@ def alpha_z_k_transfer(alpha, z, k):
             np.exp(2j * chi) * (c - t), np.imag(x))
 
 
-def textbook_f(mp, n, eps, rho, y):
-    """F = term1 - sinh(x)^2/2 on the branch R = pi n + eps arccos a, from
-    its textbook forms at mpmath precision, with the scale |term1| +
-    sinh(x)^2/2 it cancels from and x itself."""
+def _textbook_parts(mp, n, eps, rho, y):
+    """(term1, x) on the branch R = pi n + eps arccos a, from their
+    textbook forms at mpmath precision."""
     rho, y = mp.mpf(rho), mp.mpf(y)
     s = mp.sqrt(y * y + 1)
     ar = abs(1 - rho)
     den = (1 - rho) ** 2 * y * y + rho * rho
     term1 = (ar * s + 1 - rho) / den
     a = min(mp.mpf(1), max(mp.mpf(-1), (1 - ar * s) / mp.sqrt(den)))
-    x = (mp.pi * n + eps * mp.acos(a)) * mp.sqrt((s - 1) / (s + 1))
+    return term1, (mp.pi * n + eps * mp.acos(a)) * mp.sqrt((s - 1) / (s + 1))
+
+
+def textbook_f(mp, n, eps, rho, y):
+    """F = term1 - sinh(x)^2/2 on the branch R = pi n + eps arccos a, from
+    its textbook forms at mpmath precision, with the scale |term1| +
+    sinh(x)^2/2 it cancels from and x itself."""
+    term1, x = _textbook_parts(mp, n, eps, rho, y)
     half_sh2 = mp.sinh(x) ** 2 / 2
     return term1 - half_sh2, abs(term1) + half_sh2, x
+
+
+def textbook_l(mp, n, rho, y):
+    """L = X* - x on the branch (n, -) at mpmath precision, X* = asinh
+    sqrt(2 term1), from the textbook forms of ``textbook_f``, with the scale
+    X* + x it cancels from and x itself."""
+    term1, x = _textbook_parts(mp, n, -1, rho, y)
+    x_star = mp.asinh(mp.sqrt(2 * term1))
+    return x_star - x, x_star + x, x
+
+
+#: F's overflow guard: where x > _OVERFLOW, sinh(x)^2 would overflow, and F
+#: reads _SENTINEL, far below any root
+_OVERFLOW = 350.0
+_SENTINEL = -1e300
 
 
 def f_grid_both_sides(n, eps, rho, y):
@@ -142,7 +165,7 @@ def f_grid_both_sides(n, eps, rho, y):
         np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
     x += math.pi * (n + (eps - 1) // 2)  # R
-    x *= g.ay
+    x *= np.abs(g.y)
     x /= g.sp
     over = ~(x <= _OVERFLOW)  # x > 350, or NaN
     np.minimum(x, _OVERFLOW, out=x)  # sinh stays finite; these points read -1e300

@@ -340,7 +340,7 @@ class TestCurveCommand:
         assert rc == EXIT_NO_SOLUTIONS
 
     def test_noise_bracket_is_not_an_error(self, tmp_path, capsys):
-        # a grid sign change that F itself does not make (n = 1 noise tail)
+        # a grid sign change that L itself does not make (n = 1 noise tail)
         rc = main(["curve", "--n", "1", "--rho-min", "0.6666666667", "--rho-max", "0.7",
                    "--samples", "3", "--out", str(tmp_path / "c.csv")])
         assert rc in (EXIT_OK, EXIT_NO_SOLUTIONS)
@@ -395,11 +395,14 @@ class TestDesignCommand:
         assert rc == EXIT_OK
         assert out.count("\n") == 1
 
-    def test_lossy_medium_no_solutions(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config", ["", "omega0_eV = 3e76\n"], ids=["reference", "map-overflows"])
+    def test_lossy_medium_no_solutions(self, tmp_path, capsys, config):
+        # lemma 3: no design without gain, also where the map from omega to
+        # (rho, sigma) would overflow (that medium with gain is exit 3)
         p = tmp_path / "lossy.cfg"
-        p.write_text("omega_p_sq_eV2 = 0.04\n")
+        p.write_text("omega_p_sq_eV2 = 0.04\n" + config)
         rc = main(["design", "--n", "2000", "--config", str(p)])
-        assert rc == EXIT_NO_SOLUTIONS
+        assert (rc, *capsys.readouterr()) == (EXIT_NO_SOLUTIONS, "", "")
 
     @pytest.mark.parametrize("line", ["omega0_eV = nan", "delta_eV = inf",
                                       "two_beta_over_m = inf"])
@@ -719,7 +722,7 @@ def test_unwritable_streams_in_a_process_exit_3(argv, stdout, stderr):
 
 @pytest.mark.parametrize("argv", [["design"], ["curve", "--rho-min", "0.7", "--rho-max", "0.9"]])
 def test_branch_index_too_large_for_a_double_is_named(capsys, monkeypatch, argv):
-    # rejected before F is evaluated, where n would overflow unnamed
+    # rejected before L is evaluated, where n would overflow unnamed
     monkeypatch.setattr(specsing.kernels, "f_grid", None)
     monkeypatch.setattr(specsing.kernels, "f_bounds", None)
     assert main([argv[0], "--n", str(10**309), *argv[1:]]) == EXIT_BAD_INPUT
@@ -744,7 +747,7 @@ def test_ell_below_one_in_a_process_is_one_error_line():
 @pytest.mark.parametrize("command", ["design", "scan"])
 def test_tiny_coupling_in_a_process_has_no_design_and_no_warning(tmp_path, command):
     # omega_p^2 = -1e-200: den = (1-rho)^2 y^2 + rho^2 underflows to 0 on the
-    # whole grid, where F = +inf, its true sign: no bracket, no design, and
+    # whole grid, where L = +inf, its true sign: no bracket, no design, and
     # nothing on stderr
     config = tmp_path / "tiny.cfg"
     config.write_text("omega_p_sq_eV2 = -1e-200\n")

@@ -30,7 +30,7 @@ from specsing.locus import (
     trace_curve,
 )
 
-from oracles import f_grid_both_sides, q_of, r_of, textbook_f
+from oracles import f_grid_both_sides, q_of, r_of, textbook_f, textbook_l
 
 B1 = BranchLabel(n=1)
 B2 = BranchLabel(n=2)
@@ -56,7 +56,7 @@ class TestBranchLabel:
             BranchLabel(n=-1)
 
     def test_n_too_large_for_a_double(self):
-        # float(10**309) overflows: such an n is named before F is evaluated
+        # float(10**309) overflows: such an n is named before L is evaluated
         largest = int(sys.float_info.max)
         for n in (10**309, largest + 1):
             with pytest.raises(ValueError, match="branch index n does not fit in a double"):
@@ -95,9 +95,10 @@ class TestClosedForms:
 
 class TestLocusFunction:
     def test_bracketing_sign_change(self):
-        # frozen signs on the n=2, rho=0.3 slice
-        assert kernels.f_scalar(2, 0.3, 0.5) == pytest.approx(5.758011, rel=1e-5)
-        assert kernels.f_scalar(2, 0.3, 1.0) == pytest.approx(-3.106192, rel=1e-5)
+        # frozen signs on the n=2, rho=0.3 slice: L = X* - x, where F =
+        # term1 - sinh(x)^2/2 read 5.758011 and -3.106192
+        assert kernels.f_scalar(2, 0.3, 0.5) == pytest.approx(0.8001207, rel=1e-6)
+        assert kernels.f_scalar(2, 0.3, 1.0) == pytest.approx(-0.3425915, rel=1e-6)
 
     def test_matches_backend_grid(self):
         ys = np.geomspace(1e-3, 1e3, 200)
@@ -117,7 +118,7 @@ class TestSolveSigma:
 
     def test_noise_bracket_is_not_an_error(self):
         # in the n = 1 noise tail f_grid and f_scalar can differ in sign at a
-        # bracket end; that bracket holds no root of F and is dropped
+        # bracket end; that bracket holds no root of L and is dropped
         pts = solve_sigma(B1, 0.66666666667)
         assert all(p.residual < 1e-9 and p.sigma > 0 for p in pts)
 
@@ -242,25 +243,48 @@ class TestTrigConsistency:
         assert ok_plus or ok_minus
 
 
-def _assert_close_to_scale(got, want, rho, y, rtol):
-    """|got - want| <= rtol (|term1| + sinh(x)^2/2): F cancels near its roots,
-    so its own size is no scale.  term1 >= 0, so the scale is 2 term1 - F."""
+#: ulps of the scale (_scale) within which f_grid and f_scalar give L
+_ULPS = 8
+
+
+def _num_a_term(rho, y):
+    """|rho| s y / ((s + 1) sqrt(den)): the error of x per ulp of num_a =
+    rho s - (s - 1), whose terms cancel at large y near rho = 1 (as
+    atan2(S, C) moves by at most dC/sqrt(den))."""
+    s = np.sqrt(y * y + 1.0)
+    return np.abs(rho) * s * y / ((s + 1.0) * np.sqrt((1.0 - rho) ** 2 * y * y + rho * rho))
+
+
+def _scale(rho, y, l):
+    """X* + x at L = l: L cancels near its roots, so its own size is no
+    scale.  x = X* - L, so X* + x = 2 X* - L, with X* from term1's textbook
+    form."""
     s = np.sqrt(y * y + 1.0)
     term1 = (np.abs(1.0 - rho) * s + 1.0 - rho) / ((1.0 - rho) ** 2 * y * y + rho * rho)
+    return 2.0 * np.arcsinh(np.sqrt(2.0 * term1)) - l
+
+
+def _tolerance(rho, y, scale):
+    """_ULPS ulps of X* + x = scale and of num_a's term."""
+    return _ULPS * sys.float_info.epsilon * (scale + _num_a_term(rho, y))
+
+
+def _assert_close_to_scale(got, want, rho, y):
+    """|got - want| <= _tolerance, at X* + x from want."""
     want = np.asarray(want)
-    assert np.all(np.abs(got - want) <= rtol * (2.0 * term1 - want))
+    assert np.all(np.abs(got - want) <= _tolerance(rho, y, _scale(rho, y, want)))
 
 
 def _phase(n, rho, y):
     """R = pi n - arccos a at one point, as f_scalar and alpha_k form it."""
-    s, sp, sm, _ = kernels._y_pieces(y)
+    s, sp, sm = kernels._y_pieces(y)
     return kernels._phase(n, rho, y, s, sp, sm)
 
 
 class TestKernels:
-    # numpy's arccos and sinh may differ from libm's by an ulp or so, and F
+    # numpy's atan2 and asinh may differ from libm's by an ulp or so, and L
     # cancels near its roots, so f_grid and f_scalar are compared relative to
-    # the scale F cancels from; every kernel takes rho < 1
+    # the scale L cancels from; every kernel takes rho < 1 and y >= 0
     RHOS = (-2.5, 0.01, 0.4, 0.999)
 
     def test_grid_matches_scalar_one_rho(self):
@@ -269,7 +293,7 @@ class TestKernels:
             for rho in self.RHOS:
                 grid = kernels.f_grid(n, rho, ys)
                 scalars = [kernels.f_scalar(n, rho, y) for y in ys]
-                _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
+                _assert_close_to_scale(grid, scalars, rho, ys)
 
     def test_grid_matches_scalar_array_rho(self):
         # rho down a column, y along a row: f_grid broadcasts them
@@ -279,18 +303,27 @@ class TestKernels:
             grid = kernels.f_grid(n, rho, ys)
             assert grid.shape == (rho.size, ys.size)
             scalars = [[kernels.f_scalar(n, r, y) for y in ys[0]] for r in rho[:, 0]]
-            _assert_close_to_scale(grid, scalars, rho, ys, 1e-13)
+            _assert_close_to_scale(grid, scalars, rho, ys)
             # one rho at a time gives the same doubles as the array of them
             for i, r in enumerate(rho[:, 0]):
                 assert np.array_equal(kernels.f_grid(n, r, ys[0]), grid[i])
 
-    def test_overflow_sentinel(self):
-        # x = |y| R / (s + 1) > 350 reads -1e300 on every path
+    def test_no_overflow_where_f_read_the_sentinel(self):
+        # x = y R / (s + 1) > 350, where F = term1 - sinh(x)^2/2 overflowed
+        # and read -1e300: L = X* - x is the finite negative double of a
+        # 50-digit L on every path
+        mpmath = pytest.importorskip("mpmath")
         ys = np.array([10.0, 100.0])
-        assert list(kernels.f_grid(1000, 0.4, ys)) == [-1e300, -1e300]
-        assert kernels.f_grid(1000, np.array([[0.4], [-2.5]]), ys).tolist() == [[-1e300] * 2] * 2
-        assert kernels.f_scalar(1000, 0.4, 10.0) == -1e300
-        assert kernels.f_scalar(1000, -2.5, 100.0) == -1e300
+        grid = kernels.f_grid(1000, np.array([[0.4], [-2.5]]), ys)
+        assert np.array_equal(grid[0], kernels.f_grid(1000, 0.4, ys))
+        with mpmath.workdps(50):
+            for rho, row in zip((0.4, -2.5), grid):
+                for y, got in zip(ys, row):
+                    want, scale, x = textbook_l(mpmath.mp, 1000, rho, y)
+                    assert x > 350 and textbook_f(mpmath.mp, 1000, -1, rho, y)[0] < -1e300
+                    for value in (got, kernels.f_scalar(1000, rho, y)):
+                        assert math.isfinite(value) and value < 0.0
+                        assert abs(value - want) <= _tolerance(rho, y, scale)
 
     def test_y_grid_gives_the_same_doubles(self):
         # one YGrid reused for every call gives what a fresh array gives, so
@@ -305,55 +338,74 @@ class TestKernels:
         with pytest.raises(ValueError):
             grid.s[0] = 0.0
 
-    def test_sentinel_exactly_where_x_exceeds_350(self):
-        # n = 200: x = |y| R / (s + 1) runs from ~0.3 to ~600 on this grid
+    def test_grid_matches_scalar_across_x_350(self):
+        # n = 200: x = y R / (s + 1) runs from ~0.3 to ~600 on this grid, and
+        # L is finite on both sides of x = 350, where F read -1e300
         n, ys = 200, np.geomspace(1e-3, 1e3, 601)
         column = np.array(self.RHOS)[:, None]
         xs = np.array([[_phase(n, rho, y) for y in ys] for rho in self.RHOS])
         xs *= ys / (np.sqrt(ys * ys + 1.0) + 1.0)
         scalars = np.array([[kernels.f_scalar(n, rho, y) for y in ys] for rho in self.RHOS])
-        rhos = np.broadcast_to(column, xs.shape)
         over = xs > 350.0
         assert over.any(axis=1).all() and not over.all(axis=1).any()
         grids = [kernels.f_grid(n, column, ys)]
         grids.append(np.array([kernels.f_grid(n, rho, ys) for rho in self.RHOS]))
         for grid in grids:
-            assert np.array_equal(grid == -1e300, over)
-            _assert_close_to_scale(grid[~over], scalars[~over], rhos[~over],
-                                   np.broadcast_to(ys, xs.shape)[~over], 1e-13)
+            assert np.isfinite(grid).all() and (grid[over] < 0.0).all()
+            _assert_close_to_scale(grid, scalars, column, ys)
 
-    def test_grid_matches_high_precision_textbook_f(self):
+    def test_grid_matches_high_precision_textbook_l(self):
+        # f_grid and f_scalar are within a few ulps of X* + x (and of
+        # num_a's term) of a 50-digit L, and their sign is F's wherever |F|
+        # is above its rounding level: the most F = (sinh(X*)^2 -
+        # sinh(x)^2)/2 moves as X* and x move by that tolerance.  The
+        # 50-digit L and F have the same sign everywhere.  Points: a grid
+        # for n = 1, 7, 50, points at large y, where 1 + a ~ 1/y and a
+        # plain arccos a loses digits, and seeded draws with n log-uniform
+        # in 1 ... 1e6, rho uniform in (-3, 1) or 1 - rho log-uniform in
+        # 1e-15 ... 1e-1, y log-uniform in 1e-12 ... 1e6 (so below the grid
+        # too), 416 of them with x > 350, where F read -1e300
         mpmath = pytest.importorskip("mpmath")
-        ys = np.geomspace(1e-6, 1e6, 49)
-        # (n, rho, ys): the grid, plus points at large |y|, where 1 + a ~
-        # 1/|y| and a plain arccos a loses digits
-        cases = [(n, rho, ys) for n in (1, 7, 50) for rho in self.RHOS]
-        cases += [(1, 0.4, np.array([2.5e5])), (1, -2.5, np.array([7.9e5]))]
-        with mpmath.workdps(50):
-            for n, rho, ys in cases:
-                grid = kernels.f_grid(n, rho, ys)
-                for y, got in zip(ys, grid):
-                    want, scale, x = textbook_f(mpmath.mp, n, -1, rho, y)
-                    if x > 350:
-                        # the sentinel never overstates F
-                        assert got == -1e300 and want < -1e300
-                        continue
-                    err = abs(mpmath.mpf(got) - want)
-                    assert err <= 1e-12 * scale, (n, rho, y)
-                    assert abs(kernels.f_scalar(n, rho, y) - want) <= 1e-12 * scale
+        points = [(n, rho, y) for n in (1, 7, 50) for rho in self.RHOS
+                  for y in np.geomspace(1e-6, 1e6, 49)]
+        points += [(1, 0.4, 2.5e5), (1, -2.5, 7.9e5)]
+        rng = random.Random(5)
+        for _ in range(1500):
+            n = round(10.0 ** rng.uniform(0.0, 6.0))
+            near_1 = rng.random() < 0.5
+            rho = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if near_1 else rng.uniform(-3.0, 1.0)
+            points.append((n, rho, 10.0 ** rng.uniform(-12.0, 6.0)))
+        over, signed = 0, 0
+        for n, rho, y in points:
+            got = (kernels.f_grid(n, rho, np.array([y]))[0], kernels.f_scalar(n, rho, y))
+            with mpmath.workdps(50):
+                want, scale, x = textbook_l(mpmath.mp, n, rho, y)
+                f = textbook_f(mpmath.mp, n, -1, rho, y)[0]
+                assert (want > 0) == (f > 0), (n, rho, y)
+                tol = _tolerance(rho, y, scale)
+                level = tol * mpmath.sinh(2 * max(want + x, x)) / 2
+                for value in got:
+                    assert abs(value - want) <= tol, (n, rho, y)
+                    if abs(f) > level:
+                        signed += 1
+                        assert (value > 0) == (f > 0), (n, rho, y)
+            over += x > 350
+        assert over >= 400 and signed >= 2 * len(points) - 100
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.floats(0.0, 6.0).map(lambda u: round(10.0 ** u)),
            gap=st.floats(-14.0, 12.0).map(lambda u: 10.0 ** u),
            y=st.floats(-10.0, 10.0).map(lambda u: 10.0 ** u), sign=st.sampled_from((1, -1)))
-    def test_f_is_negative_above_rho_1_on_branch_minus(self, n, gap, y, sign):
-        # lemma 2 of the kernels docstring: on a branch (n, -), F < 0 at
-        # every rho > 1 (and y != 0), so the design grid takes that sign
-        # there and no kernel needs F's forms above rho = 1
+    def test_l_is_negative_above_rho_1_on_branch_minus(self, n, gap, y, sign):
+        # lemma 2 of the kernels docstring: on a branch (n, -), F < 0 and so
+        # L = X* - |x| < 0 at every rho > 1 (and y != 0), so the design grid
+        # takes that sign there and no kernel needs L's forms above rho = 1
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
-            f, scale, _ = textbook_f(mpmath.mp, n, -1, 1.0 + gap, sign * y)
+            f, scale, x = textbook_f(mpmath.mp, n, -1, 1.0 + gap, sign * y)
             assert f < 0, (n, 1.0 + gap, sign * y, f, scale)
+            term1 = f + mpmath.sinh(x) ** 2 / 2
+            assert mpmath.asinh(mpmath.sqrt(2 * term1)) < abs(x)
 
 
 def _upper_w(mp, rho, sigma):
@@ -383,7 +435,8 @@ def _branch_residual(mp, n, eps, rho, y):
 
 class TestBranchLemma:
     """Lemma 1 of the kernels docstring: every singularity with rho < 1
-    lies on a branch (n, -), n >= 1; a branch (n, +) holds none of its own."""
+    lies on a branch (n, -), n >= 1; a branch (n, +) holds none of its own.
+    Lemma 3: none has sigma <= 0."""
 
     def test_phase_of_the_singularity_condition_is_arccos_a(self):
         # on a seeded deck, rho in (-3, 1) and y log-uniform in 1e-6 ... 1e6:
@@ -449,8 +502,8 @@ class TestBranchLemma:
 
     def test_plus_meets_minus_only_where_a_is_zero(self):
         # a = 0 where (1-rho) s = 1, at y = sqrt(1/(1-rho)^2 - 1) for rho in
-        # (0, 1): there R = pi n + pi/2 on (n, +) and on (n+1, -), so F and G
-        # of the two branches agree; elsewhere their R differ by 2 arccos a - pi
+        # (0, 1): there R = pi n + pi/2 on (n, +) and on (n+1, -), so F, L and
+        # G of the two branches agree; elsewhere their R differ by 2 arccos a - pi
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp
         for rho in (0.05, 0.3, 0.5, 0.9, 0.999):
@@ -461,10 +514,36 @@ class TestBranchLemma:
                     y_a0 = mp.sqrt(1 / (1 - mp.mpf(rho)) ** 2 - 1)
                     plus, scale, _ = textbook_f(mp, n, 1, rho, y_a0)
                     assert abs(plus - textbook_f(mp, n + 1, -1, rho, y_a0)[0]) <= 1e-40 * scale
-                    assert abs(kernels.f_scalar(n + 1, rho, y) - plus) <= 1e-9 * scale
+                    want, l_scale, _ = textbook_l(mp, n + 1, rho, y_a0)
+                    assert abs(kernels.f_scalar(n + 1, rho, y) - want) <= 1e-9 * l_scale
                     for off in (0.5 * y, 2.0 * y):
                         acos_a, _ = _arccos_a(mp, mp.mpf(rho), mp.mpf(off))
                         assert abs(2 * acos_a - mp.pi) > 1e-3
+
+
+    def test_no_zero_of_m22_without_gain(self):
+        # lemma 3: for sigma <= 0 and chi = alpha k > 0 the upper-branch w has
+        # Re w >= 0 and Im w >= 0, so |1+w|^2 e^{Im X} > |1-w|^2 e^{-Im X}
+        # (X = 2 chi w, w != 0), and 4 w m22 e^{-2i chi} = (1+w)^2 e^{-iX} -
+        # (1-w)^2 e^{iX} is at least their difference in modulus.  Seeded
+        # draws: rho uniform in (-3, 3) or near 1, sigma = 0 or -10^u,
+        # chi log-uniform in 1e-6 ... 1e4
+        mpmath = pytest.importorskip("mpmath")
+        mp, rng = mpmath.mp, random.Random(16)
+        with mpmath.workdps(50):
+            for i in range(2000):
+                rho = 1.0 + rng.choice((1, -1)) * 10.0 ** rng.uniform(-12.0, 0.0) if i % 4 == 0 \
+                    else rng.uniform(-3.0, 3.0)
+                sigma = 0.0 if i % 5 == 0 else -(10.0 ** rng.uniform(-12.0, 3.0))
+                chi = mp.mpf(10.0 ** rng.uniform(-6.0, 4.0))
+                w = _upper_w(mp, mp.mpf(rho), mp.mpf(sigma))
+                assert w.real >= 0 and w.imag >= 0 and w != 0
+                x = 2 * chi * w
+                big = abs(1 + w) ** 2 * mp.exp(x.imag)
+                small = abs(1 - w) ** 2 * mp.exp(-x.imag)
+                m22 = (1 + w) ** 2 * mp.exp(-1j * x) - (1 - w) ** 2 * mp.exp(1j * x)
+                assert big > small, (rho, sigma, chi)
+                assert abs(m22) >= (big - small) * (1 - mp.mpf("1e-40")), (rho, sigma, chi)
 
 
 class TestHotPath:
@@ -488,7 +567,7 @@ class TestHotPath:
 
     def test_trace_curve_reuses_the_y_grid(self, counted):
         # the y pieces of the bracketing grid are built once, at import:
-        # a trace builds no YGrid and evaluates F once per rho sample
+        # a trace builds no YGrid and evaluates L once per rho sample
         built, points = counted
         assert trace_curve(B1, 0.7, 0.9, 3)
         assert built == [] and len(points) == 3
@@ -496,7 +575,7 @@ class TestHotPath:
         assert len(built) == 1
 
     def test_f_grid_sees_at_most_two_cells(self, counted):
-        # the enclosure leaves F to evaluate on at most two cells of _CELL
+        # the enclosure leaves L to evaluate on at most two cells of _CELL
         # grid steps (2 _CELL + 1 points) per sample for n = 2...50; wider
         # cells make the enclosure cheaper and this window larger
         built, points = counted
@@ -522,7 +601,7 @@ class TestRootPipeline:
 
     def test_brentq_follows_scipy_step_for_step(self):
         # same root to the bit and the same number of evaluations, on
-        # seeded brackets of F and on functions that force bisection,
+        # seeded brackets of L and on functions that force bisection,
         # extrapolation and non-convergence
         scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -654,7 +733,7 @@ def _cell_bounds(n, rho, cell, cells=_CELLS):
 
 
 def _full_grid_solve(branch, rho):
-    """solve_sigma with F evaluated on the whole grid: the oracle for the
+    """solve_sigma with L evaluated on the whole grid: the oracle for the
     window the enclosure leaves."""
     n = branch.n
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y), _Y_GRID.y,
@@ -702,28 +781,25 @@ class TestEnclosure:
            cell=st.one_of(st.integers(0, _CELLS.y.shape[1] - 1).map(lambda i: (_CELLS, i)),
                           st.integers(0, _DECADES.y.shape[1] - 1).map(lambda i: (_DECADES, i))),
            ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_f_lies_in_the_bounds(self, n, rho, cell, ts):
-        # F at 50 digits where x <= 350, and f_scalar everywhere, lie in each
-        # cell's bounds; where x > 350 f_scalar reads the sentinel -1e300,
-        # which lies above hi only where hi < -1e300.  The cells are those of
-        # _CELLS (cell 0 is [0, 1e-6]), and the decades below the grid down
-        # to 1e-300, _DECADES, all enclosed for one rho as _below_grid does
+    def test_l_lies_in_the_bounds(self, n, rho, cell, ts):
+        # L at 50 digits and f_scalar lie in each cell's bounds, also where x
+        # > 350 (where F read -1e300).  The cells are those of _CELLS (cell 0
+        # is [0, 1e-6]), and the decades below the grid down to 1e-300,
+        # _DECADES, all enclosed for one rho as _below_grid does
         mpmath = pytest.importorskip("mpmath")
         assume(rho < 1.0)
         cells, cell = cell
         y0, y1 = cells.y[:, cell]
         ys = [y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1) for t in ts]
-        # where den underflows, term1 overflows a double: there is no F to enclose
+        # where den underflows, term1 overflows a double: there is no L to enclose
         assume(kernels._den(rho, min(ys)) >= sys.float_info.min)
         bounds = _cell_bounds(n, rho, cell, cells)
         for y in ys:
             f = kernels.f_scalar(n, rho, y)
             with mpmath.workdps(50):
-                want, _, x = textbook_f(mpmath.mp, n, -1, rho, y)
+                want = textbook_l(mpmath.mp, n, rho, y)[0]
             for lo, hi in bounds:
-                assert lo <= f <= max(hi, -1e300), (y, lo, hi)
-                if x <= 350:
-                    assert lo <= want <= hi, (y, lo, hi)
+                assert lo <= f <= hi and lo <= want <= hi, (y, lo, hi)
 
     def test_cell_ends_lie_in_the_bounds(self):
         # the cells' ends are where the corner bounds are tightest
@@ -732,26 +808,22 @@ class TestEnclosure:
             for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
                 lo, hi = kernels.f_bounds(n, np.array([rho]), _CELLS)[0]
                 f = kernels.f_grid(n, rho, ys[:, 1:])
-                assert (lo[1:] <= f).all() and (f <= np.maximum(hi[1:], -1e300)).all()
+                assert (lo[1:] <= f).all() and (f <= hi[1:]).all()
 
     def test_margin_exceeds_rounding(self):
         # on cells of zero width [y, y] the bounds sit the margin (1e-9 of
-        # |term1| + sinh(x)^2/2) away from f_grid's value, far above the
-        # rounding error the two share; where f_grid reads -1e300, both
-        # bounds are below 0 and lo below -1e300
+        # X* + x) away from f_grid's value, far above the rounding error the
+        # two share, also where x > 350 (n = 3000 here); a margin of 0 fails
         ys = np.geomspace(1e-6, 1e6, 97)
         point_cells = kernels.YGrid([ys, ys])
         for n, rho in ((1, 0.7), (50, 0.999), (3000, 0.3)):
             lo, hi = kernels.f_bounds(n, np.array([rho]), point_cells)[0]
             f = kernels.f_grid(n, rho, ys)
-            s = np.sqrt(ys * ys + 1.0)
-            scale = 2.0 * (1.0 - rho) * (s + 1.0) / ((1.0 - rho) ** 2 * ys * ys + rho * rho) - f
-            real = f > -1e300
-            assert (f - lo >= 0.5e-9 * scale)[real].all() and (hi - f >= 0.5e-9 * scale)[real].all()
-            assert (lo[~real] < -1e300).all() and (hi[~real] < 0.0).all()
+            scale = _scale(rho, ys, f)
+            assert (f - lo >= 0.5e-9 * scale).all() and (hi - f >= 0.5e-9 * scale).all()
 
     def test_bounds_at_y_zero_for_rho_zero(self):
-        # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): F is unbounded
+        # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): L is unbounded
         # above there, and the cell [0, 1e-6] still excludes a root, also
         # where it is not the first cell
         moved = kernels.YGrid([[1e-3, 0.0], [1e-2, 1e-6]])
@@ -791,7 +863,7 @@ class TestEnclosure:
         # each row of an array rho excludes the cells its rho alone
         # excludes; a bound may differ in its last bit (numpy's vector loops
         # round differently for different layouts), far inside the width
-        # hi - lo >= 2e-9 (|term1| + sinh(x)^2/2) that the margin gives a cell
+        # hi - lo >= 2e-9 (X* + x) that the margin gives a cell
         traces = [(b.n, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
         for n, rhos in traces + [(2, _NEIGHBOURS)]:
             one_by_one, batched = _bounds_both_ways(n, rhos)
@@ -808,7 +880,7 @@ class TestEnclosure:
 
 
 class TestBlocks:
-    """trace_curve encloses F for _BLOCK slices at a time, on _CELLS."""
+    """trace_curve encloses L for _BLOCK slices at a time, on _CELLS."""
 
     def test_cells_cover_the_grid(self):
         # a width that does not divide the grid's steps (128 or 256) would
@@ -841,7 +913,7 @@ class TestBlocks:
     def test_trace_with_every_cell_excluded(self, monkeypatch):
         # no input found leaves every cell excluded (none of 800,000 random
         # rows over n, eps and rho did), so an enclosure that excludes every
-        # cell stands in: each slice is still solved, with no F evaluated
+        # cell stands in: each slice is still solved, with no L evaluated
         f_bounds, solved, grids = kernels.f_bounds, [], []
 
         def excluding(*args):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -37,13 +38,14 @@ def _bits(a):
 # gain_scan forms the same products, sums and quotients in the same order,
 # in place.
 def _expr_k(Om, omega):
-    u = (1 - Om / omega) * (1 + Om / omega)
+    u = (omega - Om) / omega * ((omega + Om) / omega)
     return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
 
 
 def _expr_rho_sigma(medium, Om, omega):
     d2 = omega**2 - medium.omega0**2
-    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * (1 - Om**2 / omega**2)
+    above_cutoff = (omega - Om) / omega * ((omega + Om) / omega)
+    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * above_cutoff
     return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den
 
 
@@ -133,7 +135,7 @@ class TestGeometry:
                               field: bad})
 
     def test_free_medium_rejected(self):
-        # omega_p^2 = 0 puts every omega at (rho, sigma) = (0, 0), where F is 0/0
+        # omega_p^2 = 0 puts every omega at (rho, sigma) = (0, 0), where L is 0/0
         with pytest.raises(ValueError):
             GainMedium(omega0=5.0, omega_p_sq=0.0, delta=1.25)
 
@@ -167,6 +169,23 @@ class TestRhoSigma:
         rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omegas)
         assert [(r, s) for r, s in zip(rho, sigma)] == \
             [_rho_sigma(MEDIUM, OM_1CM, float(om)) for om in omegas]
+
+    @pytest.mark.parametrize("gap", [3.5e-4, 1e-2, 1e-5, 1e-8])
+    def test_near_cutoff_matches_a_40_digit_map(self, gap):
+        # 1 - Omega^2/omega^2 is formed from omega - Omega, exact here, so rho
+        # and sigma keep their digits just above the cutoff: at omega/Omega -
+        # 1 = 3.5e-4 they are 7e-17 off, where the form 1 - Omega^2/omega^2
+        # was 1.1e-13 off and (1 - Omega/omega)(1 + Omega/omega) 9.8e-14
+        mpmath = pytest.importorskip("mpmath")
+        omega = OM_1CM * (1.0 + gap)
+        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omega)
+        with mpmath.workdps(40):
+            om, o0, wp2, d = (mpmath.mpf(v) for v in (omega, MEDIUM.omega0,
+                                                    MEDIUM.omega_p_sq, MEDIUM.delta))
+            d2 = om**2 - o0**2
+            den = (d2**2 + 4 * om**2 * d**2) * (1 - mpmath.mpf(OM_1CM) ** 2 / om**2)
+            for got, want in ((rho, wp2 * d2 / den), (sigma, -2 * om * wp2 * d / den)):
+                assert abs(got - want) <= 8 * sys.float_info.epsilon * abs(want), gap
 
     def test_floats_keep_the_doubles_of_the_expression_form(self):
         # the float path serves the design solver's polish and certification
@@ -203,6 +222,22 @@ class TestFindSingularities:
     def test_lossy_medium_has_no_singularities(self):
         lossy = GainMedium(omega0=5.0, omega_p_sq=0.04, delta=1.25)
         assert find_singularities(lossy, GEOM_1CM, 10000) == []
+
+    def test_lossy_medium_is_answered_before_any_grid(self, monkeypatch):
+        # lemma 3 in kernels: a lossy medium has sigma < 0 at every omega and
+        # so no design, and gets [] with no grid and no kernel call, also
+        # where its map from omega would overflow (3e76: exit 3 with gain);
+        # an empty window is still a CutoffError
+        calls = []
+        for name in ("f_grid", "f_scalar", "alpha_k", "f_bounds"):
+            monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(waveguide, "_rho_sigma", lambda *args: calls.append("_rho_sigma"))
+        for omega0 in (5.0, 3e76):
+            lossy = GainMedium(omega0=omega0, omega_p_sq=0.04, delta=1.25)
+            assert find_singularities(lossy, GEOM_1CM, 10000) == []
+        assert calls == []
+        with pytest.raises(CutoffError):
+            find_singularities(MEDIUM, WaveguideGeometry(beta=5.0), 2000)
 
     def test_only_beta_over_m_matters(self):
         other = WaveguideGeometry(beta=1e7, m=2)  # same 2 beta / m
@@ -254,13 +289,19 @@ class TestFindSingularities:
 
 
 def _one_array_grid(medium, geom, n, points):
-    """u, rho and F of find_singularities' grid, each computed on the whole grid
-    at once, F in the form that evaluates both sides of rho = 1 at every point."""
+    """u, rho and the locus function of find_singularities' grid, each
+    computed on the whole grid at once: L by one f_grid call where rho < 1,
+    and elsewhere F in the oracle's form for rho >= 1."""
     Om = geom.omega_cutoff
     us = np.linspace(math.log(Om * (1 + 1e-9) - Om), math.log(10.0 * medium.omega0 - Om), points)
     rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
+    y = sigma / (1.0 - rho)
+    below = rho < 1.0
+    locus = np.empty_like(rho)
+    locus[below] = kernels.f_grid(n, rho[below], y[below])
     with np.errstate(over="ignore"):
-        return us, rho, f_grid_both_sides(n, -1, rho, sigma / (1.0 - rho))
+        locus[~below] = f_grid_both_sides(n, -1, rho[~below], y[~below])
+    return us, rho, locus
 
 
 class TestDesignGridBlocks:
@@ -269,7 +310,7 @@ class TestDesignGridBlocks:
     @staticmethod
     def _grid_of(monkeypatch, *problem, **kwargs):
         """The designs, the (u, sign) grid find_singularities brackets its
-        roots on, and F as kernels.f_grid returned it, call after call."""
+        roots on, and L as kernels.f_grid returned it, call after call."""
         seen, returned = [], []
         grid_roots, f_grid = waveguide._grid_roots, kernels.f_grid
 
@@ -294,13 +335,13 @@ class TestDesignGridBlocks:
         geom = WaveguideGeometry(beta=beta)
         sols, (us, signs), f = self._grid_of(monkeypatch, MEDIUM, geom, n, grid_points=points)
         ref_us, rho, ref_g = _one_array_grid(MEDIUM, geom, n, points)
-        # f_grid returns F block by block, at the points below rho = 1 only
+        # f_grid returns L block by block, at the points below rho = 1 only
         below = rho < 1.0
         assert _bits(us) == _bits(ref_us) and _bits(f) == _bits(ref_g[below])
-        # at rho >= 1 the oracle's F (both sides' forms) is negative, the
-        # sign the grid takes there without evaluating F
+        # at rho >= 1 the oracle's F is negative, and so is L (lemma 2), the
+        # sign the grid takes there without evaluating either
         assert (ref_g[~below] < 0.0).all()
-        # one byte per point holds the sign of that F
+        # one byte per point holds the sign of the locus function
         assert signs.itemsize == 1 and signs.tolist() == np.sign(ref_g).tolist()
         # rho(omega) crosses 1 inside a block, which is then evaluated in part
         crossing = np.flatnonzero(np.diff(below))
@@ -313,20 +354,20 @@ class TestDesignGridBlocks:
         # the README problem: rho > 1 in the first block (no call), < 1 from
         # the third, and both in the second, whose points below 1 are evaluated
         sizes, f_grid = [], kernels.f_grid
+        rho = _one_array_grid(MEDIUM, GEOM_1CM, 2000, 20000)[1]
 
         def counted(n, rho, y):
             sizes.append(len(rho))
             return f_grid(n, rho, y)
         monkeypatch.setattr(kernels, "f_grid", counted)
         find_singularities(MEDIUM, GEOM_1CM, 2000)
-        rho = _one_array_grid(MEDIUM, GEOM_1CM, 2000, 20000)[1]
         below = np.count_nonzero(rho[waveguide.BLOCK:2 * waveguide.BLOCK] < 1.0)
         assert 0 < below < waveguide.BLOCK and (rho[:waveguide.BLOCK] >= 1.0).all()
         assert sizes == [below, *[waveguide.BLOCK] * 2, 20000 - 4 * waveguide.BLOCK]
 
     def test_no_kernel_sees_rho_at_or_above_1(self, monkeypatch):
-        # every kernel takes rho < 1: the grid evaluates F only there, and the
-        # polish reads F's sign -1 at rho >= 1 without evaluating it, also in
+        # every kernel takes rho < 1: the grid evaluates L only there, and the
+        # polish reads L's sign -1 at rho >= 1 without evaluating it, also in
         # the bracket of the README geometry at n = 1 that straddles rho = 1
         largest = {}  # kernel -> the largest rho it was given
         for name in ("f_grid", "f_scalar", "alpha_k"):
@@ -353,7 +394,7 @@ class TestDesignGridBlocks:
 
     def test_overflow_in_the_last_block_raises_before_any_polish(self, monkeypatch):
         # (omega^2 - omega0^2)^2 overflows only in the grid's top 0.4 %, past
-        # omega = 1.2e77 eV; F changes sign at every point of the other blocks,
+        # omega = 1.2e77 eV; L changes sign at every point of the other blocks,
         # so a polish before the last block is evaluated would show
         medium = GainMedium(omega0=3e76, omega_p_sq=-0.04, delta=1.25)
         blocks, polished = [], []
@@ -373,7 +414,7 @@ class TestDesignGridBlocks:
 
     def test_grid_temporaries_are_bounded_by_the_block(self, monkeypatch):
         # what the grid's evaluation leaves as its traced peak, beyond the u
-        # grid and F's signs themselves, is within 1.2x at 200,000 points of
+        # grid and L's signs themselves, is within 1.2x at 200,000 points of
         # its value at 20,000; evaluated in one piece it grew about tenfold
         def peak(points):
             def at_brackets(polish, f, xs, signs, *args):
@@ -391,8 +432,8 @@ class TestDesignGridBlocks:
         assert peak(200_000) <= 1.2 * peak(20_000)
 
     def test_whole_call_peak_grows_by_at_most_ten_bytes_per_point(self):
-        # the u grid (8 bytes a point) and F's signs (1 byte) are all that
-        # grows with the grid, bracketing included; an 8-byte F and four
+        # the u grid (8 bytes a point) and L's signs (1 byte) are all that
+        # grows with the grid, bracketing included; an 8-byte L and four
         # whole-grid masks grew it by about 18.5 bytes a point
         def peak(points):
             tracemalloc.start()
