@@ -150,7 +150,7 @@ def brentq(f, a, b):
                        f"value is {xcur!r}")
 
 
-def _grid_roots(polish, f, xs, signs, rel_tol, image=lambda x: x):
+def _grid_roots(polish, f, xs, signs):
     """Roots of f in ascending order, bracketed by the signs (-1, 0 or +1)
     of its values on the ascending grid xs.
 
@@ -159,18 +159,17 @@ def _grid_roots(polish, f, xs, signs, rel_tol, image=lambda x: x):
     profiled under its own name).  A zero closes a bracket on each side:
     ``brentq`` returns that end where f is exactly 0 there, and a bracket
     where f itself does not change sign (f is at its rounding noise) holds
-    no root and is dropped.  Roots are kept as image(x), an increasing map;
-    one within rel_tol (relative) of the root before it is a duplicate.
+    no root and is dropped.  Two brackets share at most one end, so a root
+    equal to the one before it is the only duplicate, and is kept once.
     """
     roots = []
     for i in np.flatnonzero(signs[:-1] != signs[1:]):
         try:
-            r = image(polish(f, xs[i], xs[i + 1]))
+            r = polish(f, xs[i], xs[i + 1])
         except NoSignChange:
             continue
-        if roots and abs(r - roots[-1]) <= rel_tol * abs(r):
-            continue
-        roots.append(r)
+        if not roots or r != roots[-1]:
+            roots.append(r)
     return roots
 
 
@@ -257,7 +256,7 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     if window is None:
         return []
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y),
-                        window.y, np.sign(kernels.f_grid(n, rho, window)), 1e-6)
+                        window.y, np.sign(kernels.f_grid(n, rho, window)))
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
     return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
                           for y in roots) if pt is not None]

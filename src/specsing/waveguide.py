@@ -171,11 +171,12 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     call per block (none for a block wholly at rho >= 1); every design has
     rho < 1.  Where den underflows, L is +inf, its true sign.  The window is
     checked once, here, on every block before any root is polished: it must
-    be non-empty (CutoffError), and the map from omega to (rho, sigma) must
-    evaluate on its grid without overflow, division by zero or NaN
-    (OverflowError otherwise, as where omega0^2 or 10 omega0 exceeds a
-    double).  Every polish step and every root lies inside the grid, so
-    none is checked again.
+    be non-empty (CutoffError), and rho, sigma, y = sigma/(1-rho) and L's
+    denominator den must evaluate on its grid without overflow, division by
+    zero or NaN (OverflowError otherwise, as where omega0^2 or 10 omega0
+    exceeds a double, or where den overflows and f_grid would read L = -x).
+    Every polish step and every root lies inside the grid, so none is
+    checked again.
     """
     branch = BranchLabel(n=n)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
@@ -192,25 +193,24 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
             block = slice(start, start + BLOCK)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us[block]))
-            below = rho < 1.0
-            if below.any():
+                below = rho < 1.0
                 rho = rho[below]
+                y = sigma[below] / (1.0 - rho)
+                kernels._den(rho, y)  # f_grid would read L = -x where it overflows
+            if below.any():
                 with np.errstate(over="ignore", divide="ignore"):  # L = +inf where den underflows
-                    signs[block][below] = np.sign(kernels.f_grid(n, rho, sigma[below] / (1.0 - rho)))
+                    signs[block][below] = np.sign(kernels.f_grid(n, rho, y))
     except (FloatingPointError, OverflowError):  # numpy's, or a float power's
-        raise OverflowError(f"the map from omega to (rho, sigma) does not fit in a "
-                            f"double on the window ({lo}, {hi}) eV") from None
-
-    def omega_of(u):
-        return Om + math.exp(u)
+        raise OverflowError(f"the map from omega to (rho, sigma) or L's denominator does not "
+                            f"fit in a double on the window ({lo}, {hi}) eV") from None
 
     def mismatch(u):
-        r_, s_ = _rho_sigma(medium, Om, omega_of(u))
+        r_, s_ = _rho_sigma(medium, Om, Om + math.exp(u))
         return kernels.f_scalar(n, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
-    roots = _grid_roots(brentq, mismatch, us, signs, 1e-9, omega_of)
     found = []  # (omega, k, certified locus point)
-    for om in roots:
+    for u in _grid_roots(brentq, mismatch, us, signs):
+        om = Om + math.exp(u)
         r_, s_ = _rho_sigma(medium, Om, om)
         k = _k(Om, om)
         if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)):

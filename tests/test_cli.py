@@ -757,6 +757,18 @@ def test_tiny_coupling_in_a_process_has_no_design_and_no_warning(tmp_path, comma
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_NO_SOLUTIONS, "", "")
 
 
+def test_overflowing_denominator_in_a_process_is_one_error_line(tmp_path):
+    # omega_p^2 = -1e200, delta = 1e-300: den = (1-rho)^2 y^2 + rho^2
+    # overflows wherever rho < 1 on the grid, where L would read -x
+    config = tmp_path / "huge.cfg"
+    config.write_text("omega_p_sq_eV2 = -1e200\ndelta_eV = 1e-300\n")
+    proc = subprocess.run([sys.executable, "-m", "specsing.cli", "design", "--n", "2000",
+                           "--config", str(config)], capture_output=True,
+                          env=_process_env(), text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("span", ["1e308", "8e307", "-1e308"])
 def test_huge_span_in_a_process_is_one_error_line(span):
     # the grid's width 2 span overflows (+-1e308), or omega = ratio omega_s

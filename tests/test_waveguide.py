@@ -271,6 +271,17 @@ class TestFindSingularities:
         with pytest.raises(CutoffError):
             find_singularities(MEDIUM, geom, 2000)
 
+    def test_overflowing_denominator_raises_before_any_polish(self, monkeypatch):
+        # 1 - rho >= 4e196 at every grid point below rho = 1, so den = (1-rho)^2
+        # y^2 + rho^2 overflows there and f_grid would read L = -x, where at
+        # rho = -1.87e201, y = 1.87e-298 a 60-digit L is +4.6e-101
+        medium = GainMedium(omega0=5.0, omega_p_sq=-1e200, delta=1e-300)
+        polished = []
+        monkeypatch.setattr(waveguide, "brentq", lambda f, a, b: polished.append((a, b)))
+        with pytest.raises(OverflowError, match="L's denominator does not fit in a double"):
+            find_singularities(medium, GEOM_1CM, 2000)
+        assert polished == []
+
     # the problems behind the 17 designs of Tables 1 (2 beta/m = 1 um, 1 mm,
     # 1 cm at n = 10000) and 2 (1 cm at n = 2000...5000), where n = 2000 at
     # 1 cm is also the README's design example
