@@ -1,5 +1,5 @@
 """The reduction of m22 = 0 to L(n; rho, y) = 0, the only place it is
-written: the locus function L, its enclosure and G = alpha*k at a root.
+written: L, an enclosure of the branch index nu and G = alpha*k at a root.
 
     L = X* - x,   X* = asinh sqrt(2 term1),   x = y R / (s + 1),   R = pi n - arccos a,
 
@@ -44,25 +44,27 @@ helpers ``_num_a``, ``_sin2_a`` and ``_term1`` state the stable forms once,
 with augmented assignment, so the same lines serve floats (``f_scalar``,
 ``alpha_k``) and arrays, updated in place (``f_grid``, with rho and y
 broadcast).  The two paths differ by numpy's and libm's last-place atan2
-and asinh.  ``f_bounds`` encloses L on cells [y0, y1], 0 <= y0 <= y1, in
-the sense of interval analysis (Moore, Kearfott & Cloud, Introduction to
-Interval Analysis, SIAM 2009): every piece of L is monotone in y, so the
-helpers at the cells' ends bound it, widened by a relative margin.  A cell
-whose bounds exclude 0 holds no root of L and no sign change of f_grid.
+and asinh.  ``f_bounds`` encloses the n-free branch index nu = ((s+1)/y X*
++ arccos a)/pi, whose level set nu = n is the branch (n, -) (nu - n = (s+1)
+L/(pi y)), on cells [y0, y1], 0 <= y0 <= y1, in the sense of interval
+analysis (Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM
+2009): every piece of nu is monotone in y, so the helpers at the cells'
+ends bound it, widened by a relative margin.  A cell whose bounds exclude n
+holds no root of L and no sign change of f_grid on the branch (n, -), and
+one call serves every n.
 """
 
 import math
-import sys
 
 import numpy as np
 
 __all__ = ["YGrid", "alpha_k", "f_bounds", "f_grid", "f_scalar"]
 
-#: outward margin of f_bounds, relative to each of X* and x; f_grid's error
-#: against a 50-digit L is tested below a few ulps of X* + x
+#: outward margin of f_bounds, relative to nu; f_grid's error against a
+#: 50-digit L is tested below a few ulps of X* + x
 _MARGIN = 1e-9
-#: the factors that move a piece rising with y outward at rows [y0; y1]
-_OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
+#: the factors that move the bounds [lo; hi] on pi nu outward and divide by pi
+_OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]]) / math.pi
 
 
 class YGrid:
@@ -167,50 +169,42 @@ def f_grid(n, rho, y):
     return f
 
 
-def f_bounds(n, rho, cells):
-    """Bounds lo <= L <= hi on each of ``cells``, for rho < 1 and n >= 1.
+def f_bounds(rho, cells):
+    """Bounds lo <= nu <= hi on each of ``cells``, for rho < 1.
 
+    nu = ((s+1)/y X* + theta)/pi, with theta = arccos a = atan2(S, num_a),
+    is the branch index at which L vanishes: nu - n = (s+1) L/(pi y), so a
+    cell holds a root of L on the branch (n, -) only where lo <= n <= hi.
     ``cells`` is a YGrid of two rows, y0 and y1, with one column per cell
     [y0, y1], 0 <= y0 <= y1: neighbouring, nested or of zero width.  rho is
     a 1-d array.  The bounds have shape (rho.size, 2, cells): for rho[i],
-    rows lo and hi with one column per cell.  A row's masks lo > 0 and hi <
-    0 are those of its rho alone (a bound may differ in its last bit, where
+    rows lo and hi with one column per cell.  A row's masks n < lo and n >
+    hi are those of its rho alone (a bound may differ in its last bit, where
     numpy's vector loops round differently for different layouts).
 
-    On y >= 0, S, y/(s+1), s + 1, den and C = -num_a rise with y.  As S >=
-    0, atan2(S, C) falls with C and is monotone in S at fixed C, so R takes
-    its extremes at the cell's corners, x lies in [R_lo y0/(s0+1), R_hi
-    y1/(s1+1)], term1 in [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0] and L in
-    [X*_lo - x_hi, X*_hi - x_lo].  As sinh^2 is monotone, these exclude (in
-    exact arithmetic) the cells that the same bounds on term1 - sinh(x)^2/2
-    exclude.  X* and x are moved outward by the relative margin _MARGIN,
-    far above f_grid's rounding error (on term1 it would move a large X*
-    only by about _MARGIN/(2 X*)), so a cell with lo > 0 or hi < 0 holds no
-    root and no sign change of f_grid.  Where y0 = 0 and rho^2 is below the
-    normal range, den0 is 0 or inexact and hi is +inf; where den1
-    underflows, lo is +inf, and the cell is excluded without a warning.
+    On y > 0, S and den rise with y, and num_a and (s+1)/y fall.  As S >= 0,
+    theta rises as num_a falls and is monotone in S at fixed num_a, so it
+    takes its extremes at the cell's corners; term1 lies in
+    [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0] and nu in [((s1+1)/y1 X*_lo +
+    theta_lo)/pi, ((s0+1)/y0 X*_hi + theta_hi)/pi].  Both terms are >= 0, so
+    the relative margin _MARGIN on nu, far above f_grid's rounding error,
+    covers both: a cell with n < lo or n > hi holds no root and no sign
+    change of f_grid(n, ...).  At y0 = 0, (s0+1)/y0 = +inf makes hi = +inf;
+    where den1 underflows, lo is +inf, and the cell is excluded without a
+    warning.
     """
     rho = rho[:, None, None]  # a row of cell ends per rho
     down = np.s_[..., ::-1, :]  # rows [y1; y0] of the same pieces
     sin_a = _sin2_a(rho, cells.y, cells.sp)
     np.sqrt(sin_a, out=sin_a)
-    c = _num_a(rho, cells.s, cells.sm)
-    np.negative(c, out=c)
-    x = np.arctan2(sin_a[down], c)  # the corners (S1, C_lo) and (S0, C_hi)
-    other = np.arctan2(sin_a, c)  # (S0, C_lo) and (S1, C_hi)
-    hi, lo = x[..., 0, :], x[..., 1, :]
-    np.maximum(hi, other[..., 0, :], out=hi)
-    np.minimum(lo, other[..., 1, :], out=lo)
-    x += math.pi * (n - 1)  # R_hi, R_lo
-    x *= (cells.y / cells.sp * _OUTWARD)[down]  # x_hi, x_lo
-    den = _den(rho, cells.y[down])
-    den0 = den[..., 1, :]
-    unbounded = den0 < sys.float_info.min  # y0 = 0 with rho^2 below the normal range
-    den0[unbounded] = 1.0
-    with np.errstate(divide="ignore", over="ignore"):  # lo = +inf where den1 underflows
-        bounds = _term1(rho, cells.sp, den)  # (sp0, den1), (sp1, den0)
-        bounds[..., 1, :][unbounded] = math.inf
-        _x_star(bounds)
-    bounds *= _OUTWARD  # X*_lo, X*_hi
-    bounds -= x
-    return bounds
+    num_a = _num_a(rho, cells.s, cells.sm)
+    theta = np.arctan2(sin_a, num_a)  # the corners (S0, num_a0) and (S1, num_a1)
+    other = np.arctan2(sin_a[down], num_a)  # (S1, num_a0) and (S0, num_a1)
+    np.minimum(theta[..., 0, :], other[..., 0, :], out=theta[..., 0, :])  # theta_lo
+    np.maximum(theta[..., 1, :], other[..., 1, :], out=theta[..., 1, :])  # theta_hi
+    with np.errstate(divide="ignore", over="ignore"):  # +inf at y0 = 0 and where den1 underflows
+        nu = _x_star(_term1(rho, cells.sp, _den(rho, cells.y[down])))  # X*_lo, X*_hi
+        nu *= (cells.sp / cells.y)[down]
+    nu += theta
+    nu *= _OUTWARD
+    return nu

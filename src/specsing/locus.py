@@ -13,11 +13,11 @@ RESIDUAL_TOL are reported.
 L and G are computed only in `kernels`, with the stable rewrites of the
 terms that cancel for small y; this module brackets, polishes and certifies
 the roots of L.  A root is bracketed on a fixed y grid, but L is evaluated
-only where an enclosure of L on coarse cells of that grid
-(`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps) cannot rule
-a root out, and below the grid down to the first decade [0, 1e-6 10^-d] it
-rules out.  `trace_curve` encloses L for 64 rho slices in one `f_bounds`
-call, then solves each slice in its window.
+only where an enclosure of the n-free branch index nu on coarse cells of
+that grid (`kernels.f_bounds`: [0, 1e-6], then 30 cells of 160 grid steps)
+cannot rule n, and so a root, out, and below the grid down to the first
+decade [0, 1e-6 10^-d] it rules out.  `trace_curve` encloses nu for 64 rho
+slices in one `f_bounds` call, then solves each slice in its window.
 """
 
 import math
@@ -46,7 +46,7 @@ _Y_GRID = kernels.YGrid(np.geomspace(1e-6, 1e6, 12 * _PER_DECADE + 1))
 #: lowest rho searched: den = (1-rho)^2 y^2 + rho^2 <= 2 (1-rho)^2 y^2 (y >= 1,
 #: rho <= 1/2) stays below the largest double up to the grid's top end
 _RHO_MIN = 1.0 - math.sqrt(sys.float_info.max / 2.0) / float(_Y_GRID.y[-1])
-#: cells on which L is enclosed, a YGrid of rows y0 and y1 with one column
+#: cells on which nu is enclosed, a YGrid of rows y0 and y1 with one column
 #: per cell: [0, 1e-6], then the grid in steps of _CELL points (_CELL
 #: divides the grid's 4,800 steps, so the cells end at 1e6)
 _CELL = 160
@@ -192,10 +192,11 @@ def _certify(residual, branch, rho, sigma, y, k=1.0):
 
 
 def _excluded(n, rhos, cells):
-    """Cells where the enclosure of L excludes a root (NaN bounds exclude
-    nothing), one row per element of the array rhos."""
-    bounds = kernels.f_bounds(n, rhos, cells)
-    return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
+    """Cells where the enclosure of the branch index nu excludes n, and so a
+    root of L (NaN bounds exclude nothing), one row per element of the array
+    rhos."""
+    bounds = kernels.f_bounds(rhos, cells)
+    return (n < bounds[..., 0, :]) | (n > bounds[..., 1, :])
 
 
 def _windows(n, rhos):
@@ -240,7 +241,7 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     """All certified sigma > 0 singularity points above rho, sorted by sigma.
 
     Roots of L are bracketed on a geometric y grid, in the window of it that
-    the enclosure of L leaves open (``_windows``), and polished by Brent's
+    the enclosure of nu leaves open (``_windows``), and polished by Brent's
     method to relative 1e-14; each candidate is then certified against the
     barrier residual, which weeds out spurious zeros of L (including the
     double-precision noise roots in the far L -> 0 tails).  The brackets are

@@ -16,7 +16,8 @@ its overflow sentinel and the forms for rho >= 1 and eps = +1),
 ``wavefunction_profile`` builds psi from the package's amplitudes
 (``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
 than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
-of the trig identities.
+of the trig identities.  ``CAPPED_DESIGN`` is a reference input, not an
+oracle: a design as frozen doubles whose scan has a capped row.
 """
 
 import math
@@ -26,7 +27,8 @@ import numpy as np
 from specsing.barrier import _NUMPY, _check_k, transfer_matrix
 from specsing.kernels import YGrid, _den, _num_a, _sin2_a, _term1
 from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
-from specsing.waveguide import permittivity
+from specsing.locus import BranchLabel
+from specsing.waveguide import SingularitySolution, permittivity
 
 
 class NumericalDegeneracyError(ArithmeticError):
@@ -253,3 +255,16 @@ def r_of(rho, y, alpha_k):
         raise ValueError("rho = 1")
     s = math.sqrt(y * y + 1.0)
     return alpha_k * math.sqrt(2.0 * abs(1.0 - rho) * (s + 1.0))
+
+
+#: the ell = 2 design of n = 10000 in the medium (omega0, omega_p^2, delta) =
+#: (5, -0.04, 1.25) eV at 2 beta/m = 1 cm, as the solver gave it, frozen: at
+#: its omega m~22 rounds to exactly 0, so the scan row at ratio 1 is capped.
+#: One ulp more of omega leaves no row of a 21-point scan capped, so a test
+#: that needs a capped row takes these doubles, not the solver's
+CAPPED_DESIGN = SingularitySolution(
+    branch=BranchLabel(n=10000), ell=2, omega=2.1554773389535136, k=0.010923378717358911,
+    alpha=1439323.6093751006, lam=575.2052974777915,
+    epsilon=(0.998163500968723-0.0004862125505264838j),
+    refractive_index=(0.9990813581376236-0.00024332980821142896j), residual=0.0,
+    rho_star=0.0018364990327961296, sigma_star=0.00048621255092865597)

@@ -711,31 +711,36 @@ class TestRootPipeline:
         assert _certify(lambda spec, k: math.nan, B1, p.rho, p.sigma, p.y) is None
 
 
-#: rows an array rho puts around each tested one: rho = 0 and 1e-170, whose
-#: bounds are unbounded at y = 0, among ordinary rows
+#: rows an array rho puts around each tested one: rho = 0 and 1e-170, where
+#: den = rho^2 is 0 or below the normal range at y = 0, among ordinary rows
 _NEIGHBOURS = (0.45, 0.0, -2.5, 1e-170)
 
 
-def _bounds_both_ways(n, rhos, cells=_CELLS):
-    """The enclosure on cells for each of rhos, (len(rhos), 2, cells), from
-    a one-element array per call and from one array of rhos among
-    _NEIGHBOURS rows."""
-    one_by_one = np.concatenate([kernels.f_bounds(n, np.array([rho]), cells)
-                                 for rho in rhos])
+def _bounds_both_ways(rhos, cells=_CELLS):
+    """The enclosure of nu on cells for each of rhos, (len(rhos), 2,
+    cells), from a one-element array per call and from one array of rhos
+    among _NEIGHBOURS rows."""
+    one_by_one = np.concatenate([kernels.f_bounds(np.array([rho]), cells) for rho in rhos])
     rows = np.array([r for rho in rhos for r in (*_NEIGHBOURS[:3], rho, _NEIGHBOURS[3])])
-    batched = kernels.f_bounds(n, rows, cells)[3::len(_NEIGHBOURS) + 1]
+    batched = kernels.f_bounds(rows, cells)[3::len(_NEIGHBOURS) + 1]
     return one_by_one, batched
 
 
-def _mask(bounds):
-    """The cells that bounds (rows lo, hi on axis -2) exclude."""
-    return (bounds[..., 0, :] > 0.0) | (bounds[..., 1, :] < 0.0)
+def _mask(n, bounds):
+    """The cells where bounds (rows lo, hi on axis -2) exclude n."""
+    return (n < bounds[..., 0, :]) | (n > bounds[..., 1, :])
 
 
-def _cell_bounds(n, rho, cell, cells=_CELLS):
+def _cell_bounds(rho, cell, cells=_CELLS):
     """(lo, hi) of the enclosure on column ``cell`` of cells, from rho alone
     and from rho among other rows."""
-    return [bounds[0, :, cell] for bounds in _bounds_both_ways(n, [rho], cells)]
+    return [bounds[0, :, cell] for bounds in _bounds_both_ways([rho], cells)]
+
+
+def _nu(n, y, l):
+    """The branch index nu = n + (s+1) L/(pi y) at L = l on the branch (n,
+    -): the level of the n-free function nu at y, in floats."""
+    return n + (np.sqrt(y * y + 1.0) + 1.0) * l / (math.pi * y)
 
 
 def _full_grid_solve(branch, rho):
@@ -787,11 +792,12 @@ class TestEnclosure:
            cell=st.one_of(st.integers(0, _CELLS.y.shape[1] - 1).map(lambda i: (_CELLS, i)),
                           st.integers(0, _DECADES.y.shape[1] - 1).map(lambda i: (_DECADES, i))),
            ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    def test_l_lies_in_the_bounds(self, n, rho, cell, ts):
-        # L at 50 digits and f_scalar lie in each cell's bounds, also where x
-        # > 350 (where F read -1e300).  The cells are those of _CELLS (cell 0
-        # is [0, 1e-6]), and the decades below the grid down to 1e-300,
-        # _DECADES, all enclosed for one rho as _below_grid does
+    def test_nu_lies_in_the_bounds(self, n, rho, cell, ts):
+        # nu = n + (s+1) L/(pi y) from L at 50 digits and from f_scalar lies
+        # in each cell's bounds, also where x > 350 (where F read -1e300).
+        # The cells are those of _CELLS (cell 0 is [0, 1e-6]), and the
+        # decades below the grid down to 1e-300, _DECADES, all enclosed for
+        # one rho as _below_grid does
         mpmath = pytest.importorskip("mpmath")
         assume(rho < 1.0)
         cells, cell = cell
@@ -799,43 +805,49 @@ class TestEnclosure:
         ys = [y1 * max(t, 1e-3) if y0 == 0.0 else min(y0 * (y1 / y0) ** t, y1) for t in ts]
         # where den underflows, term1 overflows a double: there is no L to enclose
         assume(kernels._den(rho, min(ys)) >= sys.float_info.min)
-        bounds = _cell_bounds(n, rho, cell, cells)
+        bounds = _cell_bounds(rho, cell, cells)
         for y in ys:
             f = kernels.f_scalar(n, rho, y)
             with mpmath.workdps(50):
-                want = textbook_l(mpmath.mp, n, rho, y)[0]
+                mp = mpmath.mp
+                scale = (mp.sqrt(mp.mpf(y) ** 2 + 1) + 1) / (mp.pi * y)
+                want = n + scale * textbook_l(mp, n, rho, y)[0]
+                got = n + scale * f
             for lo, hi in bounds:
-                assert lo <= f <= hi and lo <= want <= hi, (y, lo, hi)
+                assert lo <= got <= hi and lo <= want <= hi, (y, lo, hi)
 
     def test_cell_ends_lie_in_the_bounds(self):
-        # the cells' ends are where the corner bounds are tightest
-        ys = _CELLS.y
-        for n in (1, 2, 7, 50, 400, 3000):
-            for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
-                lo, hi = kernels.f_bounds(n, np.array([rho]), _CELLS)[0]
-                f = kernels.f_grid(n, rho, ys[:, 1:])
-                assert (lo[1:] <= f).all() and (f <= hi[1:]).all()
+        # the cells' ends are where the corner bounds are tightest; one
+        # enclosure of nu serves every n
+        ys = _CELLS.y[:, 1:]
+        for rho in (-2.5, 0.01, 0.3, 0.7, 0.99, 1 - 1e-9):
+            lo, hi = kernels.f_bounds(np.array([rho]), _CELLS)[0, :, 1:]
+            for n in (1, 2, 7, 50, 400, 3000):
+                nu = _nu(n, ys, kernels.f_grid(n, rho, ys))
+                assert (lo <= nu).all() and (nu <= hi).all()
 
     def test_margin_exceeds_rounding(self):
         # on cells of zero width [y, y] the bounds sit the margin (1e-9 of
-        # X* + x) away from f_grid's value, far above the rounding error the
-        # two share, also where x > 350 (n = 3000 here); a margin of 0 fails
+        # nu) away from the nu of f_grid's value, far above the rounding
+        # error the two share, also where x > 350 (n = 3000 here); a margin
+        # of 0 fails
         ys = np.geomspace(1e-6, 1e6, 97)
         point_cells = kernels.YGrid([ys, ys])
         for n, rho in ((1, 0.7), (50, 0.999), (3000, 0.3)):
-            lo, hi = kernels.f_bounds(n, np.array([rho]), point_cells)[0]
-            f = kernels.f_grid(n, rho, ys)
-            scale = _scale(rho, ys, f)
-            assert (f - lo >= 0.5e-9 * scale).all() and (hi - f >= 0.5e-9 * scale).all()
+            lo, hi = kernels.f_bounds(np.array([rho]), point_cells)[0]
+            nu = _nu(n, ys, kernels.f_grid(n, rho, ys))
+            assert (nu - lo >= 0.5e-9 * nu).all() and (hi - nu >= 0.5e-9 * nu).all()
 
-    def test_bounds_at_y_zero_for_rho_zero(self):
-        # den = 0 at y = 0 when rho = 0 (or rho^2 underflows): L is unbounded
-        # above there, and the cell [0, 1e-6] still excludes a root, also
-        # where it is not the first cell
+    def test_bounds_at_y_zero(self):
+        # (s+1)/y = +inf at y = 0 makes hi = +inf with no warning (for every
+        # rho: test_array_rho_gives_the_one_row_masks), also where den =
+        # rho^2 is 0 there (rho = 0) or below the normal range (1e-170); the
+        # cell [0, 1e-6] still excludes n = 2 there, also where it is not the
+        # first cell
         moved = kernels.YGrid([[1e-3, 0.0], [1e-2, 1e-6]])
         for rho in (0.0, 1e-170):
-            for lo, hi in _cell_bounds(2, rho, 0) + _cell_bounds(2, rho, 1, moved):
-                assert hi == math.inf and lo > 0.0
+            for lo, hi in _cell_bounds(rho, 0) + _cell_bounds(rho, 1, moved):
+                assert hi == math.inf and lo > 2.0
 
     def test_cell_where_den_underflows_is_excluded_without_a_warning(self):
         # on [0, 1e-300] den underflows at both ends for rho = 0 (and is
@@ -843,46 +855,64 @@ class TestEnclosure:
         # excluded; RuntimeWarnings are errors in this suite
         cell = kernels.YGrid([[0.0], [1e-300]])
         for rho in (0.0, 1e-170):
-            (lo,), (hi,) = kernels.f_bounds(1, np.array([rho]), cell)[0]
+            (lo,), (hi,) = kernels.f_bounds(np.array([rho]), cell)[0]
             assert lo == hi == math.inf
+            assert _excluded(1, np.array([rho]), cell).all()
 
     def test_excluded_cells_hold_no_sign_change(self):
         # on the full grid, every cell the enclosure excludes keeps one sign
-        # (each rho alone, and an array of a trace's rhos, give the bounds)
+        # (each rho alone, and an array of a trace's rhos, give the bounds):
+        # L > 0 where n < lo, L < 0 where n > hi
         cells = (np.arange(1, _CELLS.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
         for branch, rho_min, rho_max in _seeded_traces():
             n = branch.n
             rhos = _slices(rho_min, rho_max, 15)
-            both_ways = _bounds_both_ways(n, rhos)
+            both_ways = _bounds_both_ways(rhos)
             for i, rho in enumerate(rhos):
                 f = kernels.f_grid(n, rho, _Y_GRID)[cells]
                 for bounds in both_ways:
                     lo, hi = bounds[i, :, 1:]
-                    assert (f[lo > 0.0] > 0.0).all() and (f[hi < 0.0] < 0.0).all()
+                    assert (f[n < lo] > 0.0).all() and (f[n > hi] < 0.0).all()
                 assert _excluded(n, np.array([rho]), _CELLS)[0, 0]  # no root below the grid here
+
+    def test_one_block_enclosure_serves_every_n(self):
+        # one f_bounds call on a block of slices from rho = -3 to 1 - 1e-12:
+        # for each n, no cell excluded for n holds a sign change of f_grid(n,
+        # ...), on the grid's points of each cell and on [0, 1e-6] sampled
+        # at 10 points a decade down to 1e-300
+        rhos = _slices(-3.0, 1 - 1e-12, _BLOCK)
+        bounds = kernels.f_bounds(np.array(rhos), _CELLS)
+        grid_cells = (np.arange(1, _CELLS.y.shape[1])[:, None] - 1) * _CELL + np.arange(_CELL + 1)
+        below = np.geomspace(1e-300, _Y_GRID.y[0], 2941)
+        for n in (1, 2, 7, 50, 700000):
+            above, under = n < bounds[:, 0], n > bounds[:, 1]
+            for i, rho in enumerate(rhos):
+                f = [kernels.f_grid(n, rho, below), *kernels.f_grid(n, rho, _Y_GRID)[grid_cells]]
+                assert all((f[j] > 0.0).all() for j in np.flatnonzero(above[i]))
+                assert all((f[j] < 0.0).all() for j in np.flatnonzero(under[i]))
+            # cells are excluded on both sides of every level n
+            assert above.any() and under.any()
 
     def test_solve_sigma_matches_the_full_grid(self):
         for branch, rho in _seeded_slices():
             assert solve_sigma(branch, rho) == _full_grid_solve(branch, rho)
 
     def test_array_rho_gives_the_one_row_masks(self):
-        # each row of an array rho excludes the cells its rho alone
-        # excludes; a bound may differ in its last bit (numpy's vector loops
-        # round differently for different layouts), far inside the width
-        # hi - lo >= 2e-9 (X* + x) that the margin gives a cell
+        # each row of an array rho excludes, for each n, the cells its rho
+        # alone excludes; a bound may differ in its last bit (numpy's vector
+        # loops round differently for different layouts), far inside the
+        # width hi - lo >= 2e-9 nu that the margin gives a cell
         traces = [(b.n, _slices(lo, hi, 15)) for b, lo, hi in _seeded_traces()]
         for n, rhos in traces + [(2, _NEIGHBOURS)]:
-            one_by_one, batched = _bounds_both_ways(n, rhos)
-            assert np.array_equal(_mask(batched), _mask(one_by_one))
+            one_by_one, batched = _bounds_both_ways(rhos)
+            assert np.array_equal(_mask(n, batched), _mask(n, one_by_one))
             assert np.array_equal(np.isinf(batched), np.isinf(one_by_one))
             batched, one_by_one = (np.where(np.isinf(b), 0.0, b) for b in (batched, one_by_one))
-            width = np.abs(one_by_one).sum(axis=1, keepdims=True)
-            assert (np.abs(batched - one_by_one) <= 1e-6 * width).all()
-        # only the rows rho = 0 and 1e-170 are unbounded, at y = 0
-        batched = _bounds_both_ways(2, _NEIGHBOURS)[1]
-        unbounded = [rho in (0.0, 1e-170) for rho in _NEIGHBOURS]
-        assert list(np.isinf(batched[:, 1, 0])) == unbounded
-        assert np.count_nonzero(np.isinf(batched)) == sum(unbounded)
+            assert (np.abs(batched - one_by_one) <= 1e-12 * one_by_one).all()
+        # only the cell [0, 1e-6] is unbounded, above, in every row
+        batched = _bounds_both_ways(_NEIGHBOURS)[1]
+        assert np.isinf(batched[:, 1, 0]).all()
+        assert np.count_nonzero(np.isinf(batched)) == len(_NEIGHBOURS)
 
 
 class TestBlocks:
@@ -924,7 +954,7 @@ class TestBlocks:
 
         def excluding(*args):
             bounds = f_bounds(*args)
-            bounds[..., 0, :] = 1.0
+            bounds[..., 0, :] = math.inf
             return bounds
 
         def counted_solve(*args, **kwargs):
