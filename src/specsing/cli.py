@@ -238,7 +238,7 @@ def _solution_record(sol):
 
 
 def _solve_design(args, cfg):
-    ell = getattr(args, "ell", None)
+    ell = args.ell
     if ell is not None and ell < 1:  # labels count from 1
         raise CliError(f"ell must be >= 1, got {ell}")
     medium, geom = medium_geometry(cfg)

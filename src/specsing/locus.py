@@ -6,9 +6,9 @@ L(n; rho, y) = asinh sqrt(2 term1) - y R/(s+1) = 0, one per branch (n, -),
 n >= 1; G(n; rho, y) gives alpha*k at a root.  By lemmas 1-3 in `kernels`
 these branches hold every singularity, none at rho >= 1 (L < 0 there) and
 none at sigma <= 0, so only rho < 1 and y >= 0, where the kernels are
-written, are searched.  Candidate roots are certified by the barrier
-residual on a concrete (k, alpha, z); only points whose residual is below
-RESIDUAL_TOL are reported.
+written, are searched.  Every candidate, on the curve and the design path
+alike, is certified where it was found, at k = 1 by the barrier residual of
+alpha = G, z = rho + i sigma, below RESIDUAL_TOL.
 
 L and G are computed only in `kernels`, with the stable rewrites of the
 terms that cancel for small y; this module brackets, polishes and certifies
@@ -173,18 +173,19 @@ def _grid_roots(polish, f, xs, signs):
     return roots
 
 
-def _certify(residual, branch, rho, sigma, y, k=1.0):
+def _certify(residual, branch, rho, y):
     """The locus point (rho, sigma = (1-rho) y) of branch if it certifies, else None.
 
-    It is realized at wave number k as alpha = G/k, z = k^2 (rho + i sigma)
-    and certifies if alpha > 0 and the barrier residual there, computed by
-    ``residual`` (the caller's binding of m22_residual), is below
-    RESIDUAL_TOL.
+    It certifies if G = alpha k > 0 and ``residual`` (the caller's binding
+    of m22_residual) at k = 1, alpha = G, z = rho + i sigma is below
+    RESIDUAL_TOL.  No physical k, alpha = G/k or z = k^2 (rho + i sigma) is
+    formed, so none can overflow or round a candidate out of the gate.
     """
     alpha_k = kernels.alpha_k(branch.n, rho, y)
     if alpha_k <= 0:
         return None
-    res = residual(BarrierSpec(alpha=alpha_k / k, z=k * k * complex(rho, sigma)), k)
+    sigma = (1.0 - rho) * y
+    res = residual(BarrierSpec(alpha=alpha_k, z=complex(rho, sigma)), 1.0)
     if not res < RESIDUAL_TOL:  # NaN does not certify either
         return None
     return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,
@@ -259,8 +260,7 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y),
                         window.y, np.sign(kernels.f_grid(n, rho, window)))
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
-    return [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
-                          for y in roots) if pt is not None]
+    return [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
 
 
 def trace_curve(branch, rho_min, rho_max, samples):

@@ -159,9 +159,10 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
 
     L is evaluated along the physical curve on a grid log-spaced in (omega -
     Omega) -- near-cutoff intersections sit at omega/Omega - 1 ~ 1e-3 --
-    then each sign change is polished by Brent's method and certified by the
-    barrier residual.  Solutions are labeled ell = 1, 2, ... by descending
-    rho (ties by ascending sigma), counting down from rho = 1.
+    then each sign change is polished by Brent's method, and its (rho, y =
+    sigma/(1-rho)) is certified at k = 1 by ``locus._certify``.  k and alpha
+    = G/k are formed only for the designs that certify, labeled ell = 1, 2,
+    ... by descending rho (ties by ascending sigma), counting from rho = 1.
 
     The grid is evaluated BLOCK points at a time into one byte per point of
     L's sign (-1, 0 or +1), so the temporaries of rho, sigma and L do not
@@ -175,8 +176,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     denominator den must evaluate on its grid without overflow, division by
     zero or NaN (OverflowError otherwise, as where omega0^2 or 10 omega0
     exceeds a double, or where den overflows and f_grid would read L = -x).
-    Every polish step and every root lies inside the grid, so none is
-    checked again.
+    Every polish step and root lies inside the grid: none is checked again.
     """
     branch = BranchLabel(n=n)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
@@ -208,16 +208,16 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         r_, s_ = _rho_sigma(medium, Om, Om + math.exp(u))
         return kernels.f_scalar(n, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
-    found = []  # (omega, k, certified locus point)
+    found = []  # (omega, certified locus point)
     for u in _grid_roots(brentq, mismatch, us, signs):
         om = Om + math.exp(u)
         r_, s_ = _rho_sigma(medium, Om, om)
-        k = _k(Om, om)
-        if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_, s_ / (1.0 - r_), k)):
-            found.append((om, k, pt))
-    found.sort(key=lambda c: (-c[2].rho, c[2].sigma))
+        if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_ / (1.0 - r_))):
+            found.append((om, pt))
+    found.sort(key=lambda c: (-c[1].rho, c[1].sigma))
     sols = []
-    for ell, (om, k, pt) in enumerate(found, start=1):
+    for ell, (om, pt) in enumerate(found, start=1):
+        k = _k(Om, om)
         eps_r = permittivity(medium, om)
         sols.append(SingularitySolution(
             branch=branch, ell=ell, omega=om, k=k, alpha=pt.alpha_k / k,

@@ -420,6 +420,19 @@ class TestDesignCommand:
         assert main(["design", "--n", "2000", "--config", str(p)]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_size_whose_k_squared_underflows_prints_its_designs(self, tmp_path, capsys):
+        # at 2 beta/m = 1e200 nm the near-cutoff candidates' k^2 underflows,
+        # but the gate works at k = 1: both designs print, and nothing else
+        p = tmp_path / "wide.cfg"
+        p.write_text("two_beta_over_m = 1e200\n")
+        rc = main(["design", "--n", "2000", "--config", str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (EXIT_OK, "")
+        records = out.splitlines()
+        assert len(records) == 2
+        assert records[0].startswith("n=2000 ell=1 omega_eV=4.044")
+        assert records[1].startswith("n=2000 ell=2 omega_eV=5.615")
+
     def test_mode_index_is_an_unknown_key(self, tmp_path, capsys):
         p = tmp_path / "wg.cfg"
         p.write_text("mode_index = 1\n")

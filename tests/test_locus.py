@@ -707,8 +707,8 @@ class TestRootPipeline:
     def test_certify_rejects_a_nan_residual(self):
         # the gate accepts only res < RESIDUAL_TOL, so NaN never certifies
         p = solve_sigma(B1, 0.7)[0]
-        assert _certify(lambda spec, k: 0.0, B1, p.rho, p.sigma, p.y) is not None
-        assert _certify(lambda spec, k: math.nan, B1, p.rho, p.sigma, p.y) is None
+        assert _certify(lambda spec, k: 0.0, B1, p.rho, p.y) is not None
+        assert _certify(lambda spec, k: math.nan, B1, p.rho, p.y) is None
 
 
 #: rows an array rho puts around each tested one: rho = 0 and 1e-170, where
@@ -749,8 +749,7 @@ def _full_grid_solve(branch, rho):
     n = branch.n
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y), _Y_GRID.y,
                         np.sign(kernels.f_grid(n, rho, _Y_GRID)))
-    points = [pt for pt in (_certify(m22_residual, branch, rho, (1.0 - rho) * y, y)
-                            for y in roots) if pt is not None]
+    points = [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
     return sorted(points, key=lambda p: p.sigma)
 
 

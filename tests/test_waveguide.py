@@ -288,6 +288,49 @@ class TestFindSingularities:
             find_singularities(medium, GEOM_1CM, 2000)
         assert polished == []
 
+    def test_size_whose_k_squared_underflows_keeps_its_designs(self):
+        # at 2 beta/m = 1e200 nm a near-cutoff candidate's k^2 is below the
+        # smallest double; certified at k = 1, it hides neither of the two
+        # designs that fit in doubles
+        sols = find_singularities(MEDIUM, WaveguideGeometry(beta=5e199), 2000)
+        assert [s.ell for s in sols] == [1, 2]
+        assert [s.omega for s in sols] == pytest.approx([4.044002981875, 5.615767303166],
+                                                        rel=1e-11)
+        assert all(s.residual < 1e-9 and 0 < s.alpha < math.inf for s in sols)
+
+    def test_near_cutoff_design_certifies_at_its_own_point(self):
+        # at 2 beta/m = 1e14 nm the ell = 1 design has 1 - rho* = 9.8e-7 and
+        # residual 9.8e-13 at its own (alpha k, zeta); realized at k = 1.3e-15
+        # and mapped back, its residual read 8.9e-8 and it was lost
+        sols = find_singularities(MEDIUM, WaveguideGeometry(beta=5e13), 2000)
+        assert [s.ell for s in sols] == [1, 2, 3]
+        assert sols[0].omega == pytest.approx(6.204175e-12, rel=1e-6)
+        assert 1.0 - sols[0].rho_star == pytest.approx(9.83e-7, rel=1e-3)
+        assert [s.omega for s in sols[1:]] == pytest.approx([4.044002981875, 5.615767303166],
+                                                            rel=1e-11)
+        assert all(s.residual < 1e-9 for s in sols)
+
+    def test_every_candidate_is_certified_at_k_1(self, monkeypatch):
+        # the gate sees the dimensionless barrier alpha = G, z = rho + i sigma,
+        # sigma = (1-rho) y, at k = 1 and at each candidate's own (rho, y)
+        points, gates = [], []
+        alpha_k, residual = kernels.alpha_k, waveguide.m22_residual
+
+        def spied_alpha_k(n, rho, y):
+            points.append((rho, y, alpha_k(n, rho, y)))
+            return points[-1][2]
+
+        def spied_residual(spec, k):
+            gates.append((k, spec.alpha, spec.z))
+            return residual(spec, k)
+
+        monkeypatch.setattr(kernels, "alpha_k", spied_alpha_k)
+        monkeypatch.setattr(waveguide, "m22_residual", spied_residual)
+        for beta in (5e2, 5e6, 5e13, 5e199):
+            find_singularities(MEDIUM, WaveguideGeometry(beta=beta), 2000)
+        assert len(gates) == len(points) >= 11
+        assert gates == [(1.0, g, complex(rho, (1.0 - rho) * y)) for rho, y, g in points]
+
     # the problems behind the 17 designs of Tables 1 (2 beta/m = 1 um, 1 mm,
     # 1 cm at n = 10000) and 2 (1 cm at n = 2000...5000), where n = 2000 at
     # 1 cm is also the README's design example
@@ -586,7 +629,9 @@ class TestGainScan:
 
     def test_ratio_one_is_the_certified_point(self, monkeypatch):
         # zeta = z/k^2 is the locus point rho + i sigma of omega, so at
-        # ratio 1 the scan evaluates the design's own (rho_star, sigma_star)
+        # ratio 1 the scan evaluates the design's own rho_star and, within
+        # the two roundings of sigma_star = (1-rho) (sigma/(1-rho)) that put
+        # the certified point on the curve's y, its sigma_star
         kernel, seen = waveguide.scaled_moduli, []
 
         def recorded(chi, zeta):
@@ -601,7 +646,8 @@ class TestGainScan:
                     seen.clear()
                     gain_scan(sol, MEDIUM, geom, [1 - 1e-4, 1.0, 1 + 1e-4])
                     ((chi, zeta),) = seen
-                    assert zeta[1] == complex(sol.rho_star, sol.sigma_star)
+                    assert zeta[1].real == sol.rho_star
+                    assert zeta[1].imag == pytest.approx(sol.sigma_star, rel=2**-51, abs=0)
                     assert chi[1] == sol.alpha * sol.k
                     designs += 1
         assert designs >= 10
