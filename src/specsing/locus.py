@@ -260,7 +260,8 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y),
                         window.y, np.sign(kernels.f_grid(n, rho, window)))
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
-    return [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
+    return [pt for pt in (_certify(m22_residual, branch, rho, y) for y in roots)
+            if pt is not None]
 
 
 def trace_curve(branch, rho_min, rho_max, samples):

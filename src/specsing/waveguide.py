@@ -101,9 +101,9 @@ class SingularitySolution:
     lam: float                # vacuum wavelength, nm
     epsilon: complex          # relative permittivity at omega
     refractive_index: complex # sqrt(epsilon), Im < 0 denotes gain
-    residual: float
-    rho_star: float
-    sigma_star: float
+    residual: float           # locus._certify's at k = 1, not recomputed from alpha and k
+    rho_star: float           # zeta = z/k^2 at omega, as gain_scan evaluates it; the gate
+    sigma_star: float         # certifies (1-rho) y, y = sigma/(1-rho), two roundings away
 
 
 def permittivity(medium, omega):
@@ -162,7 +162,8 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     then each sign change is polished by Brent's method, and its (rho, y =
     sigma/(1-rho)) is certified at k = 1 by ``locus._certify``.  k and alpha
     = G/k are formed only for the designs that certify, labeled ell = 1, 2,
-    ... by descending rho (ties by ascending sigma), counting from rho = 1.
+    ... by descending rho (ties by ascending sigma), counting down from rho = 1.
+    Each reports that gate's residual, not one recomputed from alpha and k.
 
     The grid is evaluated BLOCK points at a time into one byte per point of
     L's sign (-1, 0 or +1), so the temporaries of rho, sigma and L do not
@@ -176,7 +177,9 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     denominator den must evaluate on its grid without overflow, division by
     zero or NaN (OverflowError otherwise, as where omega0^2 or 10 omega0
     exceeds a double, or where den overflows and f_grid would read L = -x).
-    Every polish step and root lies inside the grid: none is checked again.
+    Every polish step and every root lies inside the grid, so none is
+    checked again; only a certified design whose G/k exceeds a double raises
+    OverflowError after the polish.
     """
     branch = BranchLabel(n=n)  # n >= 1 that fits in a double
     Om = geom.omega_cutoff
@@ -208,22 +211,25 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         r_, s_ = _rho_sigma(medium, Om, Om + math.exp(u))
         return kernels.f_scalar(n, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
-    found = []  # (omega, certified locus point)
+    found = []  # (omega, the map's sigma, certified locus point)
     for u in _grid_roots(brentq, mismatch, us, signs):
         om = Om + math.exp(u)
         r_, s_ = _rho_sigma(medium, Om, om)
         if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_ / (1.0 - r_))):
-            found.append((om, pt))
-    found.sort(key=lambda c: (-c[1].rho, c[1].sigma))
+            found.append((om, s_, pt))
+    found.sort(key=lambda c: (-c[2].rho, c[1]))
     sols = []
-    for ell, (om, pt) in enumerate(found, start=1):
+    for ell, (om, s_, pt) in enumerate(found, start=1):
         k = _k(Om, om)
+        alpha = pt.alpha_k / k
+        if alpha == math.inf:  # k > 0 on the window, so only G/k can overflow
+            raise OverflowError(f"the design at omega = {om} eV has alpha = G/k beyond a double")
         eps_r = permittivity(medium, om)
         sols.append(SingularitySolution(
-            branch=branch, ell=ell, omega=om, k=k, alpha=pt.alpha_k / k,
+            branch=branch, ell=ell, omega=om, k=k, alpha=alpha,
             lam=2.0 * math.pi * HBAR_C_EV_NM / om,
             epsilon=eps_r, refractive_index=cmath.sqrt(eps_r),
-            residual=pt.residual, rho_star=pt.rho, sigma_star=pt.sigma,
+            residual=pt.residual, rho_star=pt.rho, sigma_star=s_,
         ))
     return sols
 

@@ -433,6 +433,15 @@ class TestDesignCommand:
         assert records[0].startswith("n=2000 ell=1 omega_eV=4.044")
         assert records[1].startswith("n=2000 ell=2 omega_eV=5.615")
 
+    def test_design_whose_alpha_overflows_is_one_error_line(self, tmp_path, capsys):
+        # its alpha = G/k exceeds a double: an error, not two_alpha_mm=inf
+        p = tmp_path / "wide.cfg"
+        p.write_text("two_beta_over_m = 1e200\n")
+        rc = main(["design", "--n", str(10**200), "--config", str(p)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: the design at omega = ") and err.count("\n") == 1
+
     def test_mode_index_is_an_unknown_key(self, tmp_path, capsys):
         p = tmp_path / "wg.cfg"
         p.write_text("mode_index = 1\n")

@@ -749,7 +749,8 @@ def _full_grid_solve(branch, rho):
     n = branch.n
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y), _Y_GRID.y,
                         np.sign(kernels.f_grid(n, rho, _Y_GRID)))
-    points = [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
+    points = [pt for pt in (_certify(m22_residual, branch, rho, y) for y in roots)
+              if pt is not None]
     return sorted(points, key=lambda p: p.sigma)
 
 

@@ -288,15 +288,26 @@ class TestFindSingularities:
             find_singularities(medium, GEOM_1CM, 2000)
         assert polished == []
 
-    def test_size_whose_k_squared_underflows_keeps_its_designs(self):
-        # at 2 beta/m = 1e200 nm a near-cutoff candidate's k^2 is below the
-        # smallest double; certified at k = 1, it hides neither of the two
-        # designs that fit in doubles
-        sols = find_singularities(MEDIUM, WaveguideGeometry(beta=5e199), 2000)
+    @pytest.mark.parametrize("beta", [5e199, 5e299, 5e303])
+    def test_size_whose_k_squared_underflows_keeps_its_designs(self, beta):
+        # from 2 beta/m = 1e162 nm a near-cutoff candidate's k^2 is below the
+        # smallest double (and from 1e300 nm its G/k above the largest);
+        # certified at k = 1, it hides neither of the two designs that fit
+        # in doubles, and each has a finite alpha
+        sols = find_singularities(MEDIUM, WaveguideGeometry(beta=beta), 2000)
         assert [s.ell for s in sols] == [1, 2]
         assert [s.omega for s in sols] == pytest.approx([4.044002981875, 5.615767303166],
                                                         rel=1e-11)
         assert all(s.residual < 1e-9 and 0 < s.alpha < math.inf for s in sols)
+
+    def test_design_whose_alpha_overflows_raises(self):
+        # n = 1e200 at 2 beta/m = 1e200 nm certifies at omega = 3.1e-196 eV
+        # with G = 1.6e200 and k = 1.6e-198: alpha = G/k is no double, and
+        # is reported, not returned as inf
+        with pytest.raises(OverflowError, match="alpha = G/k"):
+            find_singularities(MEDIUM, WaveguideGeometry(beta=5e199), 10**200)
+        (sol,) = find_singularities(MEDIUM, WaveguideGeometry(beta=5e99), 10**100)
+        assert sol.residual < 1e-9 and sol.alpha == pytest.approx(9.98e197, rel=1e-3)
 
     def test_near_cutoff_design_certifies_at_its_own_point(self):
         # at 2 beta/m = 1e14 nm the ell = 1 design has 1 - rho* = 9.8e-7 and
@@ -629,9 +640,7 @@ class TestGainScan:
 
     def test_ratio_one_is_the_certified_point(self, monkeypatch):
         # zeta = z/k^2 is the locus point rho + i sigma of omega, so at
-        # ratio 1 the scan evaluates the design's own rho_star and, within
-        # the two roundings of sigma_star = (1-rho) (sigma/(1-rho)) that put
-        # the certified point on the curve's y, its sigma_star
+        # ratio 1 the scan evaluates the design's own (rho_star, sigma_star)
         kernel, seen = waveguide.scaled_moduli, []
 
         def recorded(chi, zeta):
@@ -646,8 +655,7 @@ class TestGainScan:
                     seen.clear()
                     gain_scan(sol, MEDIUM, geom, [1 - 1e-4, 1.0, 1 + 1e-4])
                     ((chi, zeta),) = seen
-                    assert zeta[1].real == sol.rho_star
-                    assert zeta[1].imag == pytest.approx(sol.sigma_star, rel=2**-51, abs=0)
+                    assert zeta[1] == complex(sol.rho_star, sol.sigma_star)
                     assert chi[1] == sol.alpha * sol.k
                     designs += 1
         assert designs >= 10
