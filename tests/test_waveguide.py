@@ -301,7 +301,7 @@ class TestFindSingularities:
         assert all(s.residual < 1e-9 and 0 < s.alpha < math.inf for s in sols)
 
     def test_design_whose_alpha_overflows_raises(self):
-        # n = 1e200 at 2 beta/m = 1e200 nm certifies at omega = 3.1e-196 eV
+        # n = 10^200 at 2 beta/m = 1e200 nm certifies at omega = 3.1e-196 eV
         # with G = 1.6e200 and k = 1.6e-198: alpha = G/k is no double, and
         # is reported, not returned as inf
         with pytest.raises(OverflowError, match="alpha = G/k"):
