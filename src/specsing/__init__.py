@@ -1,10 +1,10 @@
 """Spectral singularities of the complex barrier potential and the
 resonating-waveguide designs built on them."""
 
-from .barrier import BarrierSpec, m22_residual, transfer_matrix
-from .constants import HBAR_C_EV_NM, principal_sqrt_upper
+from .barrier import m22_residual, principal_sqrt_upper, transfer_matrix
 from .locus import BranchLabel, LocusPoint, solve_sigma, trace_curve
 from .waveguide import (
+    HBAR_C_EV_NM,
     GainMedium,
     SingularitySolution,
     WaveguideGeometry,

@@ -1,12 +1,14 @@
 """Transfer matrix of the complex barrier potential.
 
 The potential is v(x) = z for |x| < alpha and 0 elsewhere, with a complex
-coupling z.  The closed-form transfer matrix is expressed through
-w = sqrt(1 - z/k^2) taken on the upper-half-plane branch; a spectral
-singularity is a real k at which the m22 entry vanishes, making the
-reflection and transmission coefficients blow up.  `_scaled_parts` is the
-only statement of the closed form, in the dimensionless chi = alpha k and
-zeta = z/k^2, with the growth factor e^b of the entries taken out.
+coupling z.  m22 depends on the barrier only through the dimensionless
+chi = alpha k and zeta = z/k^2, and every entry point here takes those two:
+the physical alpha, z and k are formed and checked by the caller.  The
+closed-form transfer matrix is expressed through w = sqrt(1 - zeta) taken on
+the upper-half-plane branch (`principal_sqrt_upper`); a spectral
+singularity is a real k at which m22 vanishes, making the reflection and
+transmission coefficients blow up.  `_scaled_parts` is the only statement
+of the closed form, with the growth factor e^b of the entries taken out.
 `transfer_matrix` and `m22_residual`, which certifies singularities,
 evaluate it at one point with math; `scaled_moduli` evaluates it with numpy
 (it broadcasts) and takes only the moduli a frequency scan prints from it.
@@ -16,33 +18,33 @@ entries overflow a double once b passes about 709.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import principal_sqrt_upper
-
-__all__ = ["BarrierSpec", "scaled_moduli", "transfer_matrix", "m22_residual"]
+__all__ = ["principal_sqrt_upper", "scaled_moduli", "transfer_matrix", "m22_residual"]
 
 
-@dataclass(frozen=True)
-class BarrierSpec:
-    """Barrier half-length alpha (nm) and complex coupling z (nm^-2)."""
+def principal_sqrt_upper(u):
+    """Square root of a complex number with argument in [0, pi).
 
-    alpha: float
-    z: complex
+    This is NOT the standard principal branch: of the two roots of u we pick
+    the one in the closed upper half plane, with the positive real axis
+    included and the negative real axis excluded.  For Im(u) != 0 this flips
+    the sign of the standard root whenever that root has negative imaginary
+    part.
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not cmath.isfinite(self.z):
-            raise ValueError(f"z must be finite, got {self.z}")
-
-
-def _check_k(k):
-    # z/k^2 needs a k^2 that neither underflows to 0 nor overflows to inf
-    if not (0 < k < math.inf and 0 < k * k < math.inf):
-        raise ValueError(f"k must be positive and finite with 0 < k^2 < inf, got {k}")
+    Accepts scalars or arrays; u = 0 returns 0.
+    """
+    if isinstance(u, complex) or np.isscalar(u):  # the cheaper test first
+        s = cmath.sqrt(u)
+        if s.imag > 0 or (s.imag == 0 and s.real >= 0):
+            return s
+        return -s
+    u = np.asarray(u, dtype=np.complex128)
+    # numpy's principal root has Re >= 0, so only Im < 0 needs the flip
+    s = np.sqrt(u, out=np.empty_like(u))
+    np.negative(s, out=s, where=s.imag < 0)
+    return s
 
 
 def _scaled_parts(chi, zeta, ops):
@@ -56,7 +58,8 @@ def _scaled_parts(chi, zeta, ops):
     e^{-b} cos x = cos a p - i sin a q and e^{-b} sin x = sin a p + i cos a q
     with p = (1 + e^{-2b})/2 and q = -expm1(-2b)/2, so nothing overflows
     however large b grows; the sinc (by its series where |x| < 1e-4) removes
-    the w = 0 (zeta = 1) removable point.  Raises OverflowError where x is
+    the w = 0 (zeta = 1) removable point.  Raises ValueError where chi < 0 or
+    is NaN (chi = 0 is the zero-length barrier), and OverflowError where x is
     not finite (chi or zeta does not fit in a double).
 
     Each part is formed once, in place where numpy allows, with the
@@ -66,6 +69,8 @@ def _scaled_parts(chi, zeta, ops):
     new array, so complex products keep their order and go into new arrays.
     """
     exp, expm1, cos, sin, where, any, finite, complex_ = ops
+    if any(chi < 0) or any(chi != chi):
+        raise ValueError(f"chi = alpha k must be >= 0, got {chi}")
     w = principal_sqrt_upper(1 - zeta)
     x = 2 * chi * w
     if not finite(x):
@@ -133,27 +138,24 @@ def scaled_moduli(chi, zeta):
     return a12, np.abs(c), x.imag
 
 
-def transfer_matrix(spec, k):
-    """Closed-form transfer matrix of the barrier at wave number k (nm^-1),
-    with its growth factor e^b taken out.
+def transfer_matrix(chi, zeta):
+    """Closed-form transfer matrix of the barrier at chi = alpha k and
+    zeta = z/k^2, with its growth factor e^b taken out.
 
     Returns (m11, m12, m22, b) with M = e^b [[m11, m12], [-m12, m22]], where
     m11 = e^{-2i chi}(c + t), m22 = e^{2i chi}(c - t) and m12 = i(w^2 - 1) sr
-    from `_scaled_parts` at chi = alpha k and zeta = z/k^2, so no entry is
-    formed unscaled and none overflows.  det M = 1, so
-    m11 m22 + m12^2 = e^{-2b}; t = e^{-b}/m22 and r = m12/m22.  At w = 0 the
-    analytic limits m11 -> e^{-2i chi}(1 + i chi), m22 -> e^{2i chi}(1 - i chi),
-    m12 -> -i chi come out automatically.  Raises OverflowError where alpha k
-    or z/k^2 does not fit in a double.
+    from `_scaled_parts`, so no entry is formed unscaled and none overflows.
+    det M = 1, so m11 m22 + m12^2 = e^{-2b}; t = e^{-b}/m22 and r = m12/m22.
+    At w = 0 the analytic limits m11 -> e^{-2i chi}(1 + i chi),
+    m22 -> e^{2i chi}(1 - i chi), m12 -> -i chi come out automatically.
+    Raises as `_scaled_parts` does.
     """
-    _check_k(k)
-    chi = spec.alpha * k
-    w, x, c, t, sr = _scaled_parts(chi, spec.z / k**2, _MATH)
+    w, x, c, t, sr = _scaled_parts(chi, zeta, _MATH)
     return (cmath.exp(-2j * chi) * (c + t), 1j * (w * w - 1) * sr,
             cmath.exp(2j * chi) * (c - t), x.imag)
 
 
-def m22_residual(spec, k):
+def m22_residual(chi, zeta):
     """Scale-free singularity residual |c - t| / ((|c| + |t|) min(1 + |x|, 1e3)).
 
     c, t and x are `_scaled_parts` at chi = alpha k and zeta = z/k^2, on
@@ -161,11 +163,10 @@ def m22_residual(spec, k):
     c - t, which grows like 1 + |x|; values below ~1e-9 certify a spectral
     singularity at working precision.  The growth is followed only up to
     |x| = 1e3, so a certified point always has |c - t| < 1e-6 (|c| + |t|) and
-    no large alpha k can bring a point far from a zero of m22 under the gate.
-    At the removable point z = k^2 it is |1 - i alpha k| / (1 + alpha k).
-    Raises OverflowError where alpha k or z/k^2 does not fit in a double.
+    no large chi can bring a point far from a zero of m22 under the gate.
+    At the removable point zeta = 1 it is |1 - i chi| / (1 + chi).  Raises as
+    `_scaled_parts` does.
     """
-    _check_k(k)
-    _, x, c, t, _ = _scaled_parts(spec.alpha * k, spec.z / k**2, _MATH)
+    _, x, c, t, _ = _scaled_parts(chi, zeta, _MATH)
     return abs(c - t) / ((abs(c) + abs(t)) * min(1 + abs(x), 1e3))
 

@@ -19,9 +19,11 @@ Numeric CSV fields use %.12e, except `curve`'s rho, sigma and alpha_k:
 which 13 digits do not locate near rho = 1 or at large n.  LF line endings
 make output byte-deterministic for fixed inputs.
 
-`transfer` prints M, det M, T, R, |T|^2 + |R|^2 and the certification
-residual from the scaled closed form (m11, m12, m22, b) of
-`barrier.transfer_matrix`, with M = e^b [[m11, m12], [-m12, m22]]:
+`transfer` is the one command that takes a barrier in physical units: it
+checks alpha > 0, z and k (0 < k^2 < inf), in that order, forms chi = alpha k
+and zeta = z/k^2 once, and prints M, det M, T, R, |T|^2 + |R|^2 and the
+certification residual at (chi, zeta) from the scaled closed form (m11, m12,
+m22, b) of `barrier.transfer_matrix`, with M = e^b [[m11, m12], [-m12, m22]]:
 R = m12/m22 and |T|^2 + |R|^2 = (e^{-2b} + |m12|^2)/|m22|^2 never overflow.
 Where e^b M and T = e^{-b}/m22 fit in normal doubles they are printed as
 they are; otherwise a `log_scale=b` line comes first and the entries and T
@@ -33,6 +35,7 @@ so |m11||m22| + |m12|^2 does not bound it where m22 is small.
 """
 
 import argparse
+import cmath
 import gc
 import math
 import os
@@ -41,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .barrier import BarrierSpec, m22_residual, transfer_matrix
+from .barrier import m22_residual, transfer_matrix
 from .locus import BranchLabel, trace_curve
 from .waveguide import (BLOCK, GAIN_CAP, M22_FLOOR, GainMedium, WaveguideGeometry,
                         find_singularities, gain_scan)
@@ -191,8 +194,16 @@ def _unscaled(m, b):
 
 
 def cmd_transfer(args):
-    spec = BarrierSpec(alpha=parse_length_nm(args.alpha), z=parse_complex(args.z))
-    m11, m12, m22, b = transfer_matrix(spec, args.k)
+    alpha, z, k = parse_length_nm(args.alpha), parse_complex(args.z), args.k
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise CliError(f"alpha must be positive and finite, got {alpha}")
+    if not cmath.isfinite(z):
+        raise CliError(f"z must be finite, got {z}")
+    # z/k^2 needs a k^2 that neither underflows to 0 nor overflows to inf
+    if not (0 < k < math.inf and 0 < k * k < math.inf):
+        raise CliError(f"k must be positive and finite with 0 < k^2 < inf, got {k}")
+    chi, zeta = alpha * k, z / k**2
+    m11, m12, m22, b = transfer_matrix(chi, zeta)
     plain = _unscaled([m11, m12, m22], b)
     if plain:
         (e11, e12, e22), t = plain
@@ -213,7 +224,7 @@ def cmd_transfer(args):
         t2r2 = math.hypot(math.exp(-b), abs(m12)) / abs(m22)
         lines += [f"T={_fmt_c(t)}", f"R={_fmt_c(m12 / m22)}",
                   f"T2_plus_R2={t2r2 * t2r2:.12e}"]
-    lines.append(f"residual={m22_residual(spec, args.k):.12e}")
+    lines.append(f"residual={m22_residual(chi, zeta):.12e}")
     _write(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 

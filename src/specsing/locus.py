@@ -7,8 +7,8 @@ n >= 1; G(n; rho, y) gives alpha*k at a root.  By lemmas 1-3 in `kernels`
 these branches hold every singularity, none at rho >= 1 (L < 0 there) and
 none at sigma <= 0, so only rho < 1 and y >= 0, where the kernels are
 written, are searched.  Every candidate, on the curve and the design path
-alike, is certified where it was found, at k = 1 by the barrier residual of
-alpha = G, z = rho + i sigma, below RESIDUAL_TOL.
+alike, is certified where it was found: the barrier residual at chi = G,
+zeta = rho + i sigma must be below RESIDUAL_TOL.  No k is formed here.
 
 L and G are computed only in `kernels`, with the stable rewrites of the
 terms that cancel for small y; this module brackets, polishes and certifies
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .barrier import BarrierSpec, m22_residual
+from .barrier import m22_residual
 
 __all__ = [
     "BranchLabel",
@@ -177,7 +177,7 @@ def _certify(residual, branch, rho, y):
     """The locus point (rho, sigma = (1-rho) y) of branch if it certifies, else None.
 
     It certifies if G = alpha k > 0 and ``residual`` (the caller's binding
-    of m22_residual) at k = 1, alpha = G, z = rho + i sigma is below
+    of m22_residual), evaluated at chi = G, zeta = rho + i sigma, is below
     RESIDUAL_TOL.  No physical k, alpha = G/k or z = k^2 (rho + i sigma) is
     formed, so none can overflow or round a candidate out of the gate.
     """
@@ -185,7 +185,7 @@ def _certify(residual, branch, rho, y):
     if alpha_k <= 0:
         return None
     sigma = (1.0 - rho) * y
-    res = residual(BarrierSpec(alpha=alpha_k, z=complex(rho, sigma)), 1.0)
+    res = residual(alpha_k, complex(rho, sigma))
     if not res < RESIDUAL_TOL:  # NaN does not certify either
         return None
     return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,

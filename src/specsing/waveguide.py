@@ -8,7 +8,11 @@ Omega = pi*m*hbar*c/(2*beta), each drive frequency omega maps to a point
 parametric curve with a singularity branch give concrete designs
 (gain-region length 2*alpha, resonance wavelength lambda).
 
-All frequencies are hbar*omega in eV, lengths in nm.
+All frequencies are hbar*omega in eV, lengths in nm and wave numbers in
+nm^-1; HBAR_C_EV_NM is the one conversion constant.  Physical
+units stay in this layer: the barrier and the locus plane take chi = alpha k
+and zeta = z/k^2 alone, and `find_singularities` forms k and alpha only for
+the designs that certify.
 """
 
 import cmath
@@ -19,10 +23,10 @@ import numpy as np
 
 from . import kernels
 from .barrier import m22_residual, scaled_moduli
-from .constants import HBAR_C_EV_NM
 from .locus import BranchLabel, _certify, _grid_roots, brentq
 
 __all__ = [
+    "HBAR_C_EV_NM",
     "GainMedium",
     "WaveguideGeometry",
     "SingularitySolution",
@@ -32,6 +36,8 @@ __all__ = [
     "gain_scan",
 ]
 
+# hbar * c in eV * nm (CODATA 2018)
+HBAR_C_EV_NM = 197.3269804
 DEFAULT_GRID_POINTS = 20000
 M22_FLOOR = 1e-300  # |m22| below which gain_scan reports GAIN_CAP
 GAIN_CAP = 600.0  # reported log10(|T|^2+|R|^2) when |m22| underflows
@@ -101,7 +107,7 @@ class SingularitySolution:
     lam: float                # vacuum wavelength, nm
     epsilon: complex          # relative permittivity at omega
     refractive_index: complex # sqrt(epsilon), Im < 0 denotes gain
-    residual: float           # locus._certify's at k = 1, not recomputed from alpha and k
+    residual: float           # locus._certify's at (alpha k, zeta), not recomputed from k
     rho_star: float           # zeta = z/k^2 at omega, as gain_scan evaluates it; the gate
     sigma_star: float         # certifies (1-rho) y, y = sigma/(1-rho), two roundings away
 
@@ -160,9 +166,10 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
     L is evaluated along the physical curve on a grid log-spaced in (omega -
     Omega) -- near-cutoff intersections sit at omega/Omega - 1 ~ 1e-3 --
     then each sign change is polished by Brent's method, and its (rho, y =
-    sigma/(1-rho)) is certified at k = 1 by ``locus._certify``.  k and alpha
-    = G/k are formed only for the designs that certify, labeled ell = 1, 2,
-    ... by descending rho (ties by ascending sigma), counting down from rho = 1.
+    sigma/(1-rho)) is certified by ``locus._certify`` at chi = G, zeta = rho
+    + i sigma.  k and alpha = G/k are formed only for the designs that
+    certify, labeled ell = 1, 2, ... by descending rho (ties by ascending
+    sigma), counting down from rho = 1.
     Each reports that gate's residual, not one recomputed from alpha and k.
 
     The grid is evaluated BLOCK points at a time into one byte per point of

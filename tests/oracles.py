@@ -16,26 +16,40 @@ its overflow sentinel and the forms for rho >= 1 and eps = +1),
 ``wavefunction_profile`` builds psi from the package's amplitudes
 (``amplitudes_of``), ``coupling_of`` gives z from the permittivity rather
 than from (rho, sigma), and ``q_of`` and ``r_of`` are the textbook q and r
-of the trig identities.  ``CAPPED_DESIGN`` is a reference input, not an
-oracle: a design as frozen doubles whose scan has a capped row.
+of the trig identities.  ``check_barrier`` holds the checks of a physical
+(alpha, z, k), which the package makes only in ``cli transfer``: its
+barrier takes chi = alpha k and zeta = z/k^2.  ``CAPPED_DESIGN`` is a
+reference input, not an oracle: a design as frozen doubles whose scan has a
+capped row.
 """
 
 import math
 
 import numpy as np
 
-from specsing.barrier import _NUMPY, _check_k, transfer_matrix
+from specsing.barrier import _NUMPY, principal_sqrt_upper, transfer_matrix
 from specsing.kernels import YGrid, _den, _num_a, _sin2_a, _term1
-from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
 from specsing.locus import BranchLabel
-from specsing.waveguide import SingularitySolution, permittivity
+from specsing.waveguide import HBAR_C_EV_NM, SingularitySolution, permittivity
 
 
 class NumericalDegeneracyError(ArithmeticError):
     """Raised when a plane-wave matching system is numerically singular."""
 
 
-def oracle_transfer_matrix(spec, k):
+def check_barrier(alpha, z, k):
+    """The physical barrier's own checks: alpha > 0 and z finite, and a k
+    whose square neither underflows to 0 nor overflows to inf, so z/k^2
+    is defined."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
+    if not (0 < k < math.inf and 0 < k * k < math.inf):
+        raise ValueError(f"k must be positive and finite with 0 < k^2 < inf, got {k}")
+
+
+def oracle_transfer_matrix(alpha, z, k):
     """Transfer matrix by direct plane-wave matching; independent oracle.
 
     For each prescribed left-side coefficient pair (1,0), (0,1) the interior
@@ -44,9 +58,9 @@ def oracle_transfer_matrix(spec, k):
     results form the matrix columns.  Uses numpy's standard sqrt branch: the
     interior basis only spans the same space, so the result is branch-free.
     """
-    _check_k(k)
-    a = spec.alpha
-    w = np.sqrt(complex(1 - spec.z / k**2))
+    check_barrier(alpha, z, k)
+    a = alpha
+    w = np.sqrt(complex(1 - z / k**2))
     if w == 0:
         raise NumericalDegeneracyError("degenerate interior (z = k^2)")
     ep = np.exp(1j * k * a)          # e^{+ika}
@@ -181,27 +195,27 @@ def f_grid_both_sides(n, eps, rho, y):
     return f
 
 
-def amplitudes_of(spec, k):
+def amplitudes_of(alpha, z, k):
     """t = e^{-b}/m22 and r = m12/m22 from the package's scaled transfer
-    matrix; the barrier is symmetric, so r is both the left- and the
-    right-incident reflection amplitude."""
-    _, m12, m22, b = transfer_matrix(spec, k)
+    matrix at chi = alpha k, zeta = z/k^2; the barrier is symmetric, so r is
+    both the left- and the right-incident reflection amplitude."""
+    check_barrier(alpha, z, k)
+    _, m12, m22, b = transfer_matrix(alpha * k, z / k**2)
     return math.exp(-b) / m22, m12 / m22
 
 
-def wavefunction_profile(spec, k, which, xs):
+def wavefunction_profile(alpha, z, k, which, xs):
     """Scattering wavefunction psi(x) sampled at sorted positions xs (nm).
 
     which: 'left-incident' (unit wave from x = -inf) or 'right-incident'.
     psi and psi' are continuous at +-alpha by construction.  The barrier is
     symmetric (m21 = -m12), so both incidences reflect with the same r.
     """
-    _check_k(k)
     if which not in ("left-incident", "right-incident"):
         raise ValueError(f"unknown incidence {which!r}")
-    a = spec.alpha
-    t, r = amplitudes_of(spec, k)
-    w = np.sqrt(complex(1 - spec.z / k**2))
+    a = alpha
+    t, r = amplitudes_of(alpha, z, k)
+    w = np.sqrt(complex(1 - z / k**2))
     if w == 0:
         raise NumericalDegeneracyError("degenerate interior (z = k^2)")
     if which == "left-incident":

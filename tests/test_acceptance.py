@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from specsing.barrier import BarrierSpec, m22_residual, transfer_matrix
+from specsing.barrier import m22_residual, transfer_matrix
 from specsing.cli import compute_table
 from specsing.locus import BranchLabel, solve_sigma, trace_curve
 from specsing.waveguide import (
@@ -77,11 +77,10 @@ def test_criterion_4_closed_form_vs_matching_oracle(verdict):
         cap = 1.5 / max(abs(w.imag), 0.5)
         alpha = rng.uniform(0.05, cap) / k
         tried += 1
-        spec = BarrierSpec(alpha=alpha, z=z)
-        m11, m12, m22, b = transfer_matrix(spec, k)
+        m11, m12, m22, b = transfer_matrix(alpha * k, z / k**2)
         g = math.exp(b)
         m = (m11 * g, m12 * g, -m12 * g, m22 * g)
-        for got, want in zip(m, oracle_transfer_matrix(spec, k)):
+        for got, want in zip(m, oracle_transfer_matrix(alpha, z, k)):
             worst_entry = max(worst_entry, abs(got - want) / max(1.0, abs(want)))
         worst_det = max(worst_det, abs(m[0] * m[3] - m[1] * m[2] - 1))
     ok = worst_entry < 1e-10 and worst_det < 1e-12
@@ -96,7 +95,7 @@ def test_criterion_5_real_barrier_unitarity(verdict):
         z = rng.uniform(-5, 5)
         k = rng.uniform(0.5, 2.0)
         alpha = rng.uniform(0.05, 3.0) / k
-        t, r = amplitudes_of(BarrierSpec(alpha=alpha, z=z), k)
+        t, r = amplitudes_of(alpha, z, k)
         worst = max(worst, abs(abs(t) ** 2 + abs(r) ** 2 - 1))
     verdict(5, "500 real barriers: |T|^2 + |R|^2 = 1 to 1e-12",
              worst < 1e-12, f"worst dev {worst:.1e}")
@@ -126,8 +125,7 @@ def test_criterion_6_certified_branch_curves(verdict):
                           abs(math.sin(r) * math.sinh(q) - rhs2))
             worst_trig = max(worst_trig, min(d_plus, d_minus))
             # sigma -> -sigma (loss) must not be a singularity
-            mspec = BarrierSpec(alpha=p.alpha_k, z=complex(p.rho, -p.sigma))
-            mirror_ok = mirror_ok and m22_residual(mspec, 1.0) > 1e-3
+            mirror_ok = mirror_ok and m22_residual(p.alpha_k, complex(p.rho, -p.sigma)) > 1e-3
     ok = worst_res < 1e-9 and worst_trig < 1e-9 and mirror_ok
     verdict(6, "branch curves n=1,2,3 certified; identities hold; mirrors fail",
              ok, f"{n_pts} pts, res {worst_res:.1e}, trig {worst_trig:.1e}")
@@ -155,7 +153,7 @@ def test_criterion_8_no_false_singularities(verdict):
         z = rng.uniform(-6, 6)
         k = rng.uniform(0.3, 3.0)
         alpha = rng.uniform(0.05, 8.0) / k
-        floor = min(floor, m22_residual(BarrierSpec(alpha=alpha, z=z), k))
+        floor = min(floor, m22_residual(alpha * k, z / k**2))
     ok = lossy_empty and floor > 1e-3
     verdict(8, "lossy medium and real barriers produce no singularities",
              ok, f"real-z residual floor {floor:.1e}")

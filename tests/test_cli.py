@@ -181,7 +181,7 @@ class TestTransferCommand:
         assert "nan" not in out and "m11=-1.122973482329e+180" in out
 
     def test_singular_matrix_prints_infinite_amplitudes(self, capsys, monkeypatch):
-        def singular(spec, k):
+        def singular(chi, zeta):
             return 1 + 0j, 0j, 0j, 0.0  # m11, m12, m22 = 0, b
 
         monkeypatch.setattr(cli, "transfer_matrix", singular)
@@ -213,6 +213,16 @@ class TestTransferCommand:
             ("--k", "inf", "k must be positive and finite with 0 < k^2 < inf, got inf"),
             ("--k", "nan", "k must be positive and finite with 0 < k^2 < inf, got nan"),
             ("--alpha", "inf", "alpha must be positive and finite, got inf"),
+            # the physical barrier is checked here alone: the library takes
+            # chi = alpha k and zeta = z/k^2
+            ("--alpha", "0", "alpha must be positive and finite, got 0.0"),
+            ("--alpha", "-2nm", "alpha must be positive and finite, got -2.0"),
+            ("--alpha", "nan", "alpha must be positive and finite, got nan"),
+            ("--k", "0", "k must be positive and finite with 0 < k^2 < inf, got 0.0"),
+            ("--k", "-1", "k must be positive and finite with 0 < k^2 < inf, got -1.0"),
+            # k^2 underflows to 0, and overflows to inf
+            ("--k", "1e-200", "k must be positive and finite with 0 < k^2 < inf, got 1e-200"),
+            ("--k", "1e200", "k must be positive and finite with 0 < k^2 < inf, got 1e+200"),
         ]
     ])
     def test_non_finite_input_is_input_error(self, capsys, option, value, message):
@@ -221,6 +231,24 @@ class TestTransferCommand:
         captured = capsys.readouterr()
         assert rc == EXIT_BAD_INPUT
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_alpha_k_that_underflows_is_the_empty_barrier(self, capsys):
+        # alpha > 0 and k pass their checks, but alpha k = 1e-330 rounds to
+        # chi = 0: the zero-length barrier, which transmits everything
+        rc = main(["transfer", "--z", "1i", "--alpha", "1e-320nm", "--k", "1e-10"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK and captured.err == ""
+        assert captured.out == "\n".join([
+            "m11=1.000000000000e+00+0.000000000000e+00i",
+            "m12=0.000000000000e+00+0.000000000000e+00i",
+            "m21=-0.000000000000e+00-0.000000000000e+00i",
+            "m22=1.000000000000e+00+0.000000000000e+00i",
+            "det=1.000000000000e+00+0.000000000000e+00i",
+            "T=1.000000000000e+00+0.000000000000e+00i",
+            "R=0.000000000000e+00+0.000000000000e+00i",
+            "T2_plus_R2=1.000000000000e+00",
+            "residual=1.000000000000e+00",
+        ]) + "\n"
 
 
 def _transfer_deck(count, seed):

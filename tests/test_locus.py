@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specsing import kernels, locus
-from specsing.barrier import BarrierSpec, m22_residual
+from specsing.barrier import m22_residual
 from specsing.locus import (
     _BLOCK,
     _CELL,
@@ -133,8 +133,7 @@ class TestSolveSigma:
 
     def test_points_realize_singularity(self):
         for p in solve_sigma(B2, 0.3) + solve_sigma(B3, 0.3):
-            spec = BarrierSpec(alpha=p.alpha_k, z=complex(p.rho, p.sigma))
-            assert m22_residual(spec, 1.0) < 1e-9
+            assert m22_residual(p.alpha_k, complex(p.rho, p.sigma)) < 1e-9
 
     def test_sigma_decreases_with_n(self):
         s2 = solve_sigma(B2, 0.3)[0].sigma
@@ -145,8 +144,7 @@ class TestSolveSigma:
     def test_mirror_sigma_negative_fails_certification(self):
         # sigma < 0 (gain flipped to loss) must not certify
         p = solve_sigma(B1, 0.7)[0]
-        spec = BarrierSpec(alpha=p.alpha_k, z=complex(p.rho, -p.sigma))
-        assert m22_residual(spec, 1.0) > 1e-3
+        assert m22_residual(p.alpha_k, complex(p.rho, -p.sigma)) > 1e-3
 
     def test_rho_at_least_one_rejected(self):
         with pytest.raises(ValueError):
@@ -707,8 +705,8 @@ class TestRootPipeline:
     def test_certify_rejects_a_nan_residual(self):
         # the gate accepts only res < RESIDUAL_TOL, so NaN never certifies
         p = solve_sigma(B1, 0.7)[0]
-        assert _certify(lambda spec, k: 0.0, B1, p.rho, p.y) is not None
-        assert _certify(lambda spec, k: math.nan, B1, p.rho, p.y) is None
+        assert _certify(lambda chi, zeta: 0.0, B1, p.rho, p.y) is not None
+        assert _certify(lambda chi, zeta: math.nan, B1, p.rho, p.y) is None
 
 
 #: rows an array rho puts around each tested one: rho = 0 and 1e-170, where

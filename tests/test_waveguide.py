@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from specsing import kernels, waveguide
-from specsing.barrier import BarrierSpec
-from specsing.constants import HBAR_C_EV_NM, principal_sqrt_upper
+from specsing.barrier import principal_sqrt_upper
 from specsing.waveguide import (
     GAIN_CAP,
+    HBAR_C_EV_NM,
     M22_FLOOR,
     CutoffError,
     GainMedium,
@@ -321,9 +321,9 @@ class TestFindSingularities:
                                                             rel=1e-11)
         assert all(s.residual < 1e-9 for s in sols)
 
-    def test_every_candidate_is_certified_at_k_1(self, monkeypatch):
-        # the gate sees the dimensionless barrier alpha = G, z = rho + i sigma,
-        # sigma = (1-rho) y, at k = 1 and at each candidate's own (rho, y)
+    def test_every_candidate_is_certified_at_its_own_chi_zeta(self, monkeypatch):
+        # the gate sees chi = G, zeta = rho + i sigma, sigma = (1-rho) y, at
+        # each candidate's own (rho, y), in wide guides too, where k^2 underflows
         points, gates = [], []
         alpha_k, residual = kernels.alpha_k, waveguide.m22_residual
 
@@ -331,16 +331,16 @@ class TestFindSingularities:
             points.append((rho, y, alpha_k(n, rho, y)))
             return points[-1][2]
 
-        def spied_residual(spec, k):
-            gates.append((k, spec.alpha, spec.z))
-            return residual(spec, k)
+        def spied_residual(chi, zeta):
+            gates.append((chi, zeta))
+            return residual(chi, zeta)
 
         monkeypatch.setattr(kernels, "alpha_k", spied_alpha_k)
         monkeypatch.setattr(waveguide, "m22_residual", spied_residual)
         for beta in (5e2, 5e6, 5e13, 5e199):
             find_singularities(MEDIUM, WaveguideGeometry(beta=beta), 2000)
         assert len(gates) == len(points) >= 11
-        assert gates == [(1.0, g, complex(rho, (1.0 - rho) * y)) for rho, y, g in points]
+        assert gates == [(g, complex(rho, (1.0 - rho) * y)) for rho, y, g in points]
 
     # the problems behind the 17 designs of Tables 1 (2 beta/m = 1 um, 1 mm,
     # 1 cm at n = 10000) and 2 (1 cm at n = 2000...5000), where n = 2000 at
@@ -520,8 +520,7 @@ class TestDesignGridBlocks:
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
     om = ratio * sol.omega
-    spec = BarrierSpec(alpha=sol.alpha, z=coupling_of(MEDIUM, om))
-    _, m12, _, m22 = oracle_transfer_matrix(spec, _k(OM_1CM, om))
+    _, m12, _, m22 = oracle_transfer_matrix(sol.alpha, coupling_of(MEDIUM, om), _k(OM_1CM, om))
     return math.log10((1 + abs(m12) ** 2) / abs(m22) ** 2)
 
 
