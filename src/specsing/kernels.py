@@ -5,14 +5,15 @@ written: L, an enclosure of the branch index nu and G = alpha*k at a root.
 
 with s = sqrt(y^2 + 1), den = (1-rho)^2 y^2 + rho^2, term1 = (1-rho)(s+1)/den
 and a = num_a/sqrt(den), num_a = 1 - (1-rho) s: the forms for rho < 1 and
-y >= 0, the only points any function here takes.  num_a and S below use the
-stable rewrite y^2/(s+1) of the s - 1 that cancels for small y.  arccos a is
+y >= 0, the only points any function here takes.  arccos a is
 ill-conditioned near a = +-1 (1 - a ~ y^2 at small y, 1 + a ~ 1/y at large
-y), so R = pi (n - 1) + atan2(S, -num_a), with S^2 = den - num_a^2 = 2(1-rho)
-(s - 1).  x < R <= pi n and X* is the asinh of a double, so L overflows
-nowhere.  Where den underflows (or 2 term1 overflows), f_grid reads L =
-+inf, its true sign for n < 1e156: |rho| and y are below 1.5e-154 there,
-so x < 2.4e-154 n while X* > 355.
+y), so R = pi (n - 1) + atan2(S, -num_a), with S^2 = den - num_a^2 = 2P and
+num_a = rho - P from one product P = (1-rho)(s - 1) = (1-rho) y^2/(s+1) >=
+0.  Neither cancels: each rounds within eps (P + |rho|) <= 2 eps sqrt(den).
+x < R <= pi n and X* is the asinh of a double, so L overflows nowhere.
+Where den underflows (or 2 term1 overflows), f_grid reads L = +inf, its
+true sign for n < 1e156: |rho| and y are below 1.5e-154 there, so x <
+2.4e-154 n while X* > 355.
 
 Lemma 1: for rho < 1 and sigma > 0 every root of m22 lies on a branch (n, -)
 above, n >= 1.  On the upper-half-plane branch, w = sqrt(1 - rho - i sigma)
@@ -39,11 +40,11 @@ e^{-Im X}, where |1+w|^2 - |1-w|^2 = 4 Re w >= 0 and Im X = 2 chi Im w >= 0,
 so w = 0; there m22 = e^{2i chi}(1 - i chi) != 0.
 
 ``YGrid`` holds the pieces of a y grid that depend on y alone, so a grid
-built once (``locus`` keeps one from import) pays for them once.  The
-helpers ``_num_a``, ``_sin2_a`` and ``_term1`` state the stable forms once,
-with augmented assignment, so the same lines serve floats (``f_scalar``,
-``alpha_k``) and arrays, updated in place (``f_grid``, with rho and y
-broadcast).  The two paths differ by numpy's and libm's last-place atan2
+built once (``locus`` keeps one from import) pays for them once.  Each
+function forms P once; ``_phase`` (floats, for ``f_scalar`` and ``alpha_k``)
+and ``f_grid`` (arrays, updated in place, with rho and y broadcast) take R
+from it, and the helpers ``_term1`` and ``_den``, with augmented assignment,
+serve both.  The two paths differ by numpy's and libm's last-place atan2
 and asinh.  ``f_bounds`` encloses the n-free branch index nu = ((s+1)/y X*
 + arccos a)/pi, whose level set nu = n is the branch (n, -) (nu - n = (s+1)
 L/(pi y)), on cells [y0, y1], 0 <= y0 <= y1, in the sense of interval
@@ -68,15 +69,15 @@ _OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]]) / math.pi
 
 
 class YGrid:
-    """A y grid (y >= 0) with the pieces of L that depend on y alone: s =
-    sqrt(y^2 + 1), sp = s + 1 and sm = s - 1 = y^2/(s+1) (read-only arrays)."""
+    """A y grid (y >= 0) with the pieces of L that depend on y alone: sp =
+    s + 1 and sm = s - 1 = y^2/(s+1) (read-only arrays)."""
 
-    __slots__ = ("y", "s", "sp", "sm")
+    __slots__ = ("y", "sp", "sm")
 
     def __init__(self, y):
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.s, self.sp, self.sm = _y_pieces(self.y, np.sqrt)
-        for piece in (self.s, self.sp, self.sm):
+        self.sp, self.sm = _y_pieces(self.y, np.sqrt)
+        for piece in (self.sp, self.sm):
             piece.flags.writeable = False
 
     def __getitem__(self, index):
@@ -89,17 +90,9 @@ class YGrid:
 
 
 def _y_pieces(y, sqrt=math.sqrt):
-    """s, s + 1 and s - 1 = y^2/(s+1), of a float or (with np.sqrt) an array."""
-    s = sqrt(y * y + 1.0)
-    sp = s + 1.0
-    return s, sp, y * y / sp
-
-
-def _num_a(rho, s, sm):
-    """Arccos numerator 1 - (1-rho) s = rho s - (s - 1)."""
-    t = rho * s
-    t -= sm
-    return t
+    """s + 1 and s - 1 = y^2/(s+1), of a float or (with np.sqrt) an array."""
+    sp = sqrt(y * y + 1.0) + 1.0
+    return sp, y * y / sp
 
 
 def _term1(rho, sp, den):
@@ -117,14 +110,6 @@ def _den(rho, y):
     return t
 
 
-def _sin2_a(rho, y, sp):
-    """S^2 = den - num_a^2 = 2(1-rho)(s - 1) = 2(1-rho) y^2/(s+1)."""
-    t = 2.0 * (1.0 - rho) * y
-    t *= y
-    t /= sp
-    return t
-
-
 def _x_star(term1):
     """X* = asinh sqrt(2 term1) of an array term1, in place."""
     term1 *= 2.0
@@ -132,35 +117,35 @@ def _x_star(term1):
     return np.arcsinh(term1, out=term1)
 
 
-def _phase(n, rho, y, s, sp, sm):
-    """R at one point, from the pieces f_scalar and alpha_k share."""
-    sin_a = math.sqrt(_sin2_a(rho, y, sp))
-    return math.pi * (n - 1) + math.atan2(sin_a, -_num_a(rho, s, sm))
+def _phase(n, rho, sm):
+    """R at one point, from P = (1-rho)(s - 1): S = sqrt(2P), -num_a = P - rho."""
+    p = (1.0 - rho) * sm
+    return math.pi * (n - 1) + math.atan2(math.sqrt(2.0 * p), p - rho)
 
 
 def alpha_k(n, rho, y):
     """G = alpha*k = R / sqrt(2(1-rho)(s+1)) at one point (floats)."""
-    s, sp, sm = _y_pieces(y)
-    return _phase(n, rho, y, s, sp, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
+    sp, sm = _y_pieces(y)
+    return _phase(n, rho, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
 
 
 def f_scalar(n, rho, y):
     """L at one point (floats)."""
-    s, sp, sm = _y_pieces(y)
-    x = y * _phase(n, rho, y, s, sp, sm) / sp
+    sp, sm = _y_pieces(y)
+    x = y * _phase(n, rho, sm) / sp
     return math.asinh(math.sqrt(2.0 * _term1(rho, sp, _den(rho, y)))) - x
 
 
 def f_grid(n, rho, y):
     """L on arrays; rho and y (an array or a YGrid of one) broadcast against
-    each other.  Each helper allocates its result once; the rest is in
-    place."""
+    each other.  P, S and each helper allocate their result once; the rest
+    is in place."""
     g = y if isinstance(y, YGrid) else YGrid(y)
-    x = _sin2_a(rho, g.y, g.sp)
-    np.sqrt(x, out=x)
-    num_a = _num_a(rho, g.s, g.sm)
-    np.negative(num_a, out=num_a)
-    np.arctan2(x, num_a, out=x)
+    p = (1.0 - rho) * g.sm
+    x = 2.0 * p
+    np.sqrt(x, out=x)  # S
+    p -= rho  # -num_a
+    np.arctan2(x, p, out=x)
     x += math.pi * (n - 1)  # R
     x *= g.y
     x /= g.sp
@@ -182,9 +167,9 @@ def f_bounds(rho, cells):
     hi are those of its rho alone (a bound may differ in its last bit, where
     numpy's vector loops round differently for different layouts).
 
-    On y > 0, S and den rise with y, and num_a and (s+1)/y fall.  As S >= 0,
-    theta rises as num_a falls and is monotone in S at fixed num_a, so it
-    takes its extremes at the cell's corners; term1 lies in
+    On y > 0, P (so S) and den rise with y, and num_a = rho - P and (s+1)/y
+    fall.  As S >= 0, theta rises as num_a falls and is monotone in S at
+    fixed num_a, so it takes its extremes at the cell's corners; term1 lies in
     [(1-rho)(s0+1)/den1, (1-rho)(s1+1)/den0] and nu in [((s1+1)/y1 X*_lo +
     theta_lo)/pi, ((s0+1)/y0 X*_hi + theta_hi)/pi].  Both terms are >= 0, so
     the relative margin _MARGIN on nu, far above f_grid's rounding error,
@@ -195,9 +180,10 @@ def f_bounds(rho, cells):
     """
     rho = rho[:, None, None]  # a row of cell ends per rho
     down = np.s_[..., ::-1, :]  # rows [y1; y0] of the same pieces
-    sin_a = _sin2_a(rho, cells.y, cells.sp)
+    p = (1.0 - rho) * cells.sm
+    sin_a = 2.0 * p
     np.sqrt(sin_a, out=sin_a)
-    num_a = _num_a(rho, cells.s, cells.sm)
+    num_a = np.subtract(rho, p, out=p)
     theta = np.arctan2(sin_a, num_a)  # the corners (S0, num_a0) and (S1, num_a1)
     other = np.arctan2(sin_a[down], num_a)  # (S1, num_a0) and (S0, num_a1)
     np.minimum(theta[..., 0, :], other[..., 0, :], out=theta[..., 0, :])  # theta_lo

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from specsing.barrier import _NUMPY, principal_sqrt_upper, transfer_matrix
-from specsing.kernels import YGrid, _den, _num_a, _sin2_a, _term1
+from specsing.kernels import YGrid, _den, _term1
 from specsing.locus import BranchLabel
 from specsing.waveguide import HBAR_C_EV_NM, SingularitySolution, permittivity
 
@@ -174,9 +174,10 @@ def f_grid_both_sides(n, eps, rho, y):
     2|1-rho| (s + 1), num_a = 1 - |1-rho| s and term1 = |1-rho| (s - 1)/den."""
     g = y if isinstance(y, YGrid) else YGrid(y)
     below = rho < 1.0
-    x = np.where(below, _sin2_a(rho, g.y, g.sp), 2.0 * (rho - 1.0) * g.sp)
+    p = (1.0 - rho) * g.sm  # P = (1-rho)(s - 1): S^2 = 2P and num_a = rho - P below 1
+    x = np.where(below, 2.0 * p, 2.0 * (rho - 1.0) * g.sp)
     np.sqrt(x, out=x)
-    num_a = np.where(below, _num_a(rho, g.s, g.sm), 1.0 - (rho - 1.0) * g.s)
+    num_a = np.where(below, rho - p, 1.0 - (rho - 1.0) * (g.sm + 1.0))
     if eps < 0:
         np.negative(num_a, out=num_a)
     np.arctan2(x, num_a, out=x)
