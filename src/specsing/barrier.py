@@ -62,11 +62,13 @@ def _scaled_parts(chi, zeta, ops):
     is NaN (chi = 0 is the zero-length barrier), and OverflowError where x is
     not finite (chi or zeta does not fit in a double).
 
-    Each part is formed once, in place where numpy allows, with the
-    operations and operand order of the plain complex expressions, so its
-    doubles are theirs.  numpy rounds a complex a*b and b*a differently, and
-    an in-place complex product of one element differently from one into a
-    new array, so complex products keep their order and go into new arrays.
+    Each part keeps the doubles of the plain complex expressions.  c and the
+    sinc numerator are built from their real and imaginary parts, which are
+    plain real expressions.  Only sr *= chi and t's 1 + w^2 and *= 1j stay in
+    place, products by a real or a scalar that round as the new-array ones.
+    numpy rounds a complex a*b and b*a differently, and an in-place complex
+    product of one element differently from one into a new array, so the
+    complex-by-complex products keep their order and go into new arrays.
     """
     exp, expm1, cos, sin, where, any, finite, complex_ = ops
     if any(chi < 0) or any(chi != chi):
@@ -76,21 +78,15 @@ def _scaled_parts(chi, zeta, ops):
     if not finite(x):
         raise OverflowError("alpha k, z/k^2 or 2 alpha k w does not fit in a double")
     a, b = x.real, x.imag
-    m2b = -2 * b
-    p = exp(m2b)
-    p *= 0.5
-    p += 0.5
-    q = expm1(m2b)
-    q *= -0.5
+    p = 0.5 + 0.5 * exp(-2 * b)
+    q = -0.5 * expm1(-2 * b)
     cos_a, sin_a = cos(a), sin(a)
     # the parts of cos_a p - 1j (sin_a q): cos_a p is never 0, and 0.0 - turns
     # a -0.0 imaginary part into 0.0 as the complex difference does
     c = complex_(cos_a * p, 0.0 - sin_a * q)
-    cos_a *= q
-    sin_a *= p
     # sin_a p + 1j (cos_a q) may carry the other sign of a zero part, but only
     # where the product with chi > 0 below gives that zero one sign
-    sr = complex_(sin_a, cos_a)
+    sr = complex_(sin_a * p, cos_a * q)
     small = abs(x) < 1e-4
     if any(small):
         x2 = x * x
@@ -130,12 +126,7 @@ def scaled_moduli(chi, zeta):
     phase factors and m11 are never formed.
     """
     w, x, c, t, sr = _scaled_parts(chi, zeta, _NUMPY)
-    w = w * w
-    w -= 1
-    a12 = np.abs(w)
-    a12 *= np.abs(sr)
-    c -= t
-    return a12, np.abs(c), x.imag
+    return np.abs(w * w - 1) * np.abs(sr), np.abs(c - t), x.imag
 
 
 def transfer_matrix(chi, zeta):

@@ -70,6 +70,8 @@ class BranchLabel:
     def __post_init__(self):
         if self.eps != -1:
             raise ValueError(f"eps must be -1, got {self.eps}")
+        if self.n % 1:  # a fraction, NaN or an infinity: no branch between two
+            raise ValueError(f"branch index must be an integer, got {self.n}")
         if self.n < 1:
             raise ValueError(f"branch index must be >= 1, got {self.n}")
         if self.n > sys.float_info.max:  # not printed: str() may refuse its digits
@@ -176,14 +178,13 @@ def _grid_roots(polish, f, xs, signs):
 def _certify(residual, branch, rho, y):
     """The locus point (rho, sigma = (1-rho) y) of branch if it certifies, else None.
 
-    It certifies if G = alpha k > 0 and ``residual`` (the caller's binding
-    of m22_residual), evaluated at chi = G, zeta = rho + i sigma, is below
-    RESIDUAL_TOL.  No physical k, alpha = G/k or z = k^2 (rho + i sigma) is
+    It certifies if ``residual`` (the caller's binding of m22_residual),
+    evaluated at chi = G = alpha k, zeta = rho + i sigma, is below
+    RESIDUAL_TOL.  G >= 0; where G = 0 (y^2 underflows) the residual is
+    exactly 1, so the zero-length barrier never certifies.  No physical k, alpha = G/k or z = k^2 (rho + i sigma) is
     formed, so none can overflow or round a candidate out of the gate.
     """
     alpha_k = kernels.alpha_k(branch.n, rho, y)
-    if alpha_k <= 0:
-        return None
     sigma = (1.0 - rho) * y
     res = residual(alpha_k, complex(rho, sigma))
     if not res < RESIDUAL_TOL:  # NaN does not certify either

@@ -132,9 +132,7 @@ def _k(Om, omega):
     """Longitudinal wave number (omega/hbar c) sqrt(1 - Om^2/omega^2) of a
     float or an array omega above the cutoff Om."""
     u = _above_cutoff(Om, omega)
-    k = np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u)
-    k *= omega / HBAR_C_EV_NM
-    return k
+    return omega / HBAR_C_EV_NM * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
 
 
 def _rho_sigma(medium, Om, omega):
@@ -142,19 +140,9 @@ def _rho_sigma(medium, Om, omega):
     rho = omega_p^2 d2 / den and sigma = -2 omega omega_p^2 delta / den with
     d2 = omega^2 - omega0^2 and den = (d2^2 + 4 omega^2 delta^2)(1 - Om^2/omega^2).
     """
-    w2 = omega**2
-    rho = w2 - medium.omega0**2  # d2
-    den = 4.0 * w2
-    den *= medium.delta**2
-    den += rho * rho
-    den *= _above_cutoff(Om, omega)
-    rho *= medium.omega_p_sq
-    rho /= den
-    sigma = -2.0 * omega
-    sigma *= medium.omega_p_sq
-    sigma *= medium.delta
-    sigma /= den
-    return rho, sigma
+    d2 = omega**2 - medium.omega0**2
+    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * _above_cutoff(Om, omega)
+    return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den
 
 
 def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
@@ -277,19 +265,10 @@ def gain_scan(solution, medium, geom, ratio_grid):
         rho, sigma = _rho_sigma(medium, Om, om)
         zeta = rho.astype(complex)
         zeta.imag = sigma
-        chi = _k(Om, om)
-        chi *= solution.alpha
-        a12, a22, b = scaled_moduli(chi, zeta)
-        # values = log10(e^{-2b} + a12^2) - 2 lg22, capped where
-        # log10 |m22| = lg22 + b log10(e) < log10(M22_FLOOR)
+        a12, a22, b = scaled_moduli(solution.alpha * _k(Om, om), zeta)
         lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
-        a12 *= a12
-        a12 += np.exp(-2.0 * b)
-        b *= _LOG10_E
-        b += lg22
-        lg22 *= 2.0
-        values = np.log10(a12, out=a12)
-        values -= lg22
-        values[b < math.log10(M22_FLOOR)] = GAIN_CAP
+        values = np.log10(np.exp(-2.0 * b) + a12 * a12) - 2.0 * lg22
+        # capped where log10 |m22| = log10 |m~22| + b log10(e) < log10(M22_FLOOR)
+        values[lg22 + b * _LOG10_E < math.log10(M22_FLOOR)] = GAIN_CAP
         scan[block, 1] = values
     return scan

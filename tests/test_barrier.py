@@ -333,8 +333,8 @@ class TestChiZetaForm:
 
 class TestPartsFromRealParts:
     """`_scaled_parts` builds c and the sinc numerator from their real and
-    imaginary parts and works in place; each part keeps the doubles of the
-    complex arithmetic of `alpha_z_k_parts`, signed zeros included."""
+    imaginary parts; each part keeps the doubles of the complex arithmetic
+    of `alpha_z_k_parts`, signed zeros included."""
 
     @staticmethod
     def _signed_zero_barriers():

@@ -721,6 +721,37 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv, fail_on)
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+def test_closed_stdout_is_one_error_line(capsys, monkeypatch):
+    # sys.stdout is None in a process started with descriptor 1 closed
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(["design", "--n", "2000"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: cannot write stdout: it is closed\n"
+
+
+class _FailingStderr:
+    """A stderr whose every write fails, with no file descriptor behind it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        raise OSError(errno.EIO, "Input/output error")
+
+    def flush(self):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def test_unwritable_error_line_still_exits_3(capsys, monkeypatch):
+    # the error line cannot be written either: main still returns 3, and
+    # nothing (no traceback) reaches any other stream
+    stderr = _FailingStderr()
+    monkeypatch.setattr("sys.stderr", stderr)
+    assert main(["design", "--n", "0"]) == EXIT_BAD_INPUT
+    assert stderr.writes == ["error: branch index must be >= 1, got 0\n"]
+    assert capsys.readouterr() == ("", "")
+
+
 def _process_env():
     """The environment of a child interpreter that imports this specsing."""
     env = dict(os.environ)

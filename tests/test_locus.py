@@ -63,6 +63,14 @@ class TestBranchLabel:
                 BranchLabel(n=n)
         BranchLabel(n=largest)
 
+    def test_non_integer_n(self):
+        # no branch lies between two integers; NaN and the infinities are none
+        for n in (2000.5, 2000.25, 1999.5, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="branch index must be an integer"):
+                BranchLabel(n=n)
+        assert BranchLabel(n=2000.0) == BranchLabel(n=2000)
+        assert BranchLabel(n=np.int64(3)) == B3
+
 
 class TestClosedForms:
     def test_q_frozen(self):
@@ -640,6 +648,7 @@ class TestRootPipeline:
             (lambda x: math.tanh(40.0 * (x - 0.31)), 0.0, 1.0),
             (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
             (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # triple root: no convergence
+            (lambda x: 1.0 - x, 0.0, 1.0),  # f(a) > 0 = f(b): b is the root
         ]
         for f, a, b in cases:
             assert self._run(brentq, f, a, b) == self._run(reference, f, a, b)
@@ -736,6 +745,19 @@ class TestRootPipeline:
         p = solve_sigma(B1, 0.7)[0]
         assert _certify(lambda chi, zeta: 0.0, B1, p.rho, p.y) is not None
         assert _certify(lambda chi, zeta: math.nan, B1, p.rho, p.y) is None
+
+    def test_certify_rejects_a_zero_length_barrier_by_its_residual(self):
+        # G = 0 where y^2 underflows; m22 = 1 there, so the residual is 1
+        rho, y = -0.5, 1e-170
+        assert kernels.alpha_k(1, rho, y) == 0.0
+        calls = []
+
+        def residual(chi, zeta):
+            calls.append((chi, zeta))
+            return m22_residual(chi, zeta)
+        assert _certify(residual, B1, rho, y) is None
+        assert calls == [(0.0, complex(rho, (1.0 - rho) * y))]
+        assert m22_residual(*calls[0]) == 1.0
 
 
 #: rows an array rho puts around each tested one: rho = 0 and 1e-170, where

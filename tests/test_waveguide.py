@@ -40,9 +40,9 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64).tolist()
 
 
-# The frequency-scan arithmetic as plain expressions on fresh arrays;
-# gain_scan forms the same products, sums and quotients in the same order,
-# in place.
+# The frequency-scan arithmetic as plain expressions, stated apart from
+# gain_scan's so that a change to its operations, their order or operand
+# order shows as a changed bit.
 def _expr_k(Om, omega):
     u = (omega - Om) / omega * ((omega + Om) / omega)
     return (omega / HBAR_C_EV_NM) * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
@@ -269,6 +269,14 @@ class TestFindSingularities:
     def test_bad_branch_index(self):
         with pytest.raises(ValueError):
             find_singularities(MEDIUM, GEOM_1CM, 0)
+
+    @pytest.mark.parametrize("n", [2000.5, 2000.25, 1999.5, math.nan])
+    def test_non_integer_branch_index_is_rejected_before_any_grid(self, monkeypatch, n):
+        # between two branches the gate's allowance at chi ~ 3e3 let n = 2000.5
+        # certify omega = 5.6161 eV, whose |c - t|/(|c| + |t|) is 8.3e-7
+        monkeypatch.setattr(kernels, "f_grid", None)
+        with pytest.raises(ValueError, match="branch index must be an integer"):
+            find_singularities(MEDIUM, GEOM_1CM, n)
 
     def test_bad_window(self):
         # the window ends at 10 omega0 = 50 eV; a 10 nm guide cuts off at 62 eV
@@ -568,7 +576,7 @@ class TestGainScan:
         assert peak(200_001) - peak(20_001) <= 17 * 180_000
 
     def test_rows_keep_the_doubles_of_the_expression_form(self):
-        # gain_scan works in place, block by block; each row is the double the
+        # gain_scan works block by block; each row is the double the
         # expressions give, sign bits included, across block edges and at the
         # capped rows, which the frozen CAPPED_DESIGN holds whatever omega
         # the solver returns
