@@ -63,12 +63,12 @@ def _scaled_parts(chi, zeta, ops):
     not finite (chi or zeta does not fit in a double).
 
     Each part keeps the doubles of the plain complex expressions.  c and the
-    sinc numerator are built from their real and imaginary parts, which are
-    plain real expressions.  Only sr *= chi and t's 1 + w^2 and *= 1j stay in
-    place, products by a real or a scalar that round as the new-array ones.
-    numpy rounds a complex a*b and b*a differently, and an in-place complex
-    product of one element differently from one into a new array, so the
-    complex-by-complex products keep their order and go into new arrays.
+    sinc numerator are built from their real and imaginary parts, plain real
+    expressions.  Only t += 1, t *= 1j and sr *= chi work in place: a sum, or
+    a product by a scalar or a real array, rounds there as into a new array.
+    A complex-by-complex product does not: numpy rounds a*b and b*a
+    differently, and an in-place product of one element differently from one
+    into a new array, so those keep their order and go into new arrays.
     """
     exp, expm1, cos, sin, where, any, finite, complex_ = ops
     if any(chi < 0) or any(chi != chi):

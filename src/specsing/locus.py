@@ -180,9 +180,10 @@ def _certify(residual, branch, rho, y):
 
     It certifies if ``residual`` (the caller's binding of m22_residual),
     evaluated at chi = G = alpha k, zeta = rho + i sigma, is below
-    RESIDUAL_TOL.  G >= 0; where G = 0 (y^2 underflows) the residual is
-    exactly 1, so the zero-length barrier never certifies.  No physical k, alpha = G/k or z = k^2 (rho + i sigma) is
-    formed, so none can overflow or round a candidate out of the gate.
+    RESIDUAL_TOL.  The kernels give G >= 0; where G = 0 (y^2 underflows)
+    the residual is exactly 1, so the zero-length barrier never certifies.
+    No physical k, alpha = G/k or z = k^2 (rho + i sigma) is formed, so
+    none can overflow or round a candidate out of the gate.
     """
     alpha_k = kernels.alpha_k(branch.n, rho, y)
     sigma = (1.0 - rho) * y

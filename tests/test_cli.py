@@ -687,8 +687,9 @@ def test_every_input_ends_in_an_exit_code(tmp_path, capsys, monkeypatch, argv, c
 
 
 class _FullStdout:
-    """A stdout on a full disk: every flush fails, and every write ("write"),
-    none ("flush") or every write after the first ("partway")."""
+    """A stdout (or stderr) on a full disk: every flush fails, and every
+    write ("write"), none ("flush") or every write after the first
+    ("partway")."""
 
     def __init__(self, fail_on):
         self.fail_on = fail_on
@@ -728,27 +729,13 @@ def test_closed_stdout_is_one_error_line(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: cannot write stdout: it is closed\n"
 
 
-class _FailingStderr:
-    """A stderr whose every write fails, with no file descriptor behind it."""
-
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-        raise OSError(errno.EIO, "Input/output error")
-
-    def flush(self):
-        raise OSError(errno.EIO, "Input/output error")
-
-
 def test_unwritable_error_line_still_exits_3(capsys, monkeypatch):
-    # the error line cannot be written either: main still returns 3, and
-    # nothing (no traceback) reaches any other stream
-    stderr = _FailingStderr()
+    # the error line cannot be written either (a full stderr with no file
+    # descriptor): main still returns 3, and no traceback reaches any stream
+    stderr = _FullStdout("write")
     monkeypatch.setattr("sys.stderr", stderr)
     assert main(["design", "--n", "0"]) == EXIT_BAD_INPUT
-    assert stderr.writes == ["error: branch index must be >= 1, got 0\n"]
+    assert stderr.writes == 1
     assert capsys.readouterr() == ("", "")
 
 
