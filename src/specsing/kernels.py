@@ -41,10 +41,12 @@ so w = 0; there m22 = e^{2i chi}(1 - i chi) != 0.
 
 ``YGrid`` holds the pieces of a y grid that depend on y alone, so a grid
 built once (``locus`` keeps one from import) pays for them once.  Each
-function forms P once; ``_phase`` (floats, for ``f_scalar`` and ``alpha_k``)
-and ``f_grid`` (arrays, updated in place, with rho and y broadcast) take R
-from it, and the helpers ``_term1`` and ``_den``, with augmented assignment,
-serve both.  The two paths differ by numpy's and libm's last-place atan2
+function forms P once and R from it.  ``f_scalar`` and ``alpha_k`` (floats)
+are one expression each, and ``f_grid`` (arrays, updated in place, with rho
+and y broadcast) calls no helper, as call overhead outweighs the arithmetic
+on a curve slice's 161 points.  All three keep ``_den``'s and ``_term1``'s
+order of operations (the tests restate them bit for bit), and the float and
+the array forms differ by numpy's and libm's last-place atan2
 and asinh.  ``f_bounds`` encloses the n-free branch index nu = ((s+1)/y X*
 + arccos a)/pi, whose level set nu = n is the branch (n, -) (nu - n = (s+1)
 L/(pi y)), on cells [y0, y1], 0 <= y0 <= y1, in the sense of interval
@@ -76,7 +78,8 @@ class YGrid:
 
     def __init__(self, y):
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.sp, self.sm = _y_pieces(self.y, np.sqrt)
+        self.sp = np.sqrt(self.y * self.y + 1.0) + 1.0
+        self.sm = self.y * self.y / self.sp
         for piece in (self.sp, self.sm):
             piece.flags.writeable = False
 
@@ -84,15 +87,8 @@ class YGrid:
         """The grid at a basic index (a slice): views of these pieces, so
         nothing is recomputed."""
         g = object.__new__(YGrid)
-        for name in self.__slots__:
-            setattr(g, name, getattr(self, name)[index])
+        g.y, g.sp, g.sm = self.y[index], self.sp[index], self.sm[index]
         return g
-
-
-def _y_pieces(y, sqrt=math.sqrt):
-    """s + 1 and s - 1 = y^2/(s+1), of a float or (with np.sqrt) an array."""
-    sp = sqrt(y * y + 1.0) + 1.0
-    return sp, y * y / sp
 
 
 def _term1(rho, sp, den):
@@ -117,39 +113,45 @@ def _x_star(term1):
     return np.arcsinh(term1, out=term1)
 
 
-def _phase(n, rho, sm):
-    """R at one point, from P = (1-rho)(s - 1): S = sqrt(2P), -num_a = P - rho."""
-    p = (1.0 - rho) * sm
-    return math.pi * (n - 1) + math.atan2(math.sqrt(2.0 * p), p - rho)
-
-
 def alpha_k(n, rho, y):
     """G = alpha*k = R / sqrt(2(1-rho)(s+1)) at one point (floats)."""
-    sp, sm = _y_pieces(y)
-    return _phase(n, rho, sm) / math.sqrt(2.0 * (1.0 - rho) * sp)
+    sp = math.sqrt(y * y + 1.0) + 1.0
+    p = (1.0 - rho) * (y * y / sp)
+    return ((math.pi * (n - 1) + math.atan2(math.sqrt(2.0 * p), p - rho))
+            / math.sqrt(2.0 * (1.0 - rho) * sp))
 
 
 def f_scalar(n, rho, y):
     """L at one point (floats)."""
-    sp, sm = _y_pieces(y)
-    x = y * _phase(n, rho, sm) / sp
-    return math.asinh(math.sqrt(2.0 * _term1(rho, sp, _den(rho, y)))) - x
+    q = 1.0 - rho
+    sp = math.sqrt(y * y + 1.0) + 1.0
+    p = q * (y * y / sp)
+    x = y * (math.pi * (n - 1) + math.atan2(math.sqrt(2.0 * p), p - rho)) / sp
+    return math.asinh(math.sqrt(2.0 * (q * sp / (q ** 2 * y * y + rho * rho)))) - x
 
 
 def f_grid(n, rho, y):
     """L on arrays; rho and y (an array or a YGrid of one) broadcast against
-    each other.  P, S and each helper allocate their result once; the rest
+    each other.  P, S, den and term1 allocate their result once; the rest
     is in place."""
     g = y if isinstance(y, YGrid) else YGrid(y)
-    p = (1.0 - rho) * g.sm
-    x = 2.0 * p
+    q = 1.0 - rho
+    p = q * g.sm
+    x = p + p  # 2P: doubling is exact, so p + p == 2.0 * p, without a scalar operand
     np.sqrt(x, out=x)  # S
     p -= rho  # -num_a
     np.arctan2(x, p, out=x)
     x += math.pi * (n - 1)  # R
     x *= g.y
     x /= g.sp
-    f = _x_star(_term1(rho, g.sp, _den(rho, g.y)))
+    den = q ** 2 * g.y
+    den *= g.y
+    den += rho * rho
+    f = q * g.sp
+    f /= den  # term1
+    f += f  # 2 term1, likewise
+    np.sqrt(f, out=f)
+    np.arcsinh(f, out=f)  # X*
     f -= x
     return f
 

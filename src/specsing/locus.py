@@ -20,6 +20,7 @@ decade [0, 1e-6 10^-d] it rules out.  `trace_curve` encloses nu for 64 rho
 slices in one `f_bounds` call, then solves each slice in its window.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -103,14 +104,13 @@ def brentq(f, a, b):
     and f(b) have the same sign, ValueError if f gives NaN, RuntimeError
     after 100 iterations.
     """
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN")
-        return fx
-
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = f(xpre)
+    if fpre != fpre:  # NaN
+        raise ValueError(f"f({xpre!r}) is NaN")
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise ValueError(f"f({xcur!r}) is NaN")
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -127,9 +127,11 @@ def brentq(f, a, b):
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        abis = abs(sbis)
+        if fcur == 0 or abis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        apre = abs(spre)
+        if apre > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -139,7 +141,8 @@ def brentq(f, a, b):
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:  # C gets +-inf or NaN, which fails the test below
                 stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            bound = 3 * abis - delta  # C's MIN(|spre|, bound), without a call to min
+            if 2 * abs(stry) < (apre if apre < bound else bound):
                 spre, scur = scur, stry  # good short step
             else:
                 spre = scur = sbis  # bisect
@@ -147,7 +150,9 @@ def brentq(f, a, b):
             spre = scur = sbis  # bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"f({xcur!r}) is NaN")
     raise RuntimeError(f"brentq failed to converge after {_MAXITER} iterations, "
                        f"value is {xcur!r}")
 
@@ -165,7 +170,7 @@ def _grid_roots(polish, f, xs, signs):
     equal to the one before it is the only duplicate, and is kept once.
     """
     roots = []
-    for i in np.flatnonzero(signs[:-1] != signs[1:]):
+    for i in (signs[:-1] != signs[1:]).nonzero()[0].tolist():
         try:
             r = polish(f, xs[i], xs[i + 1])
         except NoSignChange:
@@ -190,8 +195,7 @@ def _certify(residual, branch, rho, y):
     res = residual(alpha_k, complex(rho, sigma))
     if not res < RESIDUAL_TOL:  # NaN does not certify either
         return None
-    return LocusPoint(rho=rho, sigma=sigma, y=y, alpha_k=alpha_k,
-                      branch=branch, residual=res)
+    return LocusPoint(rho, sigma, y, alpha_k, branch, res)
 
 
 def _excluded(n, rhos, cells):
@@ -216,10 +220,12 @@ def _windows(n, rhos):
         block = rhos[start:start + _BLOCK]
         open_cells = ~_excluded(n, np.asarray(block, dtype=float), _CELLS)
         last_cell = open_cells.shape[1] - 1
-        firsts = open_cells.argmax(axis=1)
-        lasts = last_cell - open_cells[:, ::-1].argmax(axis=1)
-        for rho, cells, first, last in zip(block, open_cells, firsts, lasts):
-            if not cells[first]:
+        # Python ints and bools: numpy scalars are slow to index and add
+        firsts = open_cells.argmax(axis=1).tolist()
+        lasts = (last_cell - open_cells[:, ::-1].argmax(axis=1)).tolist()
+        for rho, any_open, first, last in zip(block, open_cells.any(axis=1).tolist(),
+                                              firsts, lasts):
+            if not any_open:
                 yield None
             elif first > 0:
                 yield _Y_GRID[(first - 1) * _CELL:last * _CELL + 1]
@@ -259,11 +265,11 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
         window, = _windows(n, [rho])
     if window is None:
         return []
-    roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y),
-                        window.y, np.sign(kernels.f_grid(n, rho, window)))
+    f = kernels.f_grid(n, rho, window)
+    roots = _grid_roots(brentq, functools.partial(kernels.f_scalar, n, rho),
+                        window.y, np.sign(f, out=f))
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
-    return [pt for pt in (_certify(m22_residual, branch, rho, y) for y in roots)
-            if pt is not None]
+    return [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
 
 
 def trace_curve(branch, rho_min, rho_max, samples):

@@ -86,6 +86,8 @@ class WaveguideGeometry:
     m: int = 1
 
     def __post_init__(self):
+        if self.m % 1:  # a fraction, NaN or an infinity: no mode between two
+            raise ValueError(f"mode index must be an integer, got {self.m}")
         if self.m < 1:
             raise ValueError(f"mode index must be >= 1, got {self.m}")
         if not (self.beta > 0 and math.isfinite(self.beta)):

@@ -275,8 +275,40 @@ def _assert_close_to_scale(got, want, rho, y):
 
 
 def _phase(n, rho, y):
-    """R = pi n - arccos a at one point, as f_scalar and alpha_k form it."""
-    return kernels._phase(n, rho, kernels._y_pieces(y)[1])
+    """R = pi n - arccos a = pi (n - 1) + atan2(S, P - rho) at one point,
+    with P = (1-rho)(s - 1), in f_scalar's and alpha_k's order of operations."""
+    sp = math.sqrt(y * y + 1.0) + 1.0
+    p = (1.0 - rho) * (y * y / sp)
+    return math.pi * (n - 1) + math.atan2(math.sqrt(2.0 * p), p - rho)
+
+
+# The kernels as plain expressions, stated apart from their fused forms, so
+# that a change to an operation, its order or its operand order shows as a
+# changed bit.
+
+def _expr_f_scalar(n, rho, y):
+    sp = math.sqrt(y * y + 1.0) + 1.0
+    x = y * _phase(n, rho, y) / sp
+    den = (1.0 - rho) ** 2 * y * y + rho * rho
+    return math.asinh(math.sqrt(2.0 * ((1.0 - rho) * sp / den))) - x
+
+
+def _expr_alpha_k(n, rho, y):
+    sp = math.sqrt(y * y + 1.0) + 1.0
+    return _phase(n, rho, y) / math.sqrt(2.0 * (1.0 - rho) * sp)
+
+
+def _expr_f_grid(n, rho, y):
+    sp = np.sqrt(y * y + 1.0) + 1.0
+    p = (1.0 - rho) * (y * y / sp)
+    r = np.arctan2(np.sqrt(2.0 * p), p - rho) + math.pi * (n - 1)
+    den = (1.0 - rho) ** 2 * y * y + rho * rho
+    return np.arcsinh(np.sqrt(2.0 * ((1.0 - rho) * sp / den))) - r * y / sp
+
+
+def _bits(a):
+    """The bits of each double, so -0.0 != 0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
 
 
 class TestKernels:
@@ -370,6 +402,42 @@ class TestKernels:
             rho = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if near_1 else rng.uniform(-3.0, 1.0)
             points.append((n, rho, 10.0 ** rng.uniform(-12.0, 6.0)))
         return points
+
+    def test_fused_kernels_keep_the_bits_of_the_plain_expressions(self):
+        # on the deck, on y down to 1e-300 (the decades below the grid, where
+        # y^2 underflows) and on 1 - rho down to 1e-13; f_grid with rho a
+        # float and with rho a column
+        points = self._deck()
+        ys = np.concatenate((10.0 ** -np.arange(300.0, 6.0, -3.0), np.geomspace(1e-6, 1e6, 97)))
+        rhos = self.RHOS + (1.0 - 1e-7, 1.0 - 1e-10, 1.0 - 1e-13)
+        points += [(n, rho, y) for n in (1, 7, 50) for rho in rhos for y in ys.tolist()]
+        for n, rho, y in points:
+            assert _bits(kernels.f_scalar(n, rho, y)) == _bits(_expr_f_scalar(n, rho, y))
+            assert _bits(kernels.alpha_k(n, rho, y)) == _bits(_expr_alpha_k(n, rho, y))
+            one = np.array([y])
+            assert _bits(kernels.f_grid(n, rho, one)) == _bits(_expr_f_grid(n, rho, one))
+        column = np.array(rhos)[:, None]
+        for n in (1, 7, 50, 10**6):
+            for rho in rhos:
+                assert _bits(kernels.f_grid(n, rho, ys)) == _bits(_expr_f_grid(n, rho, ys))
+                grid = kernels.f_grid(n, rho, kernels.YGrid(ys)[10:60])
+                assert _bits(grid) == _bits(_expr_f_grid(n, rho, ys[10:60]))
+            assert _bits(kernels.f_grid(n, column, ys)) == _bits(_expr_f_grid(n, column, ys))
+
+    def test_y_grid_slices_are_read_only_views(self):
+        # a YGrid's slice recomputes nothing: each piece is a view of its
+        # parent grid's, and sp and sm stay read-only
+        grid = kernels.YGrid(np.geomspace(1e-6, 1e6, 301))
+        for index in (np.s_[10:171], np.s_[:161], np.s_[140:]):
+            part = grid[index]
+            for name in ("y", "sp", "sm"):
+                piece, whole = getattr(part, name), getattr(grid, name)
+                assert np.shares_memory(piece, whole) and piece.base is not None
+                assert _bits(piece) == _bits(whole[index])
+            for piece in (part.sp, part.sm):
+                assert not piece.flags.writeable
+                with pytest.raises(ValueError):
+                    piece[0] = 0.0
 
     def test_grid_matches_high_precision_textbook_l(self):
         # f_grid and f_scalar are within a few ulps of X* + x of a 50-digit
@@ -610,21 +678,21 @@ class TestHotPath:
 class TestRootPipeline:
     @staticmethod
     def _run(solver, f, a, b):
-        """(root or exception name, number of f evaluations)."""
+        """(root or exception name, the points f was evaluated at, in order)."""
         calls = []
 
         def counted(x):
             calls.append(x)
             return f(x)
         try:
-            return solver(counted, a, b), len(calls)
+            return solver(counted, a, b), calls
         except (ValueError, RuntimeError) as exc:
-            return type(exc).__name__, len(calls)
+            return type(exc).__name__, calls
 
     def test_brentq_follows_scipy_step_for_step(self):
-        # same root to the bit and the same number of evaluations, on
-        # seeded brackets of L and on functions that force bisection,
-        # extrapolation and non-convergence
+        # same root to the bit and the same points evaluated in the same
+        # order, on seeded brackets of L and on functions that force
+        # bisection, extrapolation and non-convergence
         scipy_optimize = pytest.importorskip("scipy.optimize")
 
         def reference(f, a, b):
@@ -645,6 +713,7 @@ class TestRootPipeline:
             (lambda x: x ** 20 - 0.5, 0.0, 1.5),
             (lambda x: math.sqrt(x) - 0.1, 0.0, 1.0),
             (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: x ** 3 - 0.22 ** 3, 0.0, 1.0),  # a step past 3/4 of the bracket bisects
             (lambda x: math.tanh(40.0 * (x - 0.31)), 0.0, 1.0),
             (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
             (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # triple root: no convergence
@@ -658,10 +727,21 @@ class TestRootPipeline:
             brentq(lambda x: x * x + 1.0, -1.0, 1.0)
         assert issubclass(NoSignChange, ValueError)
 
-    def test_brentq_raises_on_nan(self):
+    @pytest.mark.parametrize("nan_at", ["a", "b", "interior"])
+    def test_brentq_raises_on_nan(self, nan_at):
+        # a NaN at either end or only at an interior iterate is a ValueError,
+        # not NoSignChange, which would drop the bracket as rounding noise
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            nan = {"a": x < 0.1, "b": x > 0.9, "interior": 0.2 < x < 0.8}[nan_at]
+            return math.nan if nan else x - 0.7
         with pytest.raises(ValueError) as info:
-            brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+            brentq(f, 0.0, 1.0)
         assert not isinstance(info.value, NoSignChange)
+        if nan_at == "interior":
+            assert len(calls) > 2 and 0.2 < calls[-1] < 0.8
 
     def test_bracket_where_f_keeps_its_sign_is_dropped(self):
         # the signs change on [1, 2] where f = 2.5 - x does not: no root there

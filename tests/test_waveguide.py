@@ -131,6 +131,18 @@ class TestGeometry:
         with pytest.raises(ValueError):
             WaveguideGeometry(beta=1.0, m=0)
 
+    @pytest.mark.parametrize("bad", [1.5, 0.5, -2.5, math.nan, math.inf, -math.inf])
+    def test_rejects_a_mode_index_that_is_not_an_integer(self, bad):
+        # m = 1.5 once gave a design at a cutoff between two modes, and m =
+        # nan reached find_singularities and failed there on its cutoff
+        with pytest.raises(ValueError, match="mode index"):
+            WaveguideGeometry(beta=5e6, m=bad)
+
+    def test_accepts_integer_mode_indices(self):
+        for m in (1, 3, np.int64(2), np.int32(7), 2.0):
+            assert WaveguideGeometry(beta=5e6, m=m).omega_cutoff == pytest.approx(
+                m * OM_1CM, rel=1e-15)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_input(self, bad):
         with pytest.raises(ValueError):
