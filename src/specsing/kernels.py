@@ -72,7 +72,8 @@ _OUTWARD = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]]) / math.pi
 
 class YGrid:
     """A y grid (y >= 0) with the pieces of L that depend on y alone: sp =
-    s + 1 and sm = s - 1 = y^2/(s+1) (read-only arrays)."""
+    s + 1 and sm = s - 1 = y^2/(s+1).  All three are read-only arrays (y is
+    the caller's float array, not a copy), so the pieces stay in step with y."""
 
     __slots__ = ("y", "sp", "sm")
 
@@ -80,7 +81,7 @@ class YGrid:
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self.sp = np.sqrt(self.y * self.y + 1.0) + 1.0
         self.sm = self.y * self.y / self.sp
-        for piece in (self.sp, self.sm):
+        for piece in (self.y, self.sp, self.sm):
             piece.flags.writeable = False
 
     def __getitem__(self, index):

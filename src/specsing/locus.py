@@ -180,18 +180,21 @@ def _grid_roots(polish, f, xs, signs):
     return roots
 
 
-def _certify(residual, branch, rho, y):
-    """The locus point (rho, sigma = (1-rho) y) of branch if it certifies, else None.
+def _certify(residual, branch, rho, y, sigma):
+    """The locus point (rho, sigma), y = sigma/(1-rho), of branch if it
+    certifies, else None.
 
     It certifies if ``residual`` (the caller's binding of m22_residual),
-    evaluated at chi = G = alpha k, zeta = rho + i sigma, is below
-    RESIDUAL_TOL.  The kernels give G >= 0; where G = 0 (y^2 underflows)
-    the residual is exactly 1, so the zero-length barrier never certifies.
+    evaluated at chi = G(n; rho, y) = alpha k, zeta = rho + i sigma, is below
+    RESIDUAL_TOL.  sigma is the caller's: (1-rho) y on a curve slice, and on
+    the design path the map's sigma*, so that a design is certified at (G,
+    rho* + i sigma*), the point it reports.  The kernels give G >= 0; where
+    G = 0 (y^2 underflows) the residual is exactly 1, so the zero-length
+    barrier never certifies.
     No physical k, alpha = G/k or z = k^2 (rho + i sigma) is formed, so
     none can overflow or round a candidate out of the gate.
     """
     alpha_k = kernels.alpha_k(branch.n, rho, y)
-    sigma = (1.0 - rho) * y
     res = residual(alpha_k, complex(rho, sigma))
     if not res < RESIDUAL_TOL:  # NaN does not certify either
         return None
@@ -269,7 +272,7 @@ def solve_sigma(branch, rho, *, window=_WINDOW):
     roots = _grid_roots(brentq, functools.partial(kernels.f_scalar, n, rho),
                         window.y, np.sign(f, out=f))
     # sigma = (1-rho) y rises with y, and the roots come in ascending y
-    return [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y))]
+    return [pt for y in roots if (pt := _certify(m22_residual, branch, rho, y, (1.0 - rho) * y))]
 
 
 def trace_curve(branch, rho_min, rho_max, samples):

@@ -109,9 +109,9 @@ class SingularitySolution:
     lam: float                # vacuum wavelength, nm
     epsilon: complex          # relative permittivity at omega
     refractive_index: complex # sqrt(epsilon), Im < 0 denotes gain
-    residual: float           # locus._certify's at (alpha k, zeta), not recomputed from k
-    rho_star: float           # zeta = z/k^2 at omega, as gain_scan evaluates it; the gate
-    sigma_star: float         # certifies (1-rho) y, y = sigma/(1-rho), two roundings away
+    residual: float           # the gate's at (G, rho* + i sigma*), not recomputed from k
+    rho_star: float           # zeta = z/k^2 at omega: the point certified, and the one
+    sigma_star: float         # gain_scan evaluates at ratio 1
 
 
 def permittivity(medium, omega):
@@ -123,28 +123,19 @@ def permittivity(medium, omega):
                                     + 2j * medium.delta * omega)
 
 
-def _above_cutoff(Om, omega):
-    """1 - Om^2/omega^2 of a float or an array omega, as ((omega - Om)/omega)
-    ((omega + Om)/omega): just above the cutoff Om, omega - Om is exact
-    (Sterbenz), so this keeps the digits that 1 - Om/omega loses."""
-    return (omega - Om) / omega * ((omega + Om) / omega)
-
-
-def _k(Om, omega):
-    """Longitudinal wave number (omega/hbar c) sqrt(1 - Om^2/omega^2) of a
-    float or an array omega above the cutoff Om."""
-    u = _above_cutoff(Om, omega)
-    return omega / HBAR_C_EV_NM * (np.sqrt(u) if isinstance(u, np.ndarray) else math.sqrt(u))
-
-
 def _rho_sigma(medium, Om, omega):
-    """Locus-plane point (rho, sigma) = z/k^2 of a float or an array omega:
-    rho = omega_p^2 d2 / den and sigma = -2 omega omega_p^2 delta / den with
-    d2 = omega^2 - omega0^2 and den = (d2^2 + 4 omega^2 delta^2)(1 - Om^2/omega^2).
+    """Locus-plane point (rho, sigma) = z/k^2 of a float or an array omega,
+    and u = 1 - Om^2/omega^2, with which the longitudinal wave number above
+    the cutoff Om is k = (omega/hbar c) sqrt(u): rho = omega_p^2 d2 / den and
+    sigma = -2 omega omega_p^2 delta / den with d2 = omega^2 - omega0^2 and
+    den = (d2^2 + 4 omega^2 delta^2) u.  u is ((omega - Om)/omega) ((omega +
+    Om)/omega): just above Om, omega - Om is exact (Sterbenz), so this keeps
+    the digits that 1 - Om/omega loses.
     """
+    u = (omega - Om) / omega * ((omega + Om) / omega)
     d2 = omega**2 - medium.omega0**2
-    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * _above_cutoff(Om, omega)
-    return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den
+    den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * u
+    return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den, u
 
 
 def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
@@ -155,11 +146,12 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
 
     L is evaluated along the physical curve on a grid log-spaced in (omega -
     Omega) -- near-cutoff intersections sit at omega/Omega - 1 ~ 1e-3 --
-    then each sign change is polished by Brent's method, and its (rho, y =
-    sigma/(1-rho)) is certified by ``locus._certify`` at chi = G, zeta = rho
-    + i sigma.  k and alpha = G/k are formed only for the designs that
-    certify, labeled ell = 1, 2, ... by descending rho (ties by ascending
-    sigma), counting down from rho = 1.
+    then each sign change is polished by Brent's method, and the map's
+    (rho*, sigma*) there is certified by ``locus._certify`` at chi = G(n;
+    rho*, sigma*/(1-rho*)), zeta = rho* + i sigma*: the point the design
+    reports, and the one gain_scan evaluates at ratio 1.  k and alpha = G/k
+    are formed only for the designs that certify, labeled ell = 1, 2, ... by
+    descending rho (ties by ascending sigma), counting down from rho = 1.
     Each reports that gate's residual, not one recomputed from alpha and k.
 
     The grid is evaluated BLOCK points at a time into one byte per point of
@@ -192,7 +184,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
         for start in range(0, len(us), BLOCK):
             block = slice(start, start + BLOCK)
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us[block]))
+                rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us[block]))[:2]
                 below = rho < 1.0
                 rho = rho[below]
                 y = sigma[below] / (1.0 - rho)
@@ -205,19 +197,18 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
                             f"fit in a double on the window ({lo}, {hi}) eV") from None
 
     def mismatch(u):
-        r_, s_ = _rho_sigma(medium, Om, Om + math.exp(u))
+        r_, s_ = _rho_sigma(medium, Om, Om + math.exp(u))[:2]
         return kernels.f_scalar(n, r_, s_ / (1.0 - r_)) if r_ < 1 else -1.0
 
-    found = []  # (omega, the map's sigma, certified locus point)
-    for u in _grid_roots(brentq, mismatch, us, signs):
-        om = Om + math.exp(u)
-        r_, s_ = _rho_sigma(medium, Om, om)
-        if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_ / (1.0 - r_))):
-            found.append((om, s_, pt))
-    found.sort(key=lambda c: (-c[2].rho, c[1]))
+    found = []  # (omega, k, certified locus point)
+    for root in _grid_roots(brentq, mismatch, us, signs):
+        om = Om + math.exp(root)
+        r_, s_, u_ = _rho_sigma(medium, Om, om)
+        if r_ < 1 and (pt := _certify(m22_residual, branch, r_, s_ / (1.0 - r_), s_)):
+            found.append((om, om / HBAR_C_EV_NM * math.sqrt(u_), pt))
+    found.sort(key=lambda c: (-c[2].rho, c[2].sigma))
     sols = []
-    for ell, (om, s_, pt) in enumerate(found, start=1):
-        k = _k(Om, om)
+    for ell, (om, k, pt) in enumerate(found, start=1):
         alpha = pt.alpha_k / k
         if alpha == math.inf:  # k > 0 on the window, so only G/k can overflow
             raise OverflowError(f"the design at omega = {om} eV has alpha = G/k beyond a double")
@@ -226,7 +217,7 @@ def find_singularities(medium, geom, n, grid_points=DEFAULT_GRID_POINTS):
             branch=branch, ell=ell, omega=om, k=k, alpha=alpha,
             lam=2.0 * math.pi * HBAR_C_EV_NM / om,
             epsilon=eps_r, refractive_index=cmath.sqrt(eps_r),
-            residual=pt.residual, rho_star=pt.rho, sigma_star=s_,
+            residual=pt.residual, rho_star=pt.rho, sigma_star=pt.sigma,
         ))
     return sols
 
@@ -239,16 +230,16 @@ def gain_scan(solution, medium, geom, ratio_grid):
     moves.  Returns an (N, 2) float64 array of (ratio, value) rows; iterating
     it, dict() and len() behave as on a list of pairs.
 
-    Each vectorized block of BLOCK points is fed to `scaled_moduli`
-    at chi = alpha k(omega) and zeta = z/k^2 = rho + i sigma, the locus point
-    of omega (at ratio 1 the design's own rho_star + i sigma_star).  With
-    M = e^b M~, |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in log
-    space as log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays finite
-    however large the entries grow.  Where |m22| = e^b |m~22| < M22_FLOOR
-    (at a singularity) the value is GAIN_CAP.  Raises CutoffError, before the
-    matrix is evaluated, if any ratio puts omega at or below the cutoff (or
-    is not finite).  Within |ratio - 1| < 1e-5 of the design, m~22 = c - t
-    cancels, and the values there carry few correct digits.
+    Each vectorized block of BLOCK points is fed to `scaled_moduli` at chi =
+    alpha k(omega) and zeta = z/k^2 = rho + i sigma, the locus point of omega
+    (at ratio 1 rho_star + i sigma_star, where the design was certified).
+    With M = e^b M~, |T|^2 + |R|^2 = (1 + |m12|^2)/|m22|^2 is evaluated in
+    log space as log10(e^{-2b} + |m~12|^2) - 2 log10|m~22|, so it stays
+    finite however large the entries grow.  Where |m22| = e^b |m~22| <
+    M22_FLOOR (at a singularity) the value is GAIN_CAP.  Raises CutoffError,
+    before the matrix is evaluated, if any ratio puts omega at or below the
+    cutoff (or is not finite).  Within |ratio - 1| < 1e-5 of the design, m~22
+    = c - t cancels, and the values there carry few correct digits.
     """
     ratios = np.asarray(ratio_grid, dtype=float)
     Om = geom.omega_cutoff
@@ -264,10 +255,11 @@ def gain_scan(solution, medium, geom, ratio_grid):
     for lo in range(0, len(ratios), BLOCK):
         block = slice(lo, lo + BLOCK)
         om = ratios[block] * solution.omega
-        rho, sigma = _rho_sigma(medium, Om, om)
+        rho, sigma, u = _rho_sigma(medium, Om, om)
+        chi = solution.alpha * (om / HBAR_C_EV_NM * np.sqrt(u))
         zeta = rho.astype(complex)
         zeta.imag = sigma
-        a12, a22, b = scaled_moduli(solution.alpha * _k(Om, om), zeta)
+        a12, a22, b = scaled_moduli(chi, zeta)
         lg22 = np.log10(a22, out=np.full_like(a22, -np.inf), where=a22 > 0)
         values = np.log10(np.exp(-2.0 * b) + a12 * a12) - 2.0 * lg22
         # capped where log10 |m22| = log10 |m~22| + b log10(e) < log10(M22_FLOOR)

@@ -434,10 +434,22 @@ class TestKernels:
                 piece, whole = getattr(part, name), getattr(grid, name)
                 assert np.shares_memory(piece, whole) and piece.base is not None
                 assert _bits(piece) == _bits(whole[index])
-            for piece in (part.sp, part.sm):
+            for piece in (part.y, part.sp, part.sm):
                 assert not piece.flags.writeable
                 with pytest.raises(ValueError):
                     piece[0] = 0.0
+
+    def test_y_grid_keeps_y_and_its_pieces_in_step(self):
+        # y is the caller's array, not a copy: it is made read-only, so a
+        # write to it cannot leave sp and sm describing the old y
+        a = np.array([1.0, 2.0, 3.0])
+        grid = kernels.YGrid(a)
+        assert grid.y is a
+        with pytest.raises(ValueError):
+            a[0] = 100.0
+        assert grid.y[0] == 1.0 and grid.sp[0] == math.sqrt(2.0) + 1.0
+        # the bracketing grid every curve window is sliced from
+        assert not _Y_GRID.y.flags.writeable
 
     def test_grid_matches_high_precision_textbook_l(self):
         # f_grid and f_scalar are within a few ulps of X* + x of a 50-digit
@@ -708,6 +720,7 @@ class TestRootPipeline:
                 f = functools.partial(kernels.f_scalar, n, rho)
                 cases.append((f, ys[i], ys[i + 1]))
         assert len(cases) >= 20
+        x0 = 0.4595928518309905
         cases += [
             (lambda x: x * x - 0.01, 0.0, 1.0),
             (lambda x: x ** 20 - 0.5, 0.0, 1.5),
@@ -718,6 +731,9 @@ class TestRootPipeline:
             (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
             (lambda x: (x - 1.0 / 3.0) ** 3, 0.0, 1.0),  # triple root: no convergence
             (lambda x: 1.0 - x, 0.0, 1.0),  # f(a) > 0 = f(b): b is the root
+            # dblk * dpre underflows to 0: C's step is NaN, which bisects
+            (lambda x: 1.6748071474520906e-236 * ((x - x0) ** 7 + 0.5774467022710263 * (x - x0)),
+             0.0, 1.0),
         ]
         for f, a, b in cases:
             assert self._run(brentq, f, a, b) == self._run(reference, f, a, b)
@@ -823,8 +839,8 @@ class TestRootPipeline:
     def test_certify_rejects_a_nan_residual(self):
         # the gate accepts only res < RESIDUAL_TOL, so NaN never certifies
         p = solve_sigma(B1, 0.7)[0]
-        assert _certify(lambda chi, zeta: 0.0, B1, p.rho, p.y) is not None
-        assert _certify(lambda chi, zeta: math.nan, B1, p.rho, p.y) is None
+        assert _certify(lambda chi, zeta: 0.0, B1, p.rho, p.y, p.sigma) is not None
+        assert _certify(lambda chi, zeta: math.nan, B1, p.rho, p.y, p.sigma) is None
 
     def test_certify_rejects_a_zero_length_barrier_by_its_residual(self):
         # G = 0 where y^2 underflows; m22 = 1 there, so the residual is 1
@@ -835,7 +851,7 @@ class TestRootPipeline:
         def residual(chi, zeta):
             calls.append((chi, zeta))
             return m22_residual(chi, zeta)
-        assert _certify(residual, B1, rho, y) is None
+        assert _certify(residual, B1, rho, y, (1.0 - rho) * y) is None
         assert calls == [(0.0, complex(rho, (1.0 - rho) * y))]
         assert m22_residual(*calls[0]) == 1.0
 
@@ -878,7 +894,7 @@ def _full_grid_solve(branch, rho):
     n = branch.n
     roots = _grid_roots(brentq, lambda y: kernels.f_scalar(n, rho, y), _Y_GRID.y,
                         np.sign(kernels.f_grid(n, rho, _Y_GRID)))
-    points = [pt for pt in (_certify(m22_residual, branch, rho, y) for y in roots)
+    points = [pt for pt in (_certify(m22_residual, branch, rho, y, (1.0 - rho) * y) for y in roots)
               if pt is not None]
     return sorted(points, key=lambda p: p.sigma)
 

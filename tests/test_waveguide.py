@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specsing import kernels, waveguide
-from specsing.barrier import principal_sqrt_upper
+from specsing.barrier import m22_residual, principal_sqrt_upper
 from specsing.waveguide import (
     GAIN_CAP,
     HBAR_C_EV_NM,
@@ -15,7 +15,6 @@ from specsing.waveguide import (
     CutoffError,
     GainMedium,
     WaveguideGeometry,
-    _k,
     _rho_sigma,
     find_singularities,
     gain_scan,
@@ -52,7 +51,8 @@ def _expr_rho_sigma(medium, Om, omega):
     d2 = omega**2 - medium.omega0**2
     above_cutoff = (omega - Om) / omega * ((omega + Om) / omega)
     den = (d2 * d2 + 4.0 * omega**2 * medium.delta**2) * above_cutoff
-    return medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den
+    return (medium.omega_p_sq * d2 / den, -2.0 * omega * medium.omega_p_sq * medium.delta / den,
+            above_cutoff)
 
 
 def _expr_scaled_moduli(chi, zeta):
@@ -76,7 +76,7 @@ def _expr_scaled_moduli(chi, zeta):
 def _expr_scan_values(solution, medium, geom, ratios):
     """The scan's values in one block: its arithmetic is elementwise."""
     om = np.asarray(ratios) * solution.omega
-    rho, sigma = _expr_rho_sigma(medium, geom.omega_cutoff, om)
+    rho, sigma, _ = _expr_rho_sigma(medium, geom.omega_cutoff, om)
     zeta = rho.astype(complex)
     zeta.imag = sigma
     a12, a22, b = _expr_scaled_moduli(solution.alpha * _expr_k(geom.omega_cutoff, om), zeta)
@@ -119,11 +119,10 @@ class TestGeometry:
                 gain_scan(at_cutoff, MEDIUM, GEOM_1CM, [ratio])
 
     def test_k_just_above_cutoff_is_accurate(self):
+        # u = 1 - Omega^2/omega^2 of the map, from which k = (omega/hbar c) sqrt(u)
         Om = GEOM_1CM.omega_cutoff
         om = Om * (1 + 1e-12)
-        k = _k(Om, om)
-        assert k == pytest.approx((om / HBAR_C_EV_NM) * math.sqrt(2e-12),
-                                  rel=1e-3)
+        assert _rho_sigma(MEDIUM, Om, om)[2] == pytest.approx(2e-12, rel=1e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -157,35 +156,35 @@ class TestGeometry:
         with pytest.raises(ValueError):
             GainMedium(omega0=5.0, omega_p_sq=0.0, delta=1.25)
 
-    def test_k_of_array_matches_floats(self):
-        omegas = np.array([0.5, 2.0, 5.0, 40.0])
-        assert list(_k(OM_1CM, omegas)) == [_k(OM_1CM, float(om)) for om in omegas]
+    def test_design_k_keeps_the_doubles_of_the_expression_form(self):
+        # the design record forms k = (omega/hbar c) sqrt(u) from the map's u
+        for sol in find_singularities(MEDIUM, GEOM_1CM, 2000):
+            assert _bits(sol.k) == _bits(_expr_k(OM_1CM, sol.omega))
 
 
 class TestRhoSigma:
     @pytest.mark.parametrize("omega", [0.5, 2.0, 4.9, 5.1, 40.0])
     def test_matches_coupling_over_k_squared(self, omega):
-        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omega)
+        rho, sigma, _ = _rho_sigma(MEDIUM, OM_1CM, omega)
         z = coupling_of(MEDIUM, omega)
-        k = _k(OM_1CM, omega)
-        u = z / k**2
-        assert rho == pytest.approx(u.real, rel=1e-14)
-        assert sigma == pytest.approx(u.imag, rel=1e-14)
+        k = _expr_k(OM_1CM, omega)
+        zeta = z / k**2
+        assert rho == pytest.approx(zeta.real, rel=1e-14)
+        assert sigma == pytest.approx(zeta.imag, rel=1e-14)
 
     def test_rho_changes_sign_at_resonance(self):
-        r_lo, _ = _rho_sigma(MEDIUM, OM_1CM, 4.999)
-        r_hi, _ = _rho_sigma(MEDIUM, OM_1CM, 5.001)
+        r_lo = _rho_sigma(MEDIUM, OM_1CM, 4.999)[0]
+        r_hi = _rho_sigma(MEDIUM, OM_1CM, 5.001)[0]
         assert r_lo > 0 > r_hi
 
     def test_sigma_positive_for_gain(self):
         for om in (1.0, 5.0, 9.0):
-            _, sigma = _rho_sigma(MEDIUM, OM_1CM, om)
-            assert sigma > 0
+            assert _rho_sigma(MEDIUM, OM_1CM, om)[1] > 0
 
     def test_array_matches_floats(self):
         omegas = np.array([0.5, 2.0, 4.999, 5.001, 40.0])
-        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omegas)
-        assert [(r, s) for r, s in zip(rho, sigma)] == \
+        rho, sigma, u = _rho_sigma(MEDIUM, OM_1CM, omegas)
+        assert list(zip(rho, sigma, u)) == \
             [_rho_sigma(MEDIUM, OM_1CM, float(om)) for om in omegas]
 
     @pytest.mark.parametrize("gap", [3.5e-4, 1e-2, 1e-5, 1e-8])
@@ -196,7 +195,7 @@ class TestRhoSigma:
         # was 1.1e-13 off and (1 - Omega/omega)(1 + Omega/omega) 9.8e-14
         mpmath = pytest.importorskip("mpmath")
         omega = OM_1CM * (1.0 + gap)
-        rho, sigma = _rho_sigma(MEDIUM, OM_1CM, omega)
+        rho, sigma, _ = _rho_sigma(MEDIUM, OM_1CM, omega)
         with mpmath.workdps(40):
             om, o0, wp2, d = (mpmath.mpf(v) for v in (omega, MEDIUM.omega0,
                                                     MEDIUM.omega_p_sq, MEDIUM.delta))
@@ -212,7 +211,6 @@ class TestRhoSigma:
         omegas[:200] = 5.0 + rng.uniform(-1e-3, 1e-3, 200)  # rho changes sign here
         for om in omegas.tolist():
             assert _bits(_rho_sigma(MEDIUM, OM_1CM, om)) == _bits(_expr_rho_sigma(MEDIUM, OM_1CM, om))
-            assert _bits(_k(OM_1CM, om)) == _bits(_expr_k(OM_1CM, om))
 
 
 class TestFindSingularities:
@@ -275,7 +273,7 @@ class TestFindSingularities:
             lambda om: _rho_sigma(MEDIUM, OM_1CM, om)[0] - s2.rho_star,
             2.0, 4.0, rtol=1e-15)
         assert om == pytest.approx(s2.omega, rel=1e-6)
-        _, sig = _rho_sigma(MEDIUM, OM_1CM, om)
+        sig = _rho_sigma(MEDIUM, OM_1CM, om)[1]
         assert sig == pytest.approx(s2.sigma_star, rel=1e-6)
 
     def test_bad_branch_index(self):
@@ -342,8 +340,9 @@ class TestFindSingularities:
         assert all(s.residual < 1e-9 for s in sols)
 
     def test_every_candidate_is_certified_at_its_own_chi_zeta(self, monkeypatch):
-        # the gate sees chi = G, zeta = rho + i sigma, sigma = (1-rho) y, at
-        # each candidate's own (rho, y), in wide guides too, where k^2 underflows
+        # the gate sees chi = G(n; rho, y), zeta = rho + i sigma at each
+        # candidate's own map point, y = sigma/(1-rho), in wide guides too,
+        # where k^2 underflows; each design reports the point of its gate
         points, gates = [], []
         alpha_k, residual = kernels.alpha_k, waveguide.m22_residual
 
@@ -357,10 +356,33 @@ class TestFindSingularities:
 
         monkeypatch.setattr(kernels, "alpha_k", spied_alpha_k)
         monkeypatch.setattr(waveguide, "m22_residual", spied_residual)
+        designs = []
         for beta in (5e2, 5e6, 5e13, 5e199):
-            find_singularities(MEDIUM, WaveguideGeometry(beta=beta), 2000)
+            designs += find_singularities(MEDIUM, WaveguideGeometry(beta=beta), 2000)
         assert len(gates) == len(points) >= 11
-        assert gates == [(g, complex(rho, (1.0 - rho) * y)) for rho, y, g in points]
+        assert [(chi, zeta.real, zeta.imag / (1.0 - zeta.real)) for chi, zeta in gates] == \
+            [(g, rho, y) for rho, y, g in points]
+        assert {complex(s.rho_star, s.sigma_star) for s in designs} <= {z for _, z in gates}
+
+    # the Table 1 designs (2 beta/m = 1 um, 1 mm, 1 cm at n = 10000), then
+    # ell = 1 designs whose map sigma and (1-rho) (sigma/(1-rho)) differ, so
+    # that the residual at the one point differs from the one at the other:
+    # problem 164 of the seed-1 design_sweep deck and README-medium guides
+    # of 2 beta/m = 10^11.5 and 10^15.5 nm
+    @pytest.mark.parametrize("medium,two_beta,n", [
+        *((MEDIUM, tb, 10000) for tb in (1e3, 1e6, 1e7)),
+        (GainMedium(4.553939056397166, -0.03806571255549165, 1.2542640570918786),
+         16243.730524575636, 21),
+        (MEDIUM, 10 ** 11.5, 2000),
+        (MEDIUM, 10 ** 15.5, 10000),
+    ])
+    def test_design_is_certified_at_the_point_it_reports(self, medium, two_beta, n):
+        # the residual is the gate's at (G, rho* + i sigma*), bit for bit
+        sols = find_singularities(medium, WaveguideGeometry(beta=two_beta / 2.0), n)
+        assert sols
+        for s in sols:
+            g = kernels.alpha_k(n, s.rho_star, s.sigma_star / (1.0 - s.rho_star))
+            assert m22_residual(g, complex(s.rho_star, s.sigma_star)) == s.residual, s.ell
 
     # the problems behind the 17 designs of Tables 1 (2 beta/m = 1 um, 1 mm,
     # 1 cm at n = 10000) and 2 (1 cm at n = 2000...5000), where n = 2000 at
@@ -385,7 +407,7 @@ def _one_array_grid(medium, geom, n, points):
     and elsewhere F in the oracle's form for rho >= 1."""
     Om = geom.omega_cutoff
     us = np.linspace(math.log(Om * (1 + 1e-9) - Om), math.log(10.0 * medium.omega0 - Om), points)
-    rho, sigma = _rho_sigma(medium, Om, Om + np.exp(us))
+    rho, sigma, _ = _rho_sigma(medium, Om, Om + np.exp(us))
     y = sigma / (1.0 - rho)
     below = rho < 1.0
     locus = np.empty_like(rho)
@@ -540,7 +562,7 @@ class TestDesignGridBlocks:
 def _oracle_gain(sol, ratio):
     """log10(|T|^2+|R|^2) at one ratio from the plane-wave matching oracle."""
     om = ratio * sol.omega
-    _, m12, _, m22 = oracle_transfer_matrix(sol.alpha, coupling_of(MEDIUM, om), _k(OM_1CM, om))
+    _, m12, _, m22 = oracle_transfer_matrix(sol.alpha, coupling_of(MEDIUM, om), _expr_k(OM_1CM, om))
     return math.log10((1 + abs(m12) ** 2) / abs(m22) ** 2)
 
 
@@ -698,7 +720,7 @@ class TestGainScan:
                 sol = dataclasses.replace(design, omega=design.omega * (1.0 + j * 2.0 ** -52))
                 om = ratios * sol.omega
                 _, m12, m22, b = alpha_z_k_transfer(sol.alpha, coupling_of(MEDIUM, om),
-                                                    _k(geom.omega_cutoff, om))
+                                                    _expr_k(geom.omega_cutoff, om))
                 old = np.log10(np.exp(-2 * b) + np.abs(m12) ** 2) - 2 * np.log10(np.abs(m22))
                 new = gain_scan(sol, MEDIUM, geom, ratios)[:, 1]
                 with mpmath.workdps(50):
